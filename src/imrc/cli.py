@@ -8,7 +8,6 @@ the standard plots). Output goes to stdout as plain `name = value` lines;
 
 Exit codes: 0 success, 1 usage/input error, 2 infeasible computation.
 Power flags accept linear values or decibels: `--P 0.1` or `--P -10dB`.
-The environment variable IMRC_THREADS caps grid-search workers.
 """
 
 from __future__ import annotations
@@ -21,14 +20,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import beamforming, search
+from . import beamforming
 from .errors import ImrcError
 from .lowpower import (best_sign_powers, full_region, linearized_rates,
                        taylor_coeffs)
 from .model import (ChannelSetup, PowerAllocation, feasibility,
                     resolve_channel, validate)
 from .rates import block_penalty, ic_rates, mac_rates, scheme_rate_point
-from .search import GridSpec, SweepPolicy, bisect_intersection, sweep_P
+from .search import (GridSpec, SweepPolicy, bisect_intersection, search_p1,
+                     sweep_P)
 
 DEFAULT_DB_RANGE = "-30:20:1"
 
@@ -63,11 +63,17 @@ class RunConfig:
 
 
 def parse_power(text: str) -> float:
-    """`0.5` -> 0.5 linear; `-10dB` -> 10**(-1)."""
+    """`0.5` -> 0.5 linear; `-10dB` -> 10**(-1). NaN and infinity are
+    rejected as out of range."""
     s = text.strip()
-    if s.lower().endswith("db"):
-        return 10.0 ** (float(s[:-2]) / 10.0)
-    return float(s)
+    try:
+        value = (10.0 ** (float(s[:-2]) / 10.0) if s.lower().endswith("db")
+                 else float(s))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"power must be finite, got {text!r}")
+    return value
 
 
 def parse_grid(text: str) -> GridSpec:
@@ -91,10 +97,14 @@ def parse_db_range(text: str) -> tuple[float, ...]:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if math.isnan(value):
+        return ""  # undefined here
     return format(float(value), ".12g")
 
 
@@ -208,21 +218,32 @@ def _budgets(config: RunConfig) -> list[float]:
     return [10.0 ** (db / 10.0) for db in config.p_db]
 
 
+def _sqrt_cell(value: float | None):
+    """The sweep CSV's R_sum_sqrt cell. It is empty below 0 dB, where the
+    strategy is undefined. A split that is infeasible at P >= 1 is written
+    as `nan`, not empty, because perfbench's sweep row check still reads an
+    empty cell as P < 1."""
+    if value is not None and math.isnan(value):
+        return "nan"
+    return value
+
+
 def cmd_sweep(config: RunConfig) -> int:
     setup = _setup(config)
     policy = SweepPolicy(grid=config.grid or GridSpec(), PR=config.PR)
     table = sweep_P(setup, _budgets(config), policy)
     for db, row in zip(config.p_db, table.rows):
         line = (f"P = {db:g} dB: exact = {_fmt(row.R_sum_exact)}, "
-                f"closed = {_fmt(row.R_sum_closed)}, half = {_fmt(row.R_sum_half)}")
+                f"closed = {_fmt(row.R_sum_closed) or 'undefined'}, "
+                f"half = {_fmt(row.R_sum_half) or 'undefined'}")
         if row.R_sum_sqrt is not None:
-            line += f", sqrt = {_fmt(row.R_sum_sqrt)}"
+            line += f", sqrt = {_fmt(row.R_sum_sqrt) or 'undefined'}"
         print(line)
     if config.out:
         rows = [(db, row.best_alloc.rho1, row.best_alloc.p1, row.best_alloc.p2,
                  row.best_alloc.n1, row.best_alloc.n2, row.phat1, row.phat2,
                  row.R_sum_exact, row.R_sum_closed, row.R_sum_half,
-                 row.R_sum_sqrt)
+                 _sqrt_cell(row.R_sum_sqrt))
                 for db, row in zip(config.p_db, table.rows)]
         write_csv(config.out,
                   ["P_dB", "rho1", "p1", "p2", "n1", "n2", "phat1", "phat2",
@@ -264,54 +285,18 @@ def figure3_rows(setup: ChannelSetup, rho1: float, n1: int,
     return rows, crossing
 
 
-def _refine_1d(setup: ChannelSetup, rho1: float, n1: int, center: float,
-               half: float) -> tuple[float, float] | None:
-    """Zoom on the 1-D (p2 = 0) objective around a coarse argmax."""
-    p2v = np.zeros(1)
-    best = None
-    for _ in range(3):
-        pv = np.linspace(max(0.0, center - half), min(setup.P, center + half), 21)
-        obj, _ = search._block_objective(setup, rho1, n1, 1, pv, p2v)
-        column = obj[:, 0]
-        i = int(np.argmax(column))
-        value = float(column[i])
-        if value == float("-inf"):
-            return best
-        if best is None or value > best[0]:
-            best = (value, float(pv[i]))
-        center = float(pv[i])
-        half /= 10.0
-    return best
-
-
 def figure4_rows(setup_template: ChannelSetup, db_values, PR: float | None,
                  rho1: float, n_p: int) -> list[tuple]:
     """Best p1/P with p2 = 0 across budgets: refined 1-D exhaustive search
     vs the closed form, both maximized over the branch sign."""
     rows = []
-    p2v = np.zeros(1)
     for db in db_values:
         big_p = 10.0 ** (db / 10.0)
         setup = validate(replace(setup_template, P=big_p,
                                  PR=big_p if PR is None else PR))
-        pv = np.linspace(0.0, big_p, n_p)
-        step = float(pv[1] - pv[0])
-        best = None  # (value, p1); sign +1 kept on ties
-        for n1 in (1, -1):
-            obj, _ = search._block_objective(setup, rho1, n1, 1, pv, p2v)
-            column = obj[:, 0]
-            i = int(np.argmax(column))
-            value = float(column[i])
-            if value == float("-inf"):
-                continue
-            candidate = (value, float(pv[i]))
-            sharper = _refine_1d(setup, rho1, n1, candidate[1], step)
-            if sharper is not None and sharper[0] > candidate[0]:
-                candidate = sharper
-            if best is None or candidate[0] > best[0]:
-                best = candidate
+        best = search_p1(setup, rho1, n_p)
         closed = best_sign_powers(setup, rho1).p1
-        rows.append((db, best[1] / big_p if best else float("nan"),
+        rows.append((db, float("nan") if best is None else best / big_p,
                      closed / big_p))
     return rows
 
@@ -403,6 +388,8 @@ def build_parser() -> _Parser:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
+    if args.B is not None and args.B < 2:
+        raise UsageError(f"--B must be an integer >= 2, got {args.B}")
     return RunConfig(channel=args.channel, rho=args.rho, p1=args.p1,
                      p2=args.p2, n1=args.n1, n2=args.n2, B=args.B, P=args.P,
                      PR=args.PR, grid=args.grid, p_db=args.p_db_range,

@@ -6,17 +6,22 @@ rather than trusting any closed-form shortcut, bisection finds curve
 intersections by sign changes alone, and the hull is plain monotone chain.
 These are the references the analytical results are checked against.
 
-The per-block evaluation (fixed rho1 and signs, all power pairs at once)
-mirrors beam_vector / effective_gains / scheme_rate_point arithmetically --
-including the radicand feasibility tolerance -- but works on whole arrays,
-never materializing beam vectors.
+One broadcast objective serves every search: it mirrors beam_vector /
+effective_gains / scheme_rate_point arithmetically -- including the
+radicand feasibility tolerance -- over whole arrays of (rho1, n1, n2)
+blocks, never materializing beam vectors. The coarse stage shares what a
+block does not depend on (the MAC sum cap once per grid, user 1's capped
+rate once per (rho1, n1), user 2's once per (rho1, n2)); the zoom stage
+advances all live windows together, round by round, in fixed-size chunks.
+This is exact, not approximate: each cell sees the same IEEE operations
+in the same order as a one-block evaluation, an infeasible user's -inf
+passes unchanged through the sum and the minimum, argmax keeps the first
+row-major maximum, and the windows repeat np.linspace's arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +41,7 @@ __all__ = [
     "grid_search_sum_rate",
     "bisect_intersection",
     "hull2d",
+    "search_p1",
     "sweep_P",
 ]
 
@@ -85,7 +91,9 @@ class SweepPolicy:
 class SweepRow:
     """One budget point: the searched optimum, the closed-form low-power
     allocation, and the exact scheme sum rates of all strategies. The
-    sqrt split is only defined for P >= 1 (None otherwise)."""
+    sqrt split is only defined for P >= 1 (None otherwise). A strategy's
+    rate is NaN where its split leaves a user without zero forcing, and
+    phat too where no relay split admits the closed form."""
 
     P: float
     best_alloc: PowerAllocation
@@ -107,31 +115,24 @@ class SweepTable:
             raise ValueError("sweep rows must be strictly increasing in P")
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        env = os.environ.get("IMRC_THREADS", "").strip()
-        if env:
-            workers = int(env)
-        else:
-            workers = min(8, os.cpu_count() or 1)
-    return max(1, int(workers))
+_SIGNS = np.array([-1, 1])  # branch signs in key order: -1 sorts first
+
+# Zoom refinement: each round re-grids a window of +/- half around the
+# current best with _ZOOM_POINTS samples per axis. Windows are evaluated
+# _ZOOM_CHUNK at a time, so every temporary holds about 8k cells
+# (18 x 21 x 21 = 7,938). Bigger chunks cut call overhead but grow peak
+# RSS: 146 windows (64k cells) added 1.5 MB over a 600-row sweep.
+_ZOOM_ROUNDS = 3
+_ZOOM_POINTS = 21
+_ZOOM_CHUNK = 18
 
 
-def _map_rhos(fn, rhos, workers: int | None) -> list:
-    count = _worker_count(workers)
-    if count <= 1 or len(rhos) <= 1:
-        return [fn(rho) for rho in rhos]
-    # numpy releases the GIL on the big array ops, so threads scale here
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, rhos))
-
-
-def _user_signal(setup: ChannelSetup, rho1: float, user: int, sign: int,
-                 pv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Received power of user i's repeated message over a p_i grid, plus
-    the zero-forcing feasibility mask. Entries at p_i = P use the boundary
-    construction (always feasible); interior entries replicate the
-    beam-vector algebra in closed form:
+def _signal(setup: ChannelSetup, user: int, rho1, sign, p
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Received power of user i's repeated message and its zero-forcing
+    feasibility, broadcast over rho1, the branch sign and p_i. Entries at
+    p_i = P use the boundary construction (always feasible); interior
+    entries replicate the beam-vector algebra in closed form:
 
         f_ii = h_ii - h_ij (hRi.hRj)/||hRj||^2 +/- n_i sqrt(rad) det(H)/||hRj||^2
     """
@@ -141,153 +142,205 @@ def _user_signal(setup: ChannelSetup, rho1: float, user: int, sign: int,
     else:
         h_own, h_cross, norm2 = setup.h22, setup.h21, setup.hR1_norm2
         rho_i, orient = 1.0 - rho1, -1.0
-    pv = np.asarray(pv, dtype=float)
-    sig = np.zeros_like(pv)
-    ok = np.zeros(pv.shape, dtype=bool)
     if norm2 == 0.0:
-        return sig, ok  # no direction cancels the cross link; nothing feasible
+        # no direction cancels the cross link; nothing is feasible
+        shape = np.broadcast_shapes(np.shape(rho_i), np.shape(sign),
+                                    np.shape(p))
+        return np.zeros(shape), np.zeros(shape, dtype=bool)
     det = setup.relay_det()
-    dot = setup.relay_dot()
-    boundary = pv >= setup.P
-    interior = ~boundary
-    remaining = setup.P - pv[interior]
+    boundary = p >= setup.P
+    remaining = np.where(boundary, 1.0, setup.P - p)
     scale = norm2 * (rho_i * setup.PR / remaining)
     rad = scale - h_cross ** 2
     feasible = rad >= -RADICAND_RTOL * np.abs(scale)
     root = np.sqrt(np.maximum(rad, 0.0))
-    f_own = h_own - h_cross * dot / norm2 + orient * sign * det * root / norm2
-    sig[interior] = np.where(feasible, f_own * f_own * remaining, 0.0)
-    ok[interior] = feasible
-    sig[boundary] = rho_i * setup.PR * det * det / norm2
-    ok[boundary] = True
-    return sig, ok
+    f_own = (h_own - h_cross * setup.relay_dot() / norm2
+             + orient * sign * det * root / norm2)
+    sig = np.where(boundary, rho_i * setup.PR * det * det / norm2,
+                   f_own * f_own * remaining)
+    return sig, boundary | feasible
 
 
-def _block_objective(setup: ChannelSetup, rho1: float, n1: int, n2: int,
-                     p1v: np.ndarray, p2v: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact scheme sum rate on the outer grid p1v x p2v at fixed rho1 and
-    signs; infeasible cells carry -inf. Agrees with scheme_rate_point up to
-    rounding (sum-cap truncation preserves the sum, so the objective is
-    simply min(R1 + R2, Rsum_mac))."""
-    p1v = np.asarray(p1v, dtype=float)
-    p2v = np.asarray(p2v, dtype=float)
-    sig1, ok1 = _user_signal(setup, rho1, 1, n1, p1v)
-    sig2, ok2 = _user_signal(setup, rho1, 2, n2, p2v)
-    r1mac = np.log2(1.0 + setup.g1R_norm2 * p1v)
-    r2mac = np.log2(1.0 + setup.g2R_norm2 * p2v)
+def _capped_rate(setup: ChannelSetup, user: int, signal, p_own, p_other
+                 ) -> np.ndarray:
+    """min(R_i^mac, R_i^ic) for user i given its _signal over p_own, -inf
+    where zero forcing fails; the arguments broadcast, so the result's
+    axes are the caller's."""
+    sig, ok = signal
+    if user == 1:
+        gain2, cross2 = setup.g1R_norm2, setup.h21 ** 2
+    else:
+        gain2, cross2 = setup.g2R_norm2, setup.h12 ** 2
+    # an infeasible p_i caps the rate at -inf; r_ic is finite there
+    cap = np.where(ok, np.log2(1.0 + gain2 * p_own), -np.inf)
+    rate = np.divide(sig, 1.0 + cross2 * p_other)
+    rate += 1.0
+    np.log2(rate, out=rate)
+    return np.minimum(cap, rate, out=rate)
+
+
+def _mac_sum(setup: ChannelSetup, p1, p2) -> np.ndarray:
     g11, g12 = setup.g1R
     g21, g22 = setup.g2R
     alpha = (g11 * g22) ** 2 + (g21 * g12) ** 2 - 2.0 * g12 * g21 * g11 * g22
-    rsum_mac = np.log2(alpha * np.outer(p1v, p2v)
-                       + setup.g1R_norm2 * p1v[:, None]
-                       + setup.g2R_norm2 * p2v[None, :] + 1.0)
-    r1ic = np.log2(1.0 + sig1[:, None] / (1.0 + setup.h21 ** 2 * p2v)[None, :])
-    r2ic = np.log2(1.0 + sig2[None, :] / (1.0 + setup.h12 ** 2 * p1v)[:, None])
-    total = np.minimum(r1mac[:, None], r1ic) + np.minimum(r2mac[None, :], r2ic)
-    ok = ok1[:, None] & ok2[None, :]
-    return np.where(ok, np.minimum(total, rsum_mac), -np.inf), ok
+    return np.log2(alpha * (p1 * p2) + setup.g1R_norm2 * p1
+                   + setup.g2R_norm2 * p2 + 1.0)
 
 
-def _block_argmax(obj: np.ndarray) -> tuple[float, int, int] | None:
-    flat = int(np.argmax(obj))  # first maximum, row-major: smallest (p1, p2)
-    i, j = divmod(flat, obj.shape[1])
-    value = float(obj[i, j])
-    if value == float("-inf"):
+def _objective(setup: ChannelSetup, rho1, n1, n2, p1: np.ndarray,
+               p2: np.ndarray) -> np.ndarray:
+    """Exact scheme sum rate on the outer grid p1 (rows) x p2 (columns),
+    -inf where zero forcing fails for either user. Leading axes of p1 and
+    p2 broadcast against rho1, n1 and n2, one block per index. Agrees with
+    scheme_rate_point up to rounding: sum-cap truncation preserves the
+    sum, so the objective is simply min(R1 + R2, Rsum_mac)."""
+    rows, cols = p1[..., :, None], p2[..., None, :]
+    total = (_capped_rate(setup, 1, _signal(setup, 1, rho1, n1, rows),
+                          rows, cols)
+             + _capped_rate(setup, 2, _signal(setup, 2, rho1, n2, cols),
+                            cols, rows))
+    return np.minimum(total, _mac_sum(setup, rows, cols), out=total)
+
+
+def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Best cell of every (rho1, n1, n2) block on the grid pv x pv: the
+    value (-inf when nothing is feasible) and the first row-major argmax,
+    both shaped (rho1, n1, n2). Terms a block does not depend on are
+    shared: the MAC sum cap once per grid, each user's capped rate once
+    per (rho1, own sign)."""
+    rows, cols = pv[:, None], pv[None, :]
+    rho1, signs = rhos[:, None, None, None], _SIGNS[:, None, None]
+    sig1, ok1 = _signal(setup, 1, rho1, signs, rows)  # (rho1, n1, p1, 1)
+    sig2, ok2 = _signal(setup, 2, rho1, signs, cols)  # (rho1, n2, 1, p2)
+    rsum = _mac_sum(setup, rows, cols)
+    blocks = np.empty((2, 2, len(pv), len(pv)))
+    flat = blocks.reshape(4, -1)
+    value = np.empty((len(rhos), 4))
+    arg = np.empty((len(rhos), 4), dtype=np.intp)
+    for k in range(len(rhos)):
+        term1 = _capped_rate(setup, 1, (sig1[k], ok1[k]), rows, cols)
+        term2 = _capped_rate(setup, 2, (sig2[k], ok2[k]), cols, rows)
+        np.add(term1[:, None], term2[None, :], out=blocks)
+        np.minimum(blocks, rsum, out=blocks)
+        arg[k] = flat.argmax(axis=1)
+        value[k] = flat[np.arange(4), arg[k]]
+    return value.reshape(-1, 2, 2), arg.reshape(-1, 2, 2)
+
+
+def _linspace_rows(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
+    """np.linspace(lo[w], hi[w], points) for every row w, with its exact
+    arithmetic: arange * step + lo, or (arange / div) * delta + lo where
+    the step underflows to zero, and the last sample set to hi."""
+    div = points - 1
+    ramp = np.arange(points, dtype=float)
+    delta = (hi - lo)[:, None]
+    step = delta / div
+    rows = np.where(step == 0.0, ramp / div * delta, ramp * step)
+    rows += lo[:, None]
+    rows[:, -1] = hi
+    return rows
+
+
+def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: np.ndarray,
+          n2: np.ndarray, value: np.ndarray, c1: np.ndarray, c2: np.ndarray,
+          half1: float, half2: float
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sharpen each window's coarse best cell (value at c1, c2) by a
+    deterministic zoom: re-grid +/- half per axis around the current
+    center, move the center to the argmax, shrink the half-widths to the
+    new sample spacing, repeat. Windows are clamped to [0, P] with exact
+    endpoints so p = P stays reachable; a zero half-width pins that axis.
+    A zoom cell replaces the best only when strictly better, so the result
+    never falls below the coarse value. A window stops at the first round
+    that finds no feasible cell, and a window whose coarse value is -inf
+    is not zoomed. All live windows advance together, round by round."""
+    best, best1, best2 = value.copy(), c1.copy(), c2.copy()
+    c1, c2 = c1.copy(), c2.copy()
+    live = np.flatnonzero(value > -np.inf)
+    cells = _ZOOM_POINTS * _ZOOM_POINTS
+    for _ in range(_ZOOM_ROUNDS):
+        found = np.zeros(len(live), dtype=bool)
+        for start in range(0, len(live), _ZOOM_CHUNK):
+            w = live[start:start + _ZOOM_CHUNK]
+            p1w = _linspace_rows(np.maximum(0.0, c1[w] - half1),
+                                 np.minimum(setup.P, c1[w] + half1),
+                                 _ZOOM_POINTS)
+            p2w = _linspace_rows(np.maximum(0.0, c2[w] - half2),
+                                 np.minimum(setup.P, c2[w] + half2),
+                                 _ZOOM_POINTS)
+            obj = _objective(setup, rho1[w, None, None], n1[w, None, None],
+                             n2[w, None, None], p1w, p2w).reshape(-1, cells)
+            row = np.arange(len(w))
+            at = obj.argmax(axis=1)  # first maximum, row-major
+            top = obj[row, at]
+            found[start:start + len(w)] = top > -np.inf
+            i, j = np.divmod(at, _ZOOM_POINTS)
+            c1[w], c2[w] = p1w[row, i], p2w[row, j]
+            gain = top > best[w]
+            won = w[gain]
+            best[won], best1[won], best2[won] = top[gain], c1[won], c2[won]
+        live = live[found]  # a window that found nothing stops here
+        half1 /= 10.0  # the sampled spacing of a 21-point +/-half window
+        half2 /= 10.0
+    return best, best1, best2
+
+
+def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
+            ) -> PowerAllocation | None:
+    """Maximize the exact scheme sum rate over the grid and both signs per
+    user, optionally zooming on each block's best cell (the zoom result
+    replaces the cell only when strictly better). Exact-value ties resolve
+    to the smallest (rho1, p1, p2, n1, n2); None when nothing is
+    feasible."""
+    pv = grid.p_values(setup.P)
+    rhos = grid.rho_values()
+    value, arg = _coarse(setup, rhos, pv)
+    k, a, b = np.nonzero(value > -np.inf)
+    if not len(k):
         return None
-    return value, i, j
+    value, arg = value[k, a, b], arg[k, a, b]
+    rho1, n1, n2 = rhos[k], _SIGNS[a], _SIGNS[b]
+    c1, c2 = pv[arg // len(pv)], pv[arg % len(pv)]
+    step = float(pv[1] - pv[0]) if len(pv) > 1 else 0.0
+    if refine and step > 0.0:
+        value, c1, c2 = _zoom(setup, rho1, n1, n2, value, c1, c2, step, step)
+    ties = np.flatnonzero(value == value.max())
+    key = min((float(rho1[t]), float(c1[t]), float(c2[t]), int(n1[t]),
+               int(n2[t])) for t in ties)
+    rho, p1, p2, s1, s2 = key
+    return PowerAllocation(p1=p1, p2=p2, rho1=rho, n1=s1, n2=s2)
 
 
-def _refine_block(setup: ChannelSetup, rho1: float, n1: int, n2: int,
-                  c1: float, c2: float, half: float,
-                  rounds: int = 3, points: int = 21
-                  ) -> tuple[float, float, float] | None:
-    """Deterministic zoom around a coarse argmax cell: re-grid a window of
-    +/- half around the current best with `points` samples per axis, keep
-    the argmax, shrink the window to the new sample spacing, repeat. The
-    window is clamped to [0, P] with exact endpoints so p = P stays
-    reachable. Monotone by construction at the caller (which keeps the
-    coarse value if no zoom point beats it)."""
-    big_p = setup.P
-    best = None
-    for _ in range(rounds):
-        p1v = np.linspace(max(0.0, c1 - half), min(big_p, c1 + half), points)
-        p2v = np.linspace(max(0.0, c2 - half), min(big_p, c2 + half), points)
-        obj, _ = _block_objective(setup, rho1, n1, n2, p1v, p2v)
-        found = _block_argmax(obj)
-        if found is None:
-            return best
-        value, i, j = found
-        c1, c2 = float(p1v[i]), float(p2v[j])
-        if best is None or value > best[0]:
-            best = (value, c1, c2)
-        half /= 10.0  # the sampled spacing of a 21-point +/-half window
-    return best
-
-
-_Candidate = tuple[float, tuple[float, float, float, int, int]]
-
-
-def _better(cand: _Candidate, best: _Candidate) -> bool:
-    # max value; on exact ties the smallest (rho1, p1, p2, n1, n2) wins
-    return cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1])
-
-
-def _search_rho(setup: ChannelSetup, rho1: float, pv: np.ndarray,
-                refine: bool, step: float) -> _Candidate | None:
-    best = None
-    for n1 in (-1, 1):
-        for n2 in (-1, 1):
-            obj, ok = _block_objective(setup, rho1, n1, n2, pv, pv)
-            if not ok.any():
-                continue
-            found = _block_argmax(obj)
-            if found is None:
-                continue
-            value, i, j = found
-            c1, c2 = float(pv[i]), float(pv[j])
-            if refine:
-                sharper = _refine_block(setup, rho1, n1, n2, c1, c2, step)
-                if sharper is not None and sharper[0] > value:
-                    value, c1, c2 = sharper
-            cand = (value, (rho1, c1, c2, n1, n2))
-            if best is None or _better(cand, best):
-                best = cand
-    return best
-
-
-def _merge(candidates) -> _Candidate | None:
-    best = None
-    for cand in candidates:
-        if cand is None:
-            continue
-        if best is None or _better(cand, best):
-            best = cand
-    return best
-
-
-def grid_search_sum_rate(setup: ChannelSetup, grid: GridSpec | None = None,
-                         workers: int | None = None) -> SearchResult:
+def grid_search_sum_rate(setup: ChannelSetup,
+                         grid: GridSpec | None = None) -> SearchResult:
     """Maximize the exact scheme sum rate over the full grid x both sign
     choices per user. Pure enumeration -- every grid point is evaluated,
     no structure assumed. Deterministic: exact-value ties resolve to the
-    smallest (rho1, p1, p2, n1, n2), and the parallel merge applies the
-    same rule after an order-preserving map."""
+    smallest (rho1, p1, p2, n1, n2)."""
     validate(setup)
-    if grid is None:
-        grid = GridSpec()
-    pv = grid.p_values(setup.P)
-
-    def one(rho1):
-        return _search_rho(setup, float(rho1), pv, refine=False, step=0.0)
-
-    best = _merge(_map_rhos(one, grid.rho_values(), workers))
-    if best is None:
+    alloc = _search(setup, grid or GridSpec(), refine=False)
+    if alloc is None:
         raise NoFeasiblePoint("no grid point admits zero-forcing for both users")
-    _, (rho1, p1, p2, n1, n2) = best
-    alloc = PowerAllocation(p1=p1, p2=p2, rho1=rho1, n1=n1, n2=n2)
     return SearchResult(allocation=alloc,
                         sum_rate=scheme_rate_point(setup, alloc).sum_rate)
+
+
+def search_p1(setup: ChannelSetup, rho1: float, n_p: int) -> float | None:
+    """Best new-message power p1 of user 1 with p2 = 0 and n2 = +1: the
+    exact sum rate on np.linspace(0, P, n_p), zoomed around the argmax,
+    maximized over n1 with +1 kept on ties. None when no p1 is feasible."""
+    pv = np.linspace(0.0, setup.P, n_p)
+    n1 = _SIGNS[::-1]
+    column = _objective(setup, rho1, n1[:, None, None], 1, pv,
+                        np.zeros(1))[:, :, 0]
+    at = column.argmax(axis=1)
+    step = float(pv[1] - pv[0])
+    value, c1, _ = _zoom(setup, np.full(2, rho1), n1, np.ones(2, dtype=int),
+                         column[np.arange(2), at], pv[at], np.zeros(2),
+                         step, 0.0)
+    k = int(np.argmax(value))
+    return None if value[k] == -np.inf else float(c1[k])
 
 
 def bisect_intersection(curve_pair, interval, tol: float = 1e-12) -> float:
@@ -352,6 +405,14 @@ def hull2d(points) -> list[tuple[float, float]]:
     return lower[:-1] + upper[:-1]
 
 
+def _sum_rate_or_nan(setup: ChannelSetup, alloc: PowerAllocation) -> float:
+    """Exact scheme sum rate, NaN where zero forcing is infeasible."""
+    try:
+        return scheme_rate_point(setup, alloc).sum_rate
+    except (InfeasibleRadicand, DegenerateRelayChannel):
+        return float("nan")
+
+
 def _fixed_split_rate(setup: ChannelSetup, p: float) -> float:
     """Exact scheme sum rate at p1 = p2 = p with rho1 = 1/2, maximized over
     the four sign pairs ((+1,+1) kept on ties); NaN when zero-forcing is
@@ -359,36 +420,24 @@ def _fixed_split_rate(setup: ChannelSetup, p: float) -> float:
     best = float("nan")
     for n1, n2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         alloc = PowerAllocation(p1=p, p2=p, rho1=0.5, n1=n1, n2=n2)
-        try:
-            value = scheme_rate_point(setup, alloc).sum_rate
-        except (InfeasibleRadicand, DegenerateRelayChannel):
-            continue
+        value = _sum_rate_or_nan(setup, alloc)
         if math.isnan(best) or value > best:
             best = value
     return best
 
 
-def _sweep_row(setup: ChannelSetup, policy: SweepPolicy,
-               workers: int | None) -> SweepRow:
+def _sweep_row(setup: ChannelSetup, policy: SweepPolicy) -> SweepRow:
     grid = policy.grid
-    pv = grid.p_values(setup.P)
-    step = float(pv[1] - pv[0]) if len(pv) > 1 else 0.0
-    refine = policy.refine and step > 0.0
-
-    def one(rho1):
-        return _search_rho(setup, float(rho1), pv, refine=refine, step=step)
-
-    best = _merge(_map_rhos(one, grid.rho_values(), workers))
-    if best is None:
+    best_alloc = _search(setup, grid, policy.refine)
+    if best_alloc is None:
         raise NoFeasiblePoint(f"no feasible allocation at P = {setup.P}")
-    _, (rho1, p1, p2, n1, n2) = best
-    best_alloc = PowerAllocation(p1=p1, p2=p2, rho1=rho1, n1=n1, n2=n2)
     r_exact = scheme_rate_point(setup, best_alloc).sum_rate
 
     try:
         closed_alloc = sum_rate_allocation(setup, grid.rho_values().tolist())
         phat1, phat2 = closed_alloc.p1, closed_alloc.p2
-        r_closed = scheme_rate_point(setup, closed_alloc).sum_rate
+        # undefined when the split zero-forces only one user
+        r_closed = _sum_rate_or_nan(setup, closed_alloc)
     except NoFeasibleRho:
         phat1 = phat2 = r_closed = float("nan")
 
@@ -401,8 +450,7 @@ def _sweep_row(setup: ChannelSetup, policy: SweepPolicy,
 
 
 def sweep_P(setup_template: ChannelSetup, P_values,
-            policy: SweepPolicy | None = None,
-            workers: int | None = None) -> SweepTable:
+            policy: SweepPolicy | None = None) -> SweepTable:
     """One SweepRow per budget P, ascending. Each row re-derives the setup
     with that P (and PR = P unless the policy pins PR), then runs the grid
     search, the closed-form low-power allocation, and the fixed splits
@@ -418,5 +466,5 @@ def sweep_P(setup_template: ChannelSetup, P_values,
     for big_p in budgets:
         relay_p = big_p if policy.PR is None else policy.PR
         setup = validate(replace(setup_template, P=big_p, PR=relay_p))
-        rows.append(_sweep_row(setup, policy, workers))
+        rows.append(_sweep_row(setup, policy))
     return SweepTable(rows=tuple(rows))

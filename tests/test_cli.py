@@ -29,6 +29,22 @@ PR = 0.1
 """
 
 
+# At PR = P the closed-form split of this channel zero-forces only one
+# user, so its exact rate is undefined while the grid search succeeds.
+REFUSED_CLOSED_FORM_TEXT = """\
+h11 = 1.03
+h12 = 0.95
+h21 = -1.42
+h22 = 0.3
+g1R = 1.33, 0.34
+g2R = -0.51, 1.34
+hR1 = -1.06, -0.62
+hR2 = 0.32, 1.28
+P = 0.1
+PR = 0.1
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -102,6 +118,21 @@ def test_rates_block_penalty(capsys):
                  if " = " in line)
     assert float(lines["R1 x (B-1)/B"]) == pytest.approx(
         0.9 * float(lines["R1"]), rel=1e-10)
+
+
+def test_block_count_below_two_is_usage_error(capsys):
+    code, out, err = run(capsys, "rates", "--p1", "0.02", "--B", "1")
+    assert code == 1
+    assert out == ""
+    assert "--B" in err
+
+
+@pytest.mark.parametrize("flag", ["--P=nan", "--P=inf", "--PR=nan",
+                                  "--PR=infdB", "--P=4000dB"])
+def test_nonfinite_budget_is_usage_error(capsys, flag):
+    code, out, _ = run(capsys, "rates", flag)
+    assert code == 1
+    assert out == ""
 
 
 def test_missing_channel_file_is_usage_error(capsys):
@@ -213,3 +244,19 @@ def test_figure3_reports_intersection(tmp_path, capsys):
     assert rows[0] == ["p1_over_P", "r1_mac", "r1_ic",
                        "R1_mac_exact", "R1_ic_exact"]
     assert len(rows) == 101
+
+
+def test_sweep_leaves_undefined_closed_form_empty(tmp_path, capsys):
+    channel = tmp_path / "chan.txt"
+    channel.write_text(REFUSED_CLOSED_FORM_TEXT)
+    out_path = tmp_path / "sweep.csv"
+    code, out, _ = run(capsys, "sweep", "--channel", str(channel),
+                       "--grid", "11x9", "--p-db-range=-10:-10:1",
+                       "--out", str(out_path))
+    assert code == 0
+    assert "closed = undefined" in out
+    header, row = list(csv.reader(out_path.read_text().splitlines()))
+    cells = dict(zip(header, row))
+    assert cells["R_sum_closed"] == ""
+    assert float(cells["R_sum_exact"]) > 0.0
+    assert "nan" not in out_path.read_text()

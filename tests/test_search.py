@@ -10,6 +10,7 @@ from imrc import (
     ChannelSetup,
     GridSpec,
     ImrcError,
+    InfeasibleRadicand,
     NoFeasiblePoint,
     NoSignChange,
     PowerAllocation,
@@ -31,7 +32,9 @@ from imrc import (
     taylor_coeffs,
 )
 
-from helpers import linearizable_setup
+from imrc.search import _objective
+
+from helpers import linearizable_setup, random_setup
 
 EX = example_channel()
 
@@ -58,16 +61,58 @@ def brute_force(setup, grid):
     return best_val, best_key
 
 
-@pytest.mark.parametrize("det_zero", [True, False])
-def test_grid_search_matches_brute_force(det_zero):
-    setup = (EX if det_zero
-             else linearizable_setup(np.random.default_rng(73)))
-    grid = GridSpec(n_p=7, n_rho=3)
+def _brute_force_case(seed, det_zero, relay_ratio, include_boundary=True):
+    setup = random_setup(np.random.default_rng(seed), P=0.5,
+                         PR=0.5 * relay_ratio, det_zero=det_zero)
+    return setup, GridSpec(n_p=7, n_rho=3, include_boundary=include_boundary)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda: (EX, GridSpec(n_p=7, n_rho=3)), id="True"),
+    pytest.param(lambda: (linearizable_setup(np.random.default_rng(73)),
+                          GridSpec(n_p=7, n_rho=3)), id="False"),
+    pytest.param(lambda: _brute_force_case(11, False, 100.0), id="pr-abundant"),
+    pytest.param(lambda: _brute_force_case(12, False, 0.01), id="pr-scarce"),
+    pytest.param(lambda: _brute_force_case(13, False, 0.0), id="pr-zero"),
+    pytest.param(lambda: _brute_force_case(14, True, 1.0), id="det-zero"),
+    pytest.param(lambda: _brute_force_case(15, True, 0.01), id="det-zero-scarce"),
+    pytest.param(lambda: _brute_force_case(16, False, 1.0, False),
+                 id="interior-only"),
+])
+def test_grid_search_matches_brute_force(case):
+    setup, grid = case()
     result = grid_search_sum_rate(setup, grid)
     val, key = brute_force(setup, grid)
     assert result.sum_rate == pytest.approx(val, rel=1e-12)
     alloc = result.allocation
     assert (alloc.rho1, alloc.p1, alloc.p2, alloc.n1, alloc.n2) == key
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_objective_matches_scheme_rate_point(seed):
+    # the grid objective and scheme_rate_point are two implementations of
+    # the same rate; every cell of a small grid must agree, -inf exactly
+    # where the beamforming construction refuses the allocation
+    rng = np.random.default_rng(900 + seed)
+    ratio = (1.0, 100.0, 0.01, 0.0)[seed % 4]
+    P = float(10.0 ** rng.uniform(-1.0, 1.0))
+    setup = random_setup(rng, P=P, PR=ratio * P, det_zero=seed % 3 == 0)
+    pv = GridSpec(n_p=9).p_values(P)            # ends at the p_i = P boundary
+    rhos = GridSpec(n_rho=3).rho_values()
+    signs = np.array([-1, 1])
+    obj = _objective(setup, rhos[:, None, None, None, None],
+                     signs[:, None, None, None], signs[:, None, None], pv, pv)
+    assert obj.shape == (3, 2, 2, 9, 9)
+    for (r, a, b, i, j), value in np.ndenumerate(obj):
+        alloc = PowerAllocation(p1=float(pv[i]), p2=float(pv[j]),
+                                rho1=float(rhos[r]), n1=int(signs[a]),
+                                n2=int(signs[b]))
+        if value == -np.inf:
+            with pytest.raises(InfeasibleRadicand):
+                scheme_rate_point(setup, alloc)
+        else:
+            assert value == pytest.approx(
+                scheme_rate_point(setup, alloc).sum_rate, rel=1e-12)
 
 
 def test_grid_search_zero_budget():
@@ -99,15 +144,6 @@ def test_grid_resolution_stability():
     v101 = grid_search_sum_rate(EX, GridSpec(n_p=101, n_rho=9)).sum_rate
     v401 = grid_search_sum_rate(EX, GridSpec(n_p=401, n_rho=9)).sum_rate
     assert abs(v401 - v101) <= 0.02 * v401
-
-
-def test_grid_search_worker_count_is_invisible(monkeypatch):
-    grid = GridSpec(n_p=21, n_rho=5)
-    serial = grid_search_sum_rate(EX, grid, workers=1)
-    threaded = grid_search_sum_rate(EX, grid, workers=4)
-    assert serial == threaded
-    monkeypatch.setenv("IMRC_THREADS", "2")
-    assert grid_search_sum_rate(EX, grid) == serial
 
 
 def test_grid_spec_validation():
