@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import beamforming
-from .errors import ImrcError
+from .errors import (ImrcError, LinearizationInfeasible, NegativePower,
+                     NonFinite)
 from .lowpower import (best_sign_powers, full_region, linearized_rates,
                        taylor_coeffs)
 from .model import (ChannelSetup, PowerAllocation, feasibility,
@@ -117,12 +118,17 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def _setup(config: RunConfig) -> ChannelSetup:
-    setup = resolve_channel(config.channel)
-    if config.P is not None:
-        setup = replace(setup, P=config.P)
-    if config.PR is not None:
-        setup = replace(setup, PR=config.PR)
-    return validate(setup)
+    """The channel with the budget overrides applied; an out-of-range gain
+    or budget is a usage error."""
+    try:
+        setup = resolve_channel(config.channel)
+        if config.P is not None:
+            setup = replace(setup, P=config.P)
+        if config.PR is not None:
+            setup = replace(setup, PR=config.PR)
+        return validate(setup)
+    except (NegativePower, NonFinite) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _alloc(config: RunConfig) -> PowerAllocation:
@@ -288,16 +294,20 @@ def figure3_rows(setup: ChannelSetup, rho1: float, n1: int,
 def figure4_rows(setup_template: ChannelSetup, db_values, PR: float | None,
                  rho1: float, n_p: int) -> list[tuple]:
     """Best p1/P with p2 = 0 across budgets: refined 1-D exhaustive search
-    vs the closed form, both maximized over the branch sign."""
+    vs the closed form, both maximized over the branch sign. A cell is NaN
+    where its method has no feasible p1."""
     rows = []
     for db in db_values:
         big_p = 10.0 ** (db / 10.0)
         setup = validate(replace(setup_template, P=big_p,
                                  PR=big_p if PR is None else PR))
         best = search_p1(setup, rho1, n_p)
-        closed = best_sign_powers(setup, rho1).p1
+        try:
+            closed = best_sign_powers(setup, rho1).p1 / big_p
+        except LinearizationInfeasible:  # no zero-forcing margin at rho1
+            closed = float("nan")
         rows.append((db, float("nan") if best is None else best / big_p,
-                     closed / big_p))
+                     closed))
     return rows
 
 

@@ -16,7 +16,7 @@ coherently with the relay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "ChannelSetup",
@@ -64,6 +64,11 @@ class ChannelSetup:
     hR2: tuple[float, float]
     P: float
     PR: float
+    # Squared norms used all over the rate formulas, computed once.
+    g1R_norm2: float = field(init=False, repr=False, compare=False)
+    g2R_norm2: float = field(init=False, repr=False, compare=False)
+    hR1_norm2: float = field(init=False, repr=False, compare=False)
+    hR2_norm2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h11", float(self.h11))
@@ -76,23 +81,9 @@ class ChannelSetup:
         object.__setattr__(self, "hR2", _vec2(self.hR2))
         object.__setattr__(self, "P", float(self.P))
         object.__setattr__(self, "PR", float(self.PR))
-
-    # Small derived quantities used all over the rate formulas.
-    @property
-    def g1R_norm2(self) -> float:
-        return self.g1R[0] ** 2 + self.g1R[1] ** 2
-
-    @property
-    def g2R_norm2(self) -> float:
-        return self.g2R[0] ** 2 + self.g2R[1] ** 2
-
-    @property
-    def hR1_norm2(self) -> float:
-        return self.hR1[0] ** 2 + self.hR1[1] ** 2
-
-    @property
-    def hR2_norm2(self) -> float:
-        return self.hR2[0] ** 2 + self.hR2[1] ** 2
+        for name in ("g1R", "g2R", "hR1", "hR2"):
+            x, y = getattr(self, name)
+            object.__setattr__(self, f"{name}_norm2", x ** 2 + y ** 2)
 
     def relay_det(self) -> float:
         """det of the 2x2 relay-to-receivers matrix [hR1 hR2]."""

@@ -118,27 +118,32 @@ class RateRegion:
 
 def mac_rates(setup: ChannelSetup, p1: float, p2: float) -> MacRates:
     """Relay-side caps: R_i = log2(1 + ||g_iR||^2 p_i) and
-    Rsum = log2 det(I + G diag(p1, p2) G^T) with G = [g1R g2R]."""
+    Rsum = log2 det(I + G diag(p1, p2) G^T) with G = [g1R g2R], the
+    determinant written out by mac_sum_expanded."""
     r1 = math.log2(1.0 + setup.g1R_norm2 * p1)
     r2 = math.log2(1.0 + setup.g2R_norm2 * p2)
-    g = np.array([[setup.g1R[0], setup.g2R[0]],
-                  [setup.g1R[1], setup.g2R[1]]])
-    gram = np.eye(2) + g @ np.diag([p1, p2]) @ g.T
-    rsum = math.log2(float(np.linalg.det(gram)))
-    return MacRates(R1mac=r1, R2mac=r2, Rsum_mac=rsum)
+    return MacRates(R1mac=r1, R2mac=r2,
+                    Rsum_mac=mac_sum_expanded(setup, p1, p2))
 
 
 def mac_sum_expanded(setup: ChannelSetup, p1: float, p2: float) -> float:
     """The sum cap written out as log2(alpha*p1*p2 + beta*p1 + gamma*p2 + 1)
     with alpha = (g11 g22)^2 + (g21 g12)^2 - 2 g12 g21 g11 g22 (the squared
     2x2 determinant of [g1R g2R]), beta = ||g1R||^2, gamma = ||g2R||^2.
-    Must agree with mac_rates' determinant route up to rounding."""
+    Finite wherever the per-user caps are: where alpha p1 p2 overflows
+    (budgets above about 1e154), p1's binary exponent is taken out first."""
     g11, g12 = setup.g1R
     g21, g22 = setup.g2R
     alpha = (g11 * g22) ** 2 + (g21 * g12) ** 2 - 2.0 * g12 * g21 * g11 * g22
     beta = setup.g1R_norm2
     gamma = setup.g2R_norm2
-    return math.log2(alpha * p1 * p2 + beta * p1 + gamma * p2 + 1.0)
+    value = alpha * p1 * p2 + beta * p1 + gamma * p2 + 1.0
+    if math.isinf(value):
+        mant, exp = math.frexp(p1)
+        unit = math.ldexp(1.0, -exp)
+        return math.log2(alpha * mant * p2 + beta * mant
+                         + gamma * p2 * unit + unit) + exp
+    return math.log2(value)
 
 
 def _ic_signal(setup: ChannelSetup, alloc: PowerAllocation,

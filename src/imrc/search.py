@@ -9,14 +9,25 @@ These are the references the analytical results are checked against.
 One broadcast objective serves every search: it mirrors beam_vector /
 effective_gains / scheme_rate_point arithmetically -- including the
 radicand feasibility tolerance -- over whole arrays of (rho1, n1, n2)
-blocks, never materializing beam vectors. The coarse stage shares what a
-block does not depend on (the MAC sum cap once per grid, user 1's capped
-rate once per (rho1, n1), user 2's once per (rho1, n2)); the zoom stage
-advances all live windows together, round by round, in fixed-size chunks.
-This is exact, not approximate: each cell sees the same IEEE operations
-in the same order as a one-block evaluation, an infeasible user's -inf
-passes unchanged through the sum and the minimum, argmax keeps the first
-row-major maximum, and the windows repeat np.linspace's arithmetic.
+blocks, never materializing beam vectors. It compares cells in the linear
+domain: user i's term is A_i = 1 + min(||g_iR||^2 p_i, SINR_i), or 0 where
+zero forcing fails, and a cell's value is min(A1 A2, M) with M the MAC sum
+cap's argument alpha p1 p2 + ||g1R||^2 p1 + ||g2R||^2 p2 + 1. log2 is
+monotone, so min(log2 a, log2 b) = log2 min(a, b) and the order of cells
+is the order of their sum rates; no cell takes a log2, and the bits come
+from scheme_rate_point on the chosen allocation alone. Every feasible
+value is positive and every infeasible one is 0, so an infeasible cell
+never wins. A1 and M are scaled by the power of two 2^-e with
+2^e > 1 + ||g1R||^2 P, which keeps A1 A2 finite at budgets where it would
+overflow; a power of two does not round, so every comparison is unchanged.
+
+The coarse stage shares what a block does not depend on (the MAC sum cap
+once per grid, each user's signal power and feasibility once per grid
+and rho1). Feasibility depends on neither sign and never falls as p_i
+grows, so for each rho1 the feasible cells form the rectangle p1 >= k1,
+p2 >= k2, and only that rectangle is evaluated. The zoom stage advances all live
+windows together, round by round, in fixed-size chunks. argmax keeps the
+first row-major maximum, and the windows repeat np.linspace's arithmetic.
 """
 
 from __future__ import annotations
@@ -161,70 +172,112 @@ def _signal(setup: ChannelSetup, user: int, rho1, sign, p
     return sig, boundary | feasible
 
 
-def _capped_rate(setup: ChannelSetup, user: int, signal, p_own, p_other
+def _exponent(setup: ChannelSetup) -> int:
+    """e with 2^e > 1 + ||g1R||^2 P, so 2^e bounds user 1's term A1."""
+    return math.frexp(1.0 + setup.g1R_norm2 * setup.P)[1]
+
+
+def _scale(setup: ChannelSetup) -> float:
+    """2^-e: scaling A1 by it keeps A1 A2 below A2, and does not round."""
+    return math.ldexp(1.0, -_exponent(setup))
+
+
+def _capped_term(setup: ChannelSetup, user: int, sig, p_own, p_other,
+                 scale: float = 1.0, out: np.ndarray | None = None
                  ) -> np.ndarray:
-    """min(R_i^mac, R_i^ic) for user i given its _signal over p_own, -inf
-    where zero forcing fails; the arguments broadcast, so the result's
-    axes are the caller's."""
-    sig, ok = signal
+    """scale * (1 + min(||g_iR||^2 p_i, SINR_i)), the linear form of
+    min(R_i^mac, R_i^ic), for user i given its _signal power over p_own.
+    It ignores feasibility; the caller zeroes or skips infeasible cells.
+    The arguments broadcast, so the result's axes are the caller's; out,
+    if given, must have that shape."""
     if user == 1:
         gain2, cross2 = setup.g1R_norm2, setup.h21 ** 2
     else:
         gain2, cross2 = setup.g2R_norm2, setup.h12 ** 2
-    # an infeasible p_i caps the rate at -inf; r_ic is finite there
-    cap = np.where(ok, np.log2(1.0 + gain2 * p_own), -np.inf)
-    rate = np.divide(sig, 1.0 + cross2 * p_other)
-    rate += 1.0
-    np.log2(rate, out=rate)
-    return np.minimum(cap, rate, out=rate)
+    term = np.divide(sig, 1.0 + cross2 * p_other, out=out)
+    np.minimum(term, gain2 * p_own, out=term)
+    term += 1.0
+    term *= scale  # a power of two: exact
+    return term
 
 
-def _mac_sum(setup: ChannelSetup, p1, p2) -> np.ndarray:
+def _mac_sum(setup: ChannelSetup, p1, p2, scale: float) -> np.ndarray:
+    """scale * (alpha p1 p2 + ||g1R||^2 p1 + ||g2R||^2 p2 + 1), the MAC sum
+    cap's argument; scaling p1 first keeps alpha p1 p2 finite."""
     g11, g12 = setup.g1R
     g21, g22 = setup.g2R
     alpha = (g11 * g22) ** 2 + (g21 * g12) ** 2 - 2.0 * g12 * g21 * g11 * g22
-    return np.log2(alpha * (p1 * p2) + setup.g1R_norm2 * p1
-                   + setup.g2R_norm2 * p2 + 1.0)
+    p1 = p1 * scale
+    return (alpha * (p1 * p2) + setup.g1R_norm2 * p1
+            + setup.g2R_norm2 * p2 * scale + scale)
 
 
 def _objective(setup: ChannelSetup, rho1, n1, n2, p1: np.ndarray,
                p2: np.ndarray) -> np.ndarray:
-    """Exact scheme sum rate on the outer grid p1 (rows) x p2 (columns),
-    -inf where zero forcing fails for either user. Leading axes of p1 and
-    p2 broadcast against rho1, n1 and n2, one block per index. Agrees with
-    scheme_rate_point up to rounding: sum-cap truncation preserves the
-    sum, so the objective is simply min(R1 + R2, Rsum_mac)."""
+    """Linear-domain scheme sum rate on the outer grid p1 (rows) x p2
+    (columns): min(A1 A2, M) scaled by _scale(setup), 0 where zero forcing
+    fails for either user. Leading axes of p1 and p2 broadcast against
+    rho1, n1 and n2, one block per index. log2 of a value plus
+    _exponent(setup) agrees with scheme_rate_point up to rounding:
+    sum-cap truncation preserves the sum, so the rate is simply
+    min(R1 + R2, Rsum_mac)."""
     rows, cols = p1[..., :, None], p2[..., None, :]
-    total = (_capped_rate(setup, 1, _signal(setup, 1, rho1, n1, rows),
-                          rows, cols)
-             + _capped_rate(setup, 2, _signal(setup, 2, rho1, n2, cols),
-                            cols, rows))
-    return np.minimum(total, _mac_sum(setup, rows, cols), out=total)
+    scale = _scale(setup)
+    sig1, ok1 = _signal(setup, 1, rho1, n1, rows)
+    sig2, ok2 = _signal(setup, 2, rho1, n2, cols)
+    total = (_capped_term(setup, 1, sig1, rows, cols, scale)
+             * _capped_term(setup, 2, sig2, cols, rows))
+    np.minimum(total, _mac_sum(setup, rows, cols, scale), out=total)
+    np.copyto(total, 0.0, where=~(ok1 & ok2))
+    return total
+
+
+def _first(ok: np.ndarray) -> np.ndarray:
+    """Index of the first True along the last axis; its length if none."""
+    return np.where(ok.any(axis=-1), ok.argmax(axis=-1), ok.shape[-1])
 
 
 def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
     """Best cell of every (rho1, n1, n2) block on the grid pv x pv: the
-    value (-inf when nothing is feasible) and the first row-major argmax,
-    both shaped (rho1, n1, n2). Terms a block does not depend on are
-    shared: the MAC sum cap once per grid, each user's capped rate once
-    per (rho1, own sign)."""
+    linear value (0 when nothing is feasible) and the first row-major
+    argmax, both shaped (rho1, n1, n2). Per rho1 only the feasible
+    rectangle [k1:, k2:] is evaluated, into reused buffers: outside it
+    every cell is 0 and every cell inside is positive, so the rectangle's
+    first maximum is the block's."""
+    n = len(pv)
     rows, cols = pv[:, None], pv[None, :]
     rho1, signs = rhos[:, None, None, None], _SIGNS[:, None, None]
+    scale = _scale(setup)
     sig1, ok1 = _signal(setup, 1, rho1, signs, rows)  # (rho1, n1, p1, 1)
     sig2, ok2 = _signal(setup, 2, rho1, signs, cols)  # (rho1, n2, 1, p2)
-    rsum = _mac_sum(setup, rows, cols)
-    blocks = np.empty((2, 2, len(pv), len(pv)))
-    flat = blocks.reshape(4, -1)
-    value = np.empty((len(rhos), 4))
-    arg = np.empty((len(rhos), 4), dtype=np.intp)
+    # feasibility depends on neither sign and never falls as p_i grows
+    k1, k2 = _first(ok1[:, 0, :, 0]), _first(ok2[:, 0, 0, :])
+    rsum = _mac_sum(setup, rows, cols, scale)
+    # allocated once for all rho1: the rectangles vary in size, and fresh
+    # arrays of varying size fragment the heap and raise peak RSS
+    buffer = np.empty(4 * n * n)
+    buffer1, buffer2 = np.empty(2 * n * n), np.empty(2 * n * n)
+    value = np.zeros((len(rhos), 4))
+    arg = np.zeros((len(rhos), 4), dtype=np.intp)
     for k in range(len(rhos)):
-        term1 = _capped_rate(setup, 1, (sig1[k], ok1[k]), rows, cols)
-        term2 = _capped_rate(setup, 2, (sig2[k], ok2[k]), cols, rows)
-        np.add(term1[:, None], term2[None, :], out=blocks)
-        np.minimum(blocks, rsum, out=blocks)
-        arg[k] = flat.argmax(axis=1)
-        value[k] = flat[np.arange(4), arg[k]]
+        a, b = int(k1[k]), int(k2[k])
+        if a == n or b == n:
+            continue  # no cell zero-forces both users
+        m1, m2 = n - a, n - b
+        r, c = rows[a:], cols[:, b:]
+        term1 = _capped_term(setup, 1, sig1[k, :, a:], r, c, scale,
+                             out=buffer1[:2 * m1 * m2].reshape(2, m1, m2))
+        term2 = _capped_term(setup, 2, sig2[k, :, :, b:], c, r,
+                             out=buffer2[:2 * m1 * m2].reshape(2, m1, m2))
+        blocks = buffer[:4 * m1 * m2].reshape(2, 2, m1, m2)
+        np.multiply(term1[:, None], term2[None, :], out=blocks)
+        np.minimum(blocks, rsum[a:, b:], out=blocks)
+        flat = blocks.reshape(4, -1)
+        at = flat.argmax(axis=1)
+        value[k] = flat[np.arange(4), at]
+        i, j = np.divmod(at, m2)
+        arg[k] = (a + i) * n + (b + j)
     return value.reshape(-1, 2, 2), arg.reshape(-1, 2, 2)
 
 
@@ -253,11 +306,12 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: np.ndarray,
     endpoints so p = P stays reachable; a zero half-width pins that axis.
     A zoom cell replaces the best only when strictly better, so the result
     never falls below the coarse value. A window stops at the first round
-    that finds no feasible cell, and a window whose coarse value is -inf
-    is not zoomed. All live windows advance together, round by round."""
+    that finds no feasible cell, and a window whose coarse value is 0
+    (infeasible) is not zoomed. All live windows advance together, round
+    by round."""
     best, best1, best2 = value.copy(), c1.copy(), c2.copy()
     c1, c2 = c1.copy(), c2.copy()
-    live = np.flatnonzero(value > -np.inf)
+    live = np.flatnonzero(value > 0.0)
     cells = _ZOOM_POINTS * _ZOOM_POINTS
     for _ in range(_ZOOM_ROUNDS):
         found = np.zeros(len(live), dtype=bool)
@@ -274,7 +328,7 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: np.ndarray,
             row = np.arange(len(w))
             at = obj.argmax(axis=1)  # first maximum, row-major
             top = obj[row, at]
-            found[start:start + len(w)] = top > -np.inf
+            found[start:start + len(w)] = top > 0.0
             i, j = np.divmod(at, _ZOOM_POINTS)
             c1[w], c2[w] = p1w[row, i], p2w[row, j]
             gain = top > best[w]
@@ -296,7 +350,7 @@ def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
     pv = grid.p_values(setup.P)
     rhos = grid.rho_values()
     value, arg = _coarse(setup, rhos, pv)
-    k, a, b = np.nonzero(value > -np.inf)
+    k, a, b = np.nonzero(value > 0.0)
     if not len(k):
         return None
     value, arg = value[k, a, b], arg[k, a, b]
@@ -340,7 +394,7 @@ def search_p1(setup: ChannelSetup, rho1: float, n_p: int) -> float | None:
                          column[np.arange(2), at], pv[at], np.zeros(2),
                          step, 0.0)
     k = int(np.argmax(value))
-    return None if value[k] == -np.inf else float(c1[k])
+    return None if value[k] == 0.0 else float(c1[k])
 
 
 def bisect_intersection(curve_pair, interval, tol: float = 1e-12) -> float:

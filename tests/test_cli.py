@@ -1,9 +1,14 @@
 """Command-line surface: parsing, output formats, exit codes, CSV files."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import imrc
 from imrc import (
     GridSpec,
     PowerAllocation,
@@ -135,6 +140,19 @@ def test_nonfinite_budget_is_usage_error(capsys, flag):
     assert out == ""
 
 
+def test_out_of_range_inputs_are_usage_errors(tmp_path, capsys):
+    # NegativePower and NonFinite from input validation exit 1 before any
+    # output, like every other out-of-range parameter
+    code, out, err = run(capsys, "validate", "--P=-1")
+    assert (code, out) == (1, "")
+    assert "P must be >= 0" in err
+    channel = tmp_path / "nan.txt"
+    channel.write_text(CHANNEL_TEXT.replace("P = 0.1", "P = nan"))
+    code, out, err = run(capsys, "validate", "--channel", str(channel))
+    assert (code, out) == (1, "")
+    assert "not finite" in err
+
+
 def test_missing_channel_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "--channel", "/nope/chan.txt")
     assert code == 1
@@ -260,3 +278,30 @@ def test_sweep_leaves_undefined_closed_form_empty(tmp_path, capsys):
     assert cells["R_sum_closed"] == ""
     assert float(cells["R_sum_exact"]) > 0.0
     assert "nan" not in out_path.read_text()
+
+
+def test_figure4_leaves_undefined_closed_form_empty(tmp_path, capsys):
+    # the closed form has no zero-forcing margin on this channel at rho = 0.5;
+    # each row keeps its budget with the undefined cells empty
+    channel = tmp_path / "refused.txt"
+    channel.write_text(REFUSED_CLOSED_FORM_TEXT)
+    out_path = tmp_path / "fig4.csv"
+    code, out, _ = run(capsys, "figure", "4", "--channel", str(channel),
+                       "--p-db-range=-30:0:10", "--out", str(out_path))
+    assert code == 0
+    assert "(4 rows)" in out
+    header, *rows = list(csv.reader(out_path.read_text().splitlines()))
+    assert header[2] == "phat1_closed_over_P"
+    assert [row[0] for row in rows] == ["-30", "-20", "-10", "0"]
+    assert all(row[2] == "" for row in rows)
+
+
+def test_python_m_imrc_runs_the_cli():
+    src = str(Path(imrc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-m", "imrc", "validate"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "channel ok" in done.stdout

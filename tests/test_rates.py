@@ -38,14 +38,36 @@ def test_mac_rates_example():
 
 
 def test_mac_sum_two_routes_agree():
+    # mac_rates takes the written-out form; numpy's determinant of
+    # I + G diag(p1, p2) G^T is the independent reference
     rng = np.random.default_rng(29)
     for _ in range(50):
         setup = random_setup(rng)
+        g = np.array([setup.g1R, setup.g2R]).T
         for _ in range(5):
             p1, p2 = rng.uniform(0.0, setup.P, size=2)
-            det_route = mac_rates(setup, p1, p2).Rsum_mac
-            expanded = mac_sum_expanded(setup, p1, p2)
+            det_route = math.log2(np.linalg.det(
+                np.eye(2) + g @ np.diag([p1, p2]) @ g.T))
+            expanded = mac_rates(setup, p1, p2).Rsum_mac
             assert det_route == pytest.approx(expanded, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("P", [1e160, 1e250])
+def test_scheme_rate_finite_at_huge_budgets(P):
+    # alpha p1 p2 overflows a double from budgets near 1e154; the sum cap
+    # must stay finite and still bind
+    setup = ChannelSetup(h11=1.0, h12=0.0, h21=0.0, h22=1.0,
+                         g1R=(1.0, 0.3), g2R=(0.2, 1.1), hR1=(1.0, 0.2),
+                         hR2=(0.3, 1.0), P=P, PR=P)
+    rates = scheme_rate_point(setup, PowerAllocation(p1=0.875 * P,
+                                                     p2=0.9 * P, rho1=0.4,
+                                                     n1=1, n2=-1))
+    assert math.isfinite(rates.Rsum_mac) and math.isfinite(rates.sum_rate)
+    # log2(det([g1R g2R])^2 p1 p2) carries the cap at this scale
+    expect = math.log2(1.04 ** 2 * 0.875 * 0.9) + 2.0 * math.log2(P)
+    assert rates.Rsum_mac == pytest.approx(expect, rel=1e-12)
+    assert rates.truncated
+    assert rates.sum_rate == pytest.approx(rates.Rsum_mac, rel=1e-12)
 
 
 def test_mac_product_coefficient_is_squared_det():

@@ -32,7 +32,7 @@ from imrc import (
     taylor_coeffs,
 )
 
-from imrc.search import _objective
+from imrc.search import _coarse, _exponent, _objective, _signal
 
 from helpers import linearizable_setup, random_setup
 
@@ -67,6 +67,13 @@ def _brute_force_case(seed, det_zero, relay_ratio, include_boundary=True):
     return setup, GridSpec(n_p=7, n_rho=3, include_boundary=include_boundary)
 
 
+def _huge_budget_case(P):
+    setup = ChannelSetup(h11=1.0, h12=0.0, h21=0.0, h22=1.0,
+                         g1R=(1.0, 0.3), g2R=(0.2, 1.1), hR1=(1.0, 0.2),
+                         hR2=(0.3, 1.0), P=P, PR=P)
+    return setup, GridSpec(n_p=41, n_rho=9)
+
+
 @pytest.mark.parametrize("case", [
     pytest.param(lambda: (EX, GridSpec(n_p=7, n_rho=3)), id="True"),
     pytest.param(lambda: (linearizable_setup(np.random.default_rng(73)),
@@ -78,6 +85,11 @@ def _brute_force_case(seed, det_zero, relay_ratio, include_boundary=True):
     pytest.param(lambda: _brute_force_case(15, True, 0.01), id="det-zero-scarce"),
     pytest.param(lambda: _brute_force_case(16, False, 1.0, False),
                  id="interior-only"),
+    # A1 A2 and alpha p1 p2 overflow a double from budgets near 1e154; the
+    # optimum (rho1 0.4, p ~ (0.875, 0.9) P, n = (+1, -1)) has the MAC sum
+    # cap binding, so the scaled objective and the scalar cap both count
+    pytest.param(lambda: _huge_budget_case(1e160), id="huge-1e160"),
+    pytest.param(lambda: _huge_budget_case(1e250), id="huge-1e250"),
 ])
 def test_grid_search_matches_brute_force(case):
     setup, grid = case()
@@ -91,8 +103,9 @@ def test_grid_search_matches_brute_force(case):
 @pytest.mark.parametrize("seed", range(40))
 def test_objective_matches_scheme_rate_point(seed):
     # the grid objective and scheme_rate_point are two implementations of
-    # the same rate; every cell of a small grid must agree, -inf exactly
-    # where the beamforming construction refuses the allocation
+    # the same rate; every cell of a small grid must agree once the linear
+    # value is taken back to bits, 0 exactly where the beamforming
+    # construction refuses the allocation
     rng = np.random.default_rng(900 + seed)
     ratio = (1.0, 100.0, 0.01, 0.0)[seed % 4]
     P = float(10.0 ** rng.uniform(-1.0, 1.0))
@@ -103,16 +116,44 @@ def test_objective_matches_scheme_rate_point(seed):
     obj = _objective(setup, rhos[:, None, None, None, None],
                      signs[:, None, None, None], signs[:, None, None], pv, pv)
     assert obj.shape == (3, 2, 2, 9, 9)
+    exponent = _exponent(setup)
     for (r, a, b, i, j), value in np.ndenumerate(obj):
         alloc = PowerAllocation(p1=float(pv[i]), p2=float(pv[j]),
                                 rho1=float(rhos[r]), n1=int(signs[a]),
                                 n2=int(signs[b]))
-        if value == -np.inf:
+        if value == 0.0:
             with pytest.raises(InfeasibleRadicand):
                 scheme_rate_point(setup, alloc)
         else:
-            assert value == pytest.approx(
+            assert math.log2(value) + exponent == pytest.approx(
                 scheme_rate_point(setup, alloc).sum_rate, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_feasible_cells_form_a_rectangle(seed):
+    # _coarse evaluates only p1 >= k1, p2 >= k2 per rho1: each user's
+    # zero-forcing feasibility must not depend on the sign and must never
+    # fall as p_i grows, and the skip must find what a full evaluation finds
+    rng = np.random.default_rng(1300 + seed)
+    P = float(10.0 ** rng.uniform(-3.0, 3.0))
+    ratio = (1.0, 100.0, 0.25, 0.0, 0.01)[seed % 5]
+    setup = random_setup(rng, P=P, PR=ratio * P, det_zero=seed % 3 == 0)
+    if seed % 4 == 1:
+        setup = replace(setup, h21=0.0)
+    grid = GridSpec(n_p=41, n_rho=9, include_boundary=seed % 2 == 0)
+    pv, rhos = grid.p_values(P), grid.rho_values()
+    rho1, signs = rhos[:, None, None, None], np.array([-1, 1])[:, None, None]
+    for user, p in ((1, pv[:, None]), (2, pv[None, :])):
+        _, ok = _signal(setup, user, rho1, signs, p)
+        ok = np.broadcast_to(ok, (len(rhos), 2) + p.shape).reshape(
+            len(rhos), 2, -1)
+        assert (ok == ok[:, :1]).all()
+        assert (np.diff(ok.astype(int), axis=-1) >= 0).all()
+    full = _objective(setup, rho1[..., None], signs[..., None], signs, pv, pv)
+    flat = full.reshape(len(rhos), 2, 2, -1)
+    value, arg = _coarse(setup, rhos, pv)
+    assert (arg[value > 0.0] == flat.argmax(axis=-1)[value > 0.0]).all()
+    assert (value == flat.max(axis=-1)).all()
 
 
 def test_grid_search_zero_budget():
