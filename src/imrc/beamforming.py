@@ -22,6 +22,10 @@ At the boundary p_i = P the source spends nothing on the repeated message,
 the relay alone carries it, and zero forcing degenerates to orthogonality:
 t_i0 = n_i * sqrt(rho_i*PR) * (unit vector perpendicular to hRj), giving the
 abundant-relay-power gain |hRi . t_i0|^2 = rho_i*PR*det^2(H)/||hRj||^2.
+
+The radicand comes from model's per-user kernel. These vectors are the
+geometric reference construction: the rates take f_ii from the kernel's
+closed form, and the tests check the two against each other.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRelayChannel, InfeasibleRadicand, LinearizationInfeasible
-from .model import (RADICAND_RTOL, ChannelSetup, PowerAllocation,
-                    linear_radicand, user_links)
+from .errors import DegenerateRelayChannel, LinearizationInfeasible
+from .model import ChannelSetup, PowerAllocation, zf_radicand, zf_root
 
 __all__ = [
     "BeamVectors",
@@ -68,19 +71,20 @@ class EffectiveChannel:
     f21: float
 
 
-def _solve_zero_forcing(h_cross: float, hRj: tuple[float, float],
-                        norm2_target: float, sign: int) -> np.ndarray:
-    """Intersect the zero-forcing line with the ||t||^2 = norm2_target circle."""
+def _links(setup: ChannelSetup, user: int):
+    """(h_ij, hRj, hRi) of `user`, j the other user."""
+    if user == 1:
+        return setup.h12, setup.hR2, setup.hR1
+    if user == 2:
+        return setup.h21, setup.hR1, setup.hR2
+    raise ValueError(f"user must be 1 or 2, got {user}")
+
+
+def _zero_forcing_vector(h_cross: float, hRj: tuple[float, float],
+                         root: float, sign: int) -> np.ndarray:
+    """The zero-forcing line's closest point to the origin, displaced by
+    sign * root along the line, all over ||hRj||^2 (nonzero)."""
     norm2 = hRj[0] ** 2 + hRj[1] ** 2
-    if norm2 == 0.0:
-        raise DegenerateRelayChannel("relay-to-receiver vector is zero")
-    scale = norm2 * norm2_target
-    radicand = -h_cross ** 2 + scale
-    if radicand < -RADICAND_RTOL * abs(scale):
-        raise InfeasibleRadicand(
-            f"zero-forcing infeasible: radicand {radicand:.3e} < 0 "
-            f"(cross gain {h_cross}, power budget {norm2_target:.3e})")
-    root = math.sqrt(max(radicand, 0.0))
     return np.array([
         (-h_cross * hRj[0] + sign * root * hRj[1]) / norm2,
         (-h_cross * hRj[1] - sign * root * hRj[0]) / norm2,
@@ -93,13 +97,12 @@ def beam_vector(setup: ChannelSetup, alloc: PowerAllocation, user: int) -> np.nd
     Satisfies h_ij + hRj.t_i0 = 0 and ||t_i0||^2 = rho_i*PR/(P - p_i);
     the branch is chosen by the allocation's sign n_i.
     """
-    h_cross, hRj, _, rho_i, n_i, p_i = user_links(setup, alloc, user)
-    if p_i > setup.P:
-        raise ValueError(f"p{user} = {p_i} exceeds the power budget P = {setup.P}")
-    if p_i >= setup.P:
-        raise ValueError(
-            f"p{user} = P is the boundary case; use boundary_beam_vector")
-    return _solve_zero_forcing(h_cross, hRj, rho_i * setup.PR / (setup.P - p_i), n_i)
+    p_i, rho_i, n_i = alloc.user(user)
+    if p_i >= setup.P:  # p_i = P is boundary_beam_vector's case
+        raise ValueError(f"p{user} = {p_i} is not below the budget P = {setup.P}")
+    h_cross, hRj, _ = _links(setup, user)
+    root = zf_root(setup, user, rho_i, setup.P - p_i)
+    return _zero_forcing_vector(h_cross, hRj, root, n_i)
 
 
 def boundary_beam_vector(setup: ChannelSetup, rho_i: float, user: int,
@@ -107,12 +110,7 @@ def boundary_beam_vector(setup: ChannelSetup, rho_i: float, user: int,
     """Beam vector for the p_i = P boundary: orthogonal to hRj with
     ||t_i0||^2 = rho_i*PR. The default sign +1 picks the orientation with
     hRi . t_i0 >= 0 (coherent with the direct link)."""
-    if user == 1:
-        hRj, hRi = setup.hR2, setup.hR1
-    elif user == 2:
-        hRj, hRi = setup.hR1, setup.hR2
-    else:
-        raise ValueError(f"user must be 1 or 2, got {user}")
+    _, hRj, hRi = _links(setup, user)
     norm2 = hRj[0] ** 2 + hRj[1] ** 2
     if norm2 == 0.0:
         raise DegenerateRelayChannel("relay-to-receiver vector is zero")
@@ -127,21 +125,15 @@ def boundary_beam_vector(setup: ChannelSetup, rho_i: float, user: int,
 def beam_vectors(setup: ChannelSetup, alloc: PowerAllocation) -> BeamVectors:
     """Both users' beam vectors, dispatching to the boundary construction
     for any user with p_i = P."""
-    out = {}
-    flags = {}
+    vectors, flags = [], []
     for user in (1, 2):
-        _, _, _, rho_i, n_i, p_i = user_links(setup, alloc, user)
-        if p_i >= setup.P:
-            if p_i > setup.P:
-                raise ValueError(
-                    f"p{user} = {p_i} exceeds the power budget P = {setup.P}")
-            vec = boundary_beam_vector(setup, rho_i, user, n_i)
-            flags[user] = True
-        else:
-            vec = beam_vector(setup, alloc, user)
-            flags[user] = False
-        out[user] = (float(vec[0]), float(vec[1]))
-    return BeamVectors(out[1], out[2], flags[1], flags[2])
+        p_i, rho_i, n_i = alloc.user(user)
+        boundary = p_i == setup.P  # beam_vector refuses p_i > P
+        vec = (boundary_beam_vector(setup, rho_i, user, n_i) if boundary
+               else beam_vector(setup, alloc, user))
+        vectors.append((float(vec[0]), float(vec[1])))
+        flags.append(boundary)
+    return BeamVectors(vectors[0], vectors[1], flags[0], flags[1])
 
 
 def effective_gains(setup: ChannelSetup, alloc: PowerAllocation,
@@ -164,7 +156,7 @@ def zero_forcing_residual(setup: ChannelSetup, alloc: PowerAllocation,
     away from the boundary, hRj.t_i0 at it. Zero up to rounding by
     construction; exposed for tests and diagnostics."""
     vectors = beam_vectors(setup, alloc)
-    h_cross, hRj, _, _, _, _ = user_links(setup, alloc, user)
+    h_cross, hRj, _ = _links(setup, user)
     t = vectors.t10 if user == 1 else vectors.t20
     boundary = vectors.boundary1 if user == 1 else vectors.boundary2
     projection = hRj[0] * t[0] + hRj[1] * t[1]
@@ -180,17 +172,13 @@ def approx_beam_vector(setup: ChannelSetup, alloc: PowerAllocation,
 
     with S_i the p_i = 0 value. Exact at p_i = 0; a rough approximation as
     p_i approaches P."""
-    h_cross, hRj, _, rho_i, n_i, p_i = user_links(setup, alloc, user)
-    norm2 = hRj[0] ** 2 + hRj[1] ** 2
-    if norm2 == 0.0:
-        raise DegenerateRelayChannel("relay-to-receiver vector is zero")
-    s_sq = linear_radicand(setup, rho_i, user)
+    p_i, rho_i, n_i = alloc.user(user)
+    h_cross, hRj, _ = _links(setup, user)
+    s_sq, _ = zf_radicand(setup, user, rho_i, setup.P)
     if s_sq <= 0.0:
         raise LinearizationInfeasible(
             f"low-power expansion undefined for user {user}: S^2 = {s_sq:.3e} <= 0")
     s_i = math.sqrt(s_sq)
+    norm2 = hRj[0] ** 2 + hRj[1] ** 2
     root = s_i + norm2 * rho_i * setup.PR * p_i / (2.0 * setup.P ** 2 * s_i)
-    return np.array([
-        (-h_cross * hRj[0] + n_i * root * hRj[1]) / norm2,
-        (-h_cross * hRj[1] - n_i * root * hRj[0]) / norm2,
-    ])
+    return _zero_forcing_vector(h_cross, hRj, root, n_i)

@@ -220,8 +220,8 @@ def cmd_region(config: RunConfig) -> int:
     return 0
 
 
-def _budgets(config: RunConfig) -> list[float]:
-    return [10.0 ** (db / 10.0) for db in config.p_db]
+def _budgets(db_values) -> list[float]:
+    return [10.0 ** (db / 10.0) for db in db_values]
 
 
 def _sqrt_cell(value: float | None):
@@ -237,7 +237,7 @@ def _sqrt_cell(value: float | None):
 def cmd_sweep(config: RunConfig) -> int:
     setup = _setup(config)
     policy = SweepPolicy(grid=config.grid or GridSpec(), PR=config.PR)
-    table = sweep_P(setup, _budgets(config), policy)
+    table = sweep_P(setup, _budgets(config.p_db), policy)
     for db, row in zip(config.p_db, table.rows):
         line = (f"P = {db:g} dB: exact = {_fmt(row.R_sum_exact)}, "
                 f"closed = {_fmt(row.R_sum_closed) or 'undefined'}, "
@@ -316,8 +316,7 @@ def figure5_rows(setup_template: ChannelSetup, db_values, PR: float | None,
     """Sum rates of the four strategies, each normalized by
     log2(1 + h11^2 P) + log2(1 + h22^2 P)."""
     policy = SweepPolicy(grid=grid or GridSpec(), PR=PR)
-    budgets = [10.0 ** (db / 10.0) for db in db_values]
-    table = sweep_P(setup_template, budgets, policy)
+    table = sweep_P(setup_template, _budgets(db_values), policy)
     rows = []
     for db, row in zip(db_values, table.rows):
         norm = (math.log2(1.0 + setup_template.h11 ** 2 * row.P)

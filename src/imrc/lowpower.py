@@ -26,9 +26,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateAntenna, LinearizationInfeasible, NoFeasibleRho
-from .model import ChannelSetup, PowerAllocation
-from .rates import LN2, RateRegion
+from .errors import (DegenerateAntenna, DegenerateRelayChannel,
+                     LinearizationInfeasible, NoFeasibleRho)
+from .model import ChannelSetup, PowerAllocation, own_gain, zf_radicand
+from .rates import LN2, RateRegion, hull2d
 
 __all__ = [
     "ApproxCoeffs",
@@ -125,26 +126,21 @@ def _user_expansion(setup: ChannelSetup, rho1: float, user: int,
     Raises DegenerateAntenna if the other user's relay column vanishes and
     LinearizationInfeasible if S^2 <= 0 (no zero-forcing margin at p_i = 0).
     """
-    if user == 1:
-        h_own, h_cross = setup.h11, setup.h12
-        norm2, rho_i, orient = setup.hR2_norm2, rho1, 1.0
-    else:
-        h_own, h_cross = setup.h22, setup.h21
-        norm2, rho_i, orient = setup.hR1_norm2, 1.0 - rho1, -1.0
-    if norm2 == 0.0:
-        raise DegenerateAntenna(
-            f"relay column for user {3 - user} is zero; cannot zero-force")
+    rho_i, orient = (rho1, 1.0) if user == 1 else (1.0 - rho1, -1.0)
     if setup.P <= 0.0:
         raise LinearizationInfeasible("expansion needs P > 0")
-    s_sq = rho_i * setup.PR * norm2 / setup.P - h_cross ** 2
+    try:
+        s_sq, _ = zf_radicand(setup, user, rho_i, setup.P)  # the p_i = 0 radicand
+    except DegenerateRelayChannel as exc:
+        raise DegenerateAntenna(
+            f"relay column for user {3 - user} is zero; cannot zero-force") from exc
     if s_sq <= 0.0:
         raise LinearizationInfeasible(
             f"user {user}: rho_i*PR*||hRj||^2/P - h_ij^2 = {s_sq:.6g} <= 0")
     s_val = math.sqrt(s_sq)
-    det = setup.relay_det()
-    dot = setup.relay_dot()
-    mu = h_own - h_cross * dot / norm2 + orient * sign * det * s_val / norm2
-    nu = orient * sign * rho_i * setup.PR * det / (2.0 * setup.P * s_val)
+    mu = own_gain(setup, user, sign, s_val)
+    nu = (orient * sign * rho_i * setup.PR * setup.hR_det
+          / (2.0 * setup.P * s_val))
     return mu, nu, s_val
 
 
@@ -266,26 +262,25 @@ def region_rho(setup: ChannelSetup, rho1: float) -> RhoRegion:
                      p1=p1, p2=p2, n1=n1, n2=n2, feasible1=f1, feasible2=f2)
 
 
-def _default_rho_grid() -> list[float]:
-    return [k / 100.0 for k in range(1, 100)]
+def _feasible_regions(setup: ChannelSetup, rho_grid) -> list[RhoRegion]:
+    """region_rho over a grid of relay splits (default 0.01, ..., 0.99),
+    keeping the splits where at least one user is feasible."""
+    if rho_grid is None:
+        rho_grid = [k / 100.0 for k in range(1, 100)]
+    regions = [region_rho(setup, float(rho1)) for rho1 in rho_grid]
+    regions = [r for r in regions if r.feasible1 or r.feasible2]
+    if not regions:
+        raise NoFeasibleRho(
+            "no relay split in the grid leaves zero-forcing margin for either user")
+    return regions
 
 
 def full_region(setup: ChannelSetup, rho_grid=None) -> RateRegion:
     """Union of the per-rho rectangles over a grid of relay splits, returned
     as the convex hull of their corners (time sharing fills the rest)."""
-    if rho_grid is None:
-        rho_grid = _default_rho_grid()
     points = [(0.0, 0.0)]
-    any_feasible = False
-    for rho1 in rho_grid:
-        region = region_rho(setup, float(rho1))
-        if region.feasible1 or region.feasible2:
-            any_feasible = True
-            points.extend(region.rectangle[1:])
-    if not any_feasible:
-        raise NoFeasibleRho(
-            "no relay split in the grid leaves zero-forcing margin for either user")
-    from .search import hull2d
+    for region in _feasible_regions(setup, rho_grid):
+        points.extend(region.rectangle[1:])
     return RateRegion(vertices=tuple(hull2d(points)))
 
 
@@ -293,21 +288,10 @@ def sum_rate_allocation(setup: ChannelSetup, rho_values=None) -> PowerAllocation
     """Relay split, signs and powers maximizing the first-order sum rate
     ( ||g1R||^2 p~_1 + ||g2R||^2 p~_2 ) / ln 2 over a grid of splits.
 
-    Ties keep the smallest rho1. A split where only one user is feasible
-    still competes with that user's term alone."""
-    if rho_values is None:
-        rho_values = _default_rho_grid()
-    best = None
-    for rho1 in rho_values:
-        region = region_rho(setup, float(rho1))
-        if not (region.feasible1 or region.feasible2):
-            continue
-        score = setup.g1R_norm2 * region.p1 + setup.g2R_norm2 * region.p2
-        if best is None or score > best[0]:
-            best = (score, region)
-    if best is None:
-        raise NoFeasibleRho(
-            "no relay split in the grid leaves zero-forcing margin for either user")
-    region = best[1]
+    Ties keep the earliest split in the grid, the smallest rho1 on an
+    ascending grid. A split where only one user is feasible still competes
+    with that user's term alone."""
+    region = max(_feasible_regions(setup, rho_values),
+                 key=lambda r: setup.g1R_norm2 * r.p1 + setup.g2R_norm2 * r.p2)
     return PowerAllocation(p1=region.p1, p2=region.p2, rho1=region.rho1,
                            n1=region.n1, n2=region.n2)

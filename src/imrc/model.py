@@ -31,17 +31,20 @@ __all__ = [
     "RADICAND_RTOL",
 ]
 
-from .errors import NegativePower, NonFinite
+from .errors import (DegenerateRelayChannel, InfeasibleRadicand,
+                     NegativePower, NonFinite)
 
 # Relative slack on the beamforming feasibility radicand: grid sweeps land
 # exactly on the feasibility boundary, so "slightly negative" within this
 # factor of the radicand's positive part is treated as zero.
 RADICAND_RTOL = 1e-12
 
-
-def _vec2(value) -> tuple[float, float]:
-    x, y = value
-    return (float(x), float(y))
+# det(H) = a d - b c is stored as exactly 0 when it is at most this factor
+# of |a d| + |b c|. Each product rounds by half an ulp and columns built
+# parallel were rounded once more, so parallel columns leave a residue of
+# about 2^-52 (|a d| + |b c|); an exact 0 makes the beam branches and the
+# relay split tie exactly instead of by rounding.
+_DET_RTOL = 2.0 ** -51
 
 
 @dataclass(frozen=True)
@@ -69,29 +72,28 @@ class ChannelSetup:
     g2R_norm2: float = field(init=False, repr=False, compare=False)
     hR1_norm2: float = field(init=False, repr=False, compare=False)
     hR2_norm2: float = field(init=False, repr=False, compare=False)
+    # det([hR1 hR2]) (0 for parallel columns, see _DET_RTOL) and hR1 . hR2
+    hR_det: float = field(init=False, repr=False, compare=False)
+    hR_dot: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h11", float(self.h11))
-        object.__setattr__(self, "h12", float(self.h12))
-        object.__setattr__(self, "h21", float(self.h21))
-        object.__setattr__(self, "h22", float(self.h22))
-        object.__setattr__(self, "g1R", _vec2(self.g1R))
-        object.__setattr__(self, "g2R", _vec2(self.g2R))
-        object.__setattr__(self, "hR1", _vec2(self.hR1))
-        object.__setattr__(self, "hR2", _vec2(self.hR2))
-        object.__setattr__(self, "P", float(self.P))
-        object.__setattr__(self, "PR", float(self.PR))
-        for name in ("g1R", "g2R", "hR1", "hR2"):
-            x, y = getattr(self, name)
+        for name in _SCALAR_KEYS:
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in _VECTOR_KEYS:
+            x, y = (float(v) for v in getattr(self, name))
+            object.__setattr__(self, name, (x, y))
             object.__setattr__(self, f"{name}_norm2", x ** 2 + y ** 2)
+        (a, c), (b, d) = self.hR1, self.hR2
+        ad, bc = a * d, b * c
+        det = ad - bc
+        if abs(det) <= _DET_RTOL * (abs(ad) + abs(bc)):
+            det = 0.0
+        object.__setattr__(self, "hR_det", det)
+        object.__setattr__(self, "hR_dot", a * b + c * d)
 
     def relay_det(self) -> float:
         """det of the 2x2 relay-to-receivers matrix [hR1 hR2]."""
-        return self.hR1[0] * self.hR2[1] - self.hR2[0] * self.hR1[1]
-
-    def relay_dot(self) -> float:
-        """hR1 . hR2."""
-        return self.hR1[0] * self.hR2[0] + self.hR1[1] * self.hR2[1]
+        return self.hR_det
 
 
 @dataclass(frozen=True)
@@ -124,20 +126,24 @@ class PowerAllocation:
     def rho2(self) -> float:
         return 1.0 - self.rho1
 
+    def user(self, user: int) -> tuple[float, float, int]:
+        """(p_i, rho_i, n_i) of `user`."""
+        if user == 1:
+            return self.p1, self.rho1, self.n1
+        if user == 2:
+            return self.p2, self.rho2, self.n2
+        raise ValueError(f"user must be 1 or 2, got {user}")
+
 
 def validate(setup: ChannelSetup) -> ChannelSetup:
     """Check finiteness and power signs; return the setup unchanged."""
-    scalars = {
-        "h11": setup.h11, "h12": setup.h12, "h21": setup.h21, "h22": setup.h22,
-        "g1R[0]": setup.g1R[0], "g1R[1]": setup.g1R[1],
-        "g2R[0]": setup.g2R[0], "g2R[1]": setup.g2R[1],
-        "hR1[0]": setup.hR1[0], "hR1[1]": setup.hR1[1],
-        "hR2[0]": setup.hR2[0], "hR2[1]": setup.hR2[1],
-        "P": setup.P, "PR": setup.PR,
-    }
-    for name, value in scalars.items():
-        if not math.isfinite(value):
-            raise NonFinite(f"{name} is not finite: {value!r}")
+    for name in _KEYS:
+        value = getattr(setup, name)
+        labeled = ([(f"{name}[0]", value[0]), (f"{name}[1]", value[1])]
+                   if name in _VECTOR_KEYS else [(name, value)])
+        for label, x in labeled:
+            if not math.isfinite(x):
+                raise NonFinite(f"{label} is not finite: {x!r}")
     if setup.P < 0.0:
         raise NegativePower(f"P must be >= 0, got {setup.P}")
     if setup.PR < 0.0:
@@ -145,35 +151,74 @@ def validate(setup: ChannelSetup) -> ChannelSetup:
     return setup
 
 
-def user_links(setup: ChannelSetup, alloc: PowerAllocation, user: int):
-    """Per-user view used by the beamforming construction for `user`:
-    (h_cross, hRj, hRi, rho_i, n_i, p_i) where j is the other receiver."""
+# The per-user kernel. Zero forcing turns the relay channel into an
+# interference channel whose own gains depend on the powers; for user i, with
+# j the other user and remaining = P - p_i > 0,
+#
+#     rad_i = ||hRj||^2 rho_i PR / remaining - h_ij^2,
+#     f_ii  = h_ii - h_ij (hRi.hRj)/||hRj||^2
+#             + orient n_i det(H) sqrt(rad_i)/||hRj||^2,
+#
+# and the repeated message arrives with power f_ii^2 remaining; at p_i = P
+# the relay alone carries it, with power rho_i PR det(H)^2 / ||hRj||^2.
+# The functions use only + - * /, abs, comparisons and the square of the
+# scalar gain h_ij, so Python floats stay floats and numpy arrays broadcast.
+# Callers take the square root (math.sqrt or np.sqrt, both correctly
+# rounded) and pick the boundary case themselves.
+
+def _user(setup: ChannelSetup, user: int) -> tuple[float, float, float, float]:
+    """(h_ii, h_ij, ||hRj||^2, orient) of `user`: hRi . [hRj2, -hRj1] is
+    orient * det(H), +1 for user 1 and -1 for user 2. A zero hRj leaves no
+    beam that cancels the cross link."""
     if user == 1:
-        return setup.h12, setup.hR2, setup.hR1, alloc.rho1, alloc.n1, alloc.p1
-    if user == 2:
-        return setup.h21, setup.hR1, setup.hR2, alloc.rho2, alloc.n2, alloc.p2
-    raise ValueError(f"user must be 1 or 2, got {user}")
-
-
-def exact_radicand(setup: ChannelSetup, alloc: PowerAllocation, user: int) -> float:
-    """Square-root argument of the beamforming solution for `user`
-    (-h_ij^2 + ||hRj||^2 * rho_i*PR/(P - p_i)); requires p_i < P."""
-    h_cross, hRj, _, rho_i, _, p_i = user_links(setup, alloc, user)
-    norm2 = hRj[0] ** 2 + hRj[1] ** 2
-    return -h_cross ** 2 + norm2 * (rho_i * setup.PR / (setup.P - p_i))
-
-
-def linear_radicand(setup: ChannelSetup, rho_i: float, user: int) -> float:
-    """Square-root argument S_i^2 of the low-power expansion:
-    rho_i*PR*||hRj||^2/P - h_ij^2. Requires P > 0."""
-    if user == 1:
-        h_cross, hRj = setup.h12, setup.hR2
+        terms = setup.h11, setup.h12, setup.hR2_norm2, 1.0
     elif user == 2:
-        h_cross, hRj = setup.h21, setup.hR1
+        terms = setup.h22, setup.h21, setup.hR1_norm2, -1.0
     else:
         raise ValueError(f"user must be 1 or 2, got {user}")
-    norm2 = hRj[0] ** 2 + hRj[1] ** 2
-    return rho_i * setup.PR * norm2 / setup.P - h_cross ** 2
+    if terms[2] == 0.0:
+        raise DegenerateRelayChannel("relay-to-receiver vector is zero")
+    return terms
+
+
+def zf_radicand(setup: ChannelSetup, user: int, rho_i, remaining):
+    """(rad_i, feasible): the zero-forcing radicand at P - p_i = remaining,
+    and whether it counts as nonnegative (within RADICAND_RTOL of its
+    positive part). remaining = P gives the low-power expansion's S_i^2."""
+    _, h_cross, norm2, _ = _user(setup, user)
+    scale = norm2 * (rho_i * setup.PR / remaining)
+    rad = scale - h_cross ** 2
+    return rad, rad >= -RADICAND_RTOL * abs(scale)
+
+
+def zf_root(setup: ChannelSetup, user: int, rho_i: float,
+            remaining: float) -> float:
+    """sqrt(rad_i) for scalars, a tolerated negative radicand taken as 0;
+    raises InfeasibleRadicand when zero forcing fails."""
+    rad, feasible = zf_radicand(setup, user, rho_i, remaining)
+    if not feasible:
+        raise InfeasibleRadicand(
+            f"zero-forcing infeasible for user {user}: radicand {rad:.3e} < 0")
+    return math.sqrt(max(rad, 0.0))
+
+
+def own_gain(setup: ChannelSetup, user: int, sign, root):
+    """f_ii for branch sign n_i and root = sqrt(rad_i)."""
+    h_own, h_cross, norm2, orient = _user(setup, user)
+    return (h_own - h_cross * setup.hR_dot / norm2
+            + orient * sign * setup.hR_det * root / norm2)
+
+
+def own_signal(setup: ChannelSetup, user: int, sign, root, remaining):
+    """f_ii^2 (P - p_i): received power of the repeated message, p_i < P."""
+    f_own = own_gain(setup, user, sign, root)
+    return f_own * f_own * remaining
+
+
+def boundary_signal(setup: ChannelSetup, user: int, rho_i):
+    """rho_i PR det(H)^2 / ||hRj||^2: the same power at p_i = P."""
+    _, _, norm2, _ = _user(setup, user)
+    return rho_i * setup.PR * setup.hR_det * setup.hR_det / norm2
 
 
 @dataclass(frozen=True)
@@ -185,7 +230,8 @@ class FeasibilityReport:
     boundary_i  p_i = P, so the boundary construction is the one in force
     linear_i    the low-power expansion exists (S_i^2 > 0)
     radicand_i / s_radicand_i carry the raw square-root arguments
-    (radicand_i is NaN on the boundary, s_radicand_i is NaN when P = 0).
+    (radicand_i is NaN on the boundary, s_radicand_i is NaN when P = 0,
+    and both are NaN for a zero relay column).
     """
 
     exact1: bool
@@ -201,28 +247,25 @@ class FeasibilityReport:
 
 
 def feasibility(setup: ChannelSetup, alloc: PowerAllocation) -> FeasibilityReport:
-    """Report (never raise) which constructions are available per user."""
-    flags = {}
-    for user in (1, 2):
-        h_cross, hRj, _, rho_i, _, p_i = user_links(setup, alloc, user)
-        norm2 = hRj[0] ** 2 + hRj[1] ** 2
+    """Report (never raise) which constructions are available per user. A
+    zero relay column hRj leaves user i neither construction."""
+    nan = float("nan")
+    flags = []
+    for user, norm2 in ((1, setup.hR2_norm2), (2, setup.hR1_norm2)):
+        p_i, rho_i, _ = alloc.user(user)
         boundary = p_i >= setup.P
+        if norm2 == 0.0:
+            flags.append((False, boundary, False, nan, nan))
+            continue
         if boundary:
-            rad = float("nan")
-            exact = True
+            rad, exact = nan, True
         else:
-            scale = norm2 * (rho_i * setup.PR / (setup.P - p_i))
-            rad = -h_cross ** 2 + scale
-            exact = rad >= -RADICAND_RTOL * abs(scale)
+            rad, exact = zf_radicand(setup, user, rho_i, setup.P - p_i)
+        s_rad = nan
         if setup.P > 0.0:
-            s_rad = linear_radicand(setup, rho_i, user)
-            linear = s_rad > 0.0
-        else:
-            s_rad = float("nan")
-            linear = False
-        flags[user] = (exact, boundary, linear, rad, s_rad)
-    e1, b1, l1, r1, s1 = flags[1]
-    e2, b2, l2, r2, s2 = flags[2]
+            s_rad, _ = zf_radicand(setup, user, rho_i, setup.P)
+        flags.append((exact, boundary, s_rad > 0.0, rad, s_rad))
+    (e1, b1, l1, r1, s1), (e2, b2, l2, r2, s2) = flags
     return FeasibilityReport(e1, e2, b1, b2, l1, l2, r1, r2, s1, s2)
 
 
@@ -237,8 +280,9 @@ def example_channel() -> ChannelSetup:
     )
 
 
-_SCALAR_KEYS = ("h11", "h12", "h21", "h22", "P", "PR")
-_VECTOR_KEYS = ("g1R", "g2R", "hR1", "hR2")
+_KEYS = ("h11", "h12", "h21", "h22", "g1R", "g2R", "hR1", "hR2", "P", "PR")
+_VECTOR_KEYS = _KEYS[4:8]
+_SCALAR_KEYS = _KEYS[:4] + _KEYS[8:]
 
 
 def parse_channel_text(text: str) -> ChannelSetup:
@@ -270,7 +314,7 @@ def parse_channel_text(text: str) -> ChannelSetup:
             values[key] = (float(parts[0]), float(parts[1]))
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-    missing = [k for k in _SCALAR_KEYS + _VECTOR_KEYS if k not in values]
+    missing = [k for k in _KEYS if k not in values]
     if missing:
         raise ValueError(f"missing channel keys: {', '.join(sorted(missing))}")
     return validate(ChannelSetup(**values))  # type: ignore[arg-type]

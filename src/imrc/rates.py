@@ -16,15 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import beamforming
-from .errors import BadBlockCount
-from .model import ChannelSetup, PowerAllocation
+from .errors import BadBlockCount, DegenerateRelayChannel
+from .model import (ChannelSetup, PowerAllocation, boundary_signal,
+                    own_signal, zf_root)
 
 __all__ = [
     "RatePoint",
     "MacRates",
     "SchemeRates",
     "RateRegion",
+    "hull2d",
     "mac_rates",
     "mac_sum_expanded",
     "ic_rates",
@@ -116,6 +117,33 @@ class RateRegion:
         return True
 
 
+def hull2d(points) -> list[tuple[float, float]]:
+    """Convex hull by monotone chain: counterclockwise vertex list starting
+    from the lexicographically smallest point, collinear points dropped.
+    Degenerate inputs (single point, segment, all collinear) come back as
+    the 1 or 2 extreme points."""
+    pts = sorted({(float(x), float(y)) for x, y in points})
+    if not pts:
+        raise ValueError("hull2d needs at least one point")
+    if len(pts) <= 2:
+        return pts
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and turn(lower[-2], lower[-1], p) <= 0.0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and turn(upper[-2], upper[-1], p) <= 0.0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
 def mac_rates(setup: ChannelSetup, p1: float, p2: float) -> MacRates:
     """Relay-side caps: R_i = log2(1 + ||g_iR||^2 p_i) and
     Rsum = log2 det(I + G diag(p1, p2) G^T) with G = [g1R g2R], the
@@ -126,66 +154,71 @@ def mac_rates(setup: ChannelSetup, p1: float, p2: float) -> MacRates:
                     Rsum_mac=mac_sum_expanded(setup, p1, p2))
 
 
-def mac_sum_expanded(setup: ChannelSetup, p1: float, p2: float) -> float:
-    """The sum cap written out as log2(alpha*p1*p2 + beta*p1 + gamma*p2 + 1)
-    with alpha = (g11 g22)^2 + (g21 g12)^2 - 2 g12 g21 g11 g22 (the squared
-    2x2 determinant of [g1R g2R]), beta = ||g1R||^2, gamma = ||g2R||^2.
-    Finite wherever the per-user caps are: where alpha p1 p2 overflows
-    (budgets above about 1e154), p1's binary exponent is taken out first."""
+def mac_sum_argument(setup: ChannelSetup, p1, p2, scale: float = 1.0):
+    """scale * (alpha p1 p2 + ||g1R||^2 p1 + ||g2R||^2 p2 + 1), the MAC sum
+    cap's argument, with alpha = (g11 g22)^2 + (g21 g12)^2 - 2 g12 g21 g11
+    g22 the squared 2x2 determinant of [g1R g2R]. Plain arithmetic, so
+    floats and numpy arrays both pass; scaling p1 first keeps alpha p1 p2
+    finite, and a power-of-two scale does not round."""
     g11, g12 = setup.g1R
     g21, g22 = setup.g2R
     alpha = (g11 * g22) ** 2 + (g21 * g12) ** 2 - 2.0 * g12 * g21 * g11 * g22
-    beta = setup.g1R_norm2
-    gamma = setup.g2R_norm2
-    value = alpha * p1 * p2 + beta * p1 + gamma * p2 + 1.0
+    p1 = p1 * scale
+    return (alpha * (p1 * p2) + setup.g1R_norm2 * p1
+            + setup.g2R_norm2 * p2 * scale + scale)
+
+
+def mac_sum_expanded(setup: ChannelSetup, p1: float, p2: float) -> float:
+    """The sum cap log2(alpha p1 p2 + ||g1R||^2 p1 + ||g2R||^2 p2 + 1), see
+    mac_sum_argument. Finite wherever the per-user caps are: where alpha p1
+    p2 overflows (budgets above about 1e154), p1's binary exponent is taken
+    out first."""
+    value = mac_sum_argument(setup, p1, p2)
     if math.isinf(value):
-        mant, exp = math.frexp(p1)
-        unit = math.ldexp(1.0, -exp)
-        return math.log2(alpha * mant * p2 + beta * mant
-                         + gamma * p2 * unit + unit) + exp
+        exp = math.frexp(p1)[1]
+        return math.log2(mac_sum_argument(setup, p1, p2,
+                                          math.ldexp(1.0, -exp))) + exp
     return math.log2(value)
 
 
-def _ic_signal(setup: ChannelSetup, alloc: PowerAllocation,
-               effective: beamforming.EffectiveChannel, user: int) -> float:
-    """Numerator of the destination-side SINR for `user`: the repeated
-    message's received power. Away from p_i = P that is f_ii^2 (P - p_i);
-    at the boundary the relay alone sends it with unit-normalized f_ii^2."""
-    if user == 1:
-        f_own, p_own = effective.f11, alloc.p1
-    else:
-        f_own, p_own = effective.f22, alloc.p2
-    factor = 1.0 if p_own >= setup.P else setup.P - p_own
-    return f_own ** 2 * factor
+def _signal(setup: ChannelSetup, alloc: PowerAllocation, user: int) -> float:
+    """The repeated message's received power at user i, from model's
+    per-user kernel: f_ii^2 (P - p_i) below the budget, the relay-only
+    value at p_i = P. Raises where zero forcing fails."""
+    p_i, rho_i, n_i = alloc.user(user)
+    if p_i > setup.P:
+        raise ValueError(f"p{user} = {p_i} exceeds the power budget P = {setup.P}")
+    if p_i == setup.P:
+        return boundary_signal(setup, user, rho_i)
+    remaining = setup.P - p_i
+    return own_signal(setup, user, n_i, zf_root(setup, user, rho_i, remaining),
+                      remaining)
 
 
-def ic_rates(setup: ChannelSetup, alloc: PowerAllocation,
-             effective: beamforming.EffectiveChannel | None = None) -> RatePoint:
+def ic_rates(setup: ChannelSetup, alloc: PowerAllocation) -> RatePoint:
     """Destination-side caps with interference treated as noise:
-    R_i = log2(1 + f_ii^2 (P - p_i) / (1 + f_ji^2 p_j))."""
-    if effective is None:
-        effective = beamforming.effective_gains(setup, alloc)
-    s1 = _ic_signal(setup, alloc, effective, 1)
-    s2 = _ic_signal(setup, alloc, effective, 2)
-    r1 = math.log2(1.0 + s1 / (1.0 + effective.f21 ** 2 * alloc.p2))
-    r2 = math.log2(1.0 + s2 / (1.0 + effective.f12 ** 2 * alloc.p1))
+    R_i = log2(1 + f_ii^2 (P - p_i) / (1 + h_ji^2 p_j)); zero forcing
+    leaves the cross gains untouched."""
+    s1 = _signal(setup, alloc, 1)
+    s2 = _signal(setup, alloc, 2)
+    r1 = math.log2(1.0 + s1 / (1.0 + setup.h21 ** 2 * alloc.p2))
+    r2 = math.log2(1.0 + s2 / (1.0 + setup.h12 ** 2 * alloc.p1))
     return RatePoint(R1=r1, R2=r2)
 
 
 def abundant_power_rates(setup: ChannelSetup, alloc: PowerAllocation) -> RatePoint:
     """Destination-side rates in the abundant-relay-power regime PR >> P:
     R_i = log2(1 + det^2(H) rho_i PR / (||hRj||^2 (1 + h_ji^2 p_j))),
-    H = [hR1 hR2]. Computed for any input; meaningful when PR >> P."""
-    det = setup.relay_det()
+    H = [hR1 hR2], the kernel's boundary signal over the interference.
+    Computed for any input; meaningful when PR >> P."""
     rates = []
-    for rho_i, norm2_other, h_in, p_other in (
-            (alloc.rho1, setup.hR2_norm2, setup.h21, alloc.p2),
-            (alloc.rho2, setup.hR1_norm2, setup.h12, alloc.p1)):
-        if norm2_other == 0.0:
-            rates.append(0.0)  # det(H) = 0 too; the relay path carries nothing
-            continue
-        gain = det ** 2 * rho_i * setup.PR / (norm2_other * (1.0 + h_in ** 2 * p_other))
-        rates.append(math.log2(1.0 + gain))
+    for user, rho_i, h_in, p_other in ((1, alloc.rho1, setup.h21, alloc.p2),
+                                       (2, alloc.rho2, setup.h12, alloc.p1)):
+        try:
+            signal = boundary_signal(setup, user, rho_i)
+        except DegenerateRelayChannel:
+            signal = 0.0  # det(H) = 0 too; the relay path carries nothing
+        rates.append(math.log2(1.0 + signal / (1.0 + h_in ** 2 * p_other)))
     return RatePoint(R1=rates[0], R2=rates[1])
 
 

@@ -1,33 +1,36 @@
 """Brute-force and root-finding oracles.
 
-Everything here is deliberately assumption-free: the grid search evaluates
-the exact scheme sum rate at every (p1, p2, rho1, n1, n2) combination
-rather than trusting any closed-form shortcut, bisection finds curve
-intersections by sign changes alone, and the hull is plain monotone chain.
-These are the references the analytical results are checked against.
+The grid search trusts no closed-form shortcut: it finds the best exact
+scheme sum rate over every (p1, p2, rho1, n1, n2) combination of the grid,
+and bisection finds curve intersections by sign changes alone. These are
+the references the analytical results are checked against.
 
-One broadcast objective serves every search: it mirrors beam_vector /
-effective_gains / scheme_rate_point arithmetically -- including the
-radicand feasibility tolerance -- over whole arrays of (rho1, n1, n2)
-blocks, never materializing beam vectors. It compares cells in the linear
-domain: user i's term is A_i = 1 + min(||g_iR||^2 p_i, SINR_i), or 0 where
-zero forcing fails, and a cell's value is min(A1 A2, M) with M the MAC sum
-cap's argument alpha p1 p2 + ||g1R||^2 p1 + ||g2R||^2 p2 + 1. log2 is
-monotone, so min(log2 a, log2 b) = log2 min(a, b) and the order of cells
-is the order of their sum rates; no cell takes a log2, and the bits come
-from scheme_rate_point on the chosen allocation alone. Every feasible
-value is positive and every infeasible one is 0, so an infeasible cell
-never wins. A1 and M are scaled by the power of two 2^-e with
-2^e > 1 + ||g1R||^2 P, which keeps A1 A2 finite at budgets where it would
-overflow; a power of two does not round, so every comparison is unchanged.
+One broadcast objective serves every search. It evaluates model's per-user
+kernel -- the radicand with its feasibility tolerance, f_ii and the
+boundary power, the same functions scheme_rate_point calls on scalars --
+over whole arrays of (rho1, n1, n2) blocks, never materializing beam
+vectors. It compares cells in the linear domain: user i's term is
+A_i = 1 + min(||g_iR||^2 p_i, SINR_i), or 0 where zero forcing fails, and
+a cell's value is min(A1 A2, M) with M the MAC sum cap's argument
+alpha p1 p2 + ||g1R||^2 p1 + ||g2R||^2 p2 + 1 (rates.mac_sum_argument).
+log2 is monotone, so min(log2 a, log2 b) = log2 min(a, b) and the order
+of cells is the order of their sum rates; no cell takes a log2, and the
+bits come from scheme_rate_point on the chosen allocation alone. Every
+feasible value is positive and every infeasible one is 0, so an
+infeasible cell never wins. A1 and M are scaled by the power of two 2^-e
+with 2^e > 1 + ||g1R||^2 P, which keeps A1 A2 finite at budgets where it
+would overflow; a power of two does not round, so no comparison changes.
 
 The coarse stage shares what a block does not depend on (the MAC sum cap
 once per grid, each user's signal power and feasibility once per grid
-and rho1). Feasibility depends on neither sign and never falls as p_i
-grows, so for each rho1 the feasible cells form the rectangle p1 >= k1,
-p2 >= k2, and only that rectangle is evaluated. The zoom stage advances all live
-windows together, round by round, in fixed-size chunks. argmax keeps the
-first row-major maximum, and the windows repeat np.linspace's arithmetic.
+and rho1), and it skips the cells where zero forcing fails. The skip is
+exact: feasibility depends on neither sign, and the radicand only grows as
+p_i grows, so for each rho1 the feasible cells form the rectangle
+p1 >= k1, p2 >= k2; every cell outside it scores 0 and every cell inside
+scores more, so the rectangle holds the block's first maximum. The zoom
+stage advances all live windows together, round by round, in fixed-size
+chunks. argmax keeps the first row-major maximum, and the windows repeat
+np.linspace's arithmetic.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ import numpy as np
 from .errors import (DegenerateRelayChannel, InfeasibleRadicand,
                      NoFeasiblePoint, NoFeasibleRho, NoSignChange)
 from .lowpower import sum_rate_allocation
-from .model import RADICAND_RTOL, ChannelSetup, PowerAllocation, validate
-from .rates import scheme_rate_point
+from .model import (ChannelSetup, PowerAllocation, boundary_signal,
+                    own_signal, validate, zf_radicand)
+from .rates import mac_sum_argument, scheme_rate_point
 
 __all__ = [
     "GridSpec",
@@ -51,7 +55,6 @@ __all__ = [
     "SweepTable",
     "grid_search_sum_rate",
     "bisect_intersection",
-    "hull2d",
     "search_p1",
     "sweep_P",
 ]
@@ -140,35 +143,21 @@ _ZOOM_CHUNK = 18
 
 def _signal(setup: ChannelSetup, user: int, rho1, sign, p
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Received power of user i's repeated message and its zero-forcing
-    feasibility, broadcast over rho1, the branch sign and p_i. Entries at
-    p_i = P use the boundary construction (always feasible); interior
-    entries replicate the beam-vector algebra in closed form:
-
-        f_ii = h_ii - h_ij (hRi.hRj)/||hRj||^2 +/- n_i sqrt(rad) det(H)/||hRj||^2
-    """
-    if user == 1:
-        h_own, h_cross, norm2 = setup.h11, setup.h12, setup.hR2_norm2
-        rho_i, orient = rho1, 1.0
-    else:
-        h_own, h_cross, norm2 = setup.h22, setup.h21, setup.hR1_norm2
-        rho_i, orient = 1.0 - rho1, -1.0
-    if norm2 == 0.0:
-        # no direction cancels the cross link; nothing is feasible
-        shape = np.broadcast_shapes(np.shape(rho_i), np.shape(sign),
-                                    np.shape(p))
-        return np.zeros(shape), np.zeros(shape, dtype=bool)
-    det = setup.relay_det()
+    """User i's received power and zero-forcing feasibility, broadcast over
+    rho1, the branch sign and p_i: model's per-user kernel, as in
+    scheme_rate_point, with the boundary value (always feasible) at p_i = P."""
+    rho_i = rho1 if user == 1 else 1.0 - rho1
     boundary = p >= setup.P
     remaining = np.where(boundary, 1.0, setup.P - p)
-    scale = norm2 * (rho_i * setup.PR / remaining)
-    rad = scale - h_cross ** 2
-    feasible = rad >= -RADICAND_RTOL * np.abs(scale)
+    try:
+        rad, feasible = zf_radicand(setup, user, rho_i, remaining)
+    except DegenerateRelayChannel:
+        # no direction cancels the cross link; nothing is feasible
+        zeros = np.zeros(np.broadcast(rho_i, sign, p).shape)
+        return zeros, zeros != 0.0
     root = np.sqrt(np.maximum(rad, 0.0))
-    f_own = (h_own - h_cross * setup.relay_dot() / norm2
-             + orient * sign * det * root / norm2)
-    sig = np.where(boundary, rho_i * setup.PR * det * det / norm2,
-                   f_own * f_own * remaining)
+    sig = np.where(boundary, boundary_signal(setup, user, rho_i),
+                   own_signal(setup, user, sign, root, remaining))
     return sig, boundary | feasible
 
 
@@ -201,17 +190,6 @@ def _capped_term(setup: ChannelSetup, user: int, sig, p_own, p_other,
     return term
 
 
-def _mac_sum(setup: ChannelSetup, p1, p2, scale: float) -> np.ndarray:
-    """scale * (alpha p1 p2 + ||g1R||^2 p1 + ||g2R||^2 p2 + 1), the MAC sum
-    cap's argument; scaling p1 first keeps alpha p1 p2 finite."""
-    g11, g12 = setup.g1R
-    g21, g22 = setup.g2R
-    alpha = (g11 * g22) ** 2 + (g21 * g12) ** 2 - 2.0 * g12 * g21 * g11 * g22
-    p1 = p1 * scale
-    return (alpha * (p1 * p2) + setup.g1R_norm2 * p1
-            + setup.g2R_norm2 * p2 * scale + scale)
-
-
 def _objective(setup: ChannelSetup, rho1, n1, n2, p1: np.ndarray,
                p2: np.ndarray) -> np.ndarray:
     """Linear-domain scheme sum rate on the outer grid p1 (rows) x p2
@@ -227,7 +205,7 @@ def _objective(setup: ChannelSetup, rho1, n1, n2, p1: np.ndarray,
     sig2, ok2 = _signal(setup, 2, rho1, n2, cols)
     total = (_capped_term(setup, 1, sig1, rows, cols, scale)
              * _capped_term(setup, 2, sig2, cols, rows))
-    np.minimum(total, _mac_sum(setup, rows, cols, scale), out=total)
+    np.minimum(total, mac_sum_argument(setup, rows, cols, scale), out=total)
     np.copyto(total, 0.0, where=~(ok1 & ok2))
     return total
 
@@ -253,7 +231,7 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray
     sig2, ok2 = _signal(setup, 2, rho1, signs, cols)  # (rho1, n2, 1, p2)
     # feasibility depends on neither sign and never falls as p_i grows
     k1, k2 = _first(ok1[:, 0, :, 0]), _first(ok2[:, 0, 0, :])
-    rsum = _mac_sum(setup, rows, cols, scale)
+    rsum = mac_sum_argument(setup, rows, cols, scale)
     # allocated once for all rho1: the rectangles vary in size, and fresh
     # arrays of varying size fragment the heap and raise peak RSS
     buffer = np.empty(4 * n * n)
@@ -369,9 +347,10 @@ def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
 def grid_search_sum_rate(setup: ChannelSetup,
                          grid: GridSpec | None = None) -> SearchResult:
     """Maximize the exact scheme sum rate over the full grid x both sign
-    choices per user. Pure enumeration -- every grid point is evaluated,
-    no structure assumed. Deterministic: exact-value ties resolve to the
-    smallest (rho1, p1, p2, n1, n2)."""
+    choices per user. Every cell where both users zero-force is evaluated;
+    the others score 0 and are skipped, per rho1 as one rectangle (see the
+    module docstring for why that is exact). Deterministic: exact-value
+    ties resolve to the smallest (rho1, p1, p2, n1, n2)."""
     validate(setup)
     alloc = _search(setup, grid or GridSpec(), refine=False)
     if alloc is None:
@@ -430,33 +409,6 @@ def bisect_intersection(curve_pair, interval, tol: float = 1e-12) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def hull2d(points) -> list[tuple[float, float]]:
-    """Convex hull by monotone chain: counterclockwise vertex list starting
-    from the lexicographically smallest point, collinear points dropped.
-    Degenerate inputs (single point, segment, all collinear) come back as
-    the 1 or 2 extreme points."""
-    pts = sorted({(float(x), float(y)) for x, y in points})
-    if not pts:
-        raise ValueError("hull2d needs at least one point")
-    if len(pts) <= 2:
-        return pts
-
-    def turn(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and turn(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and turn(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
 
 
 def _sum_rate_or_nan(setup: ChannelSetup, alloc: PowerAllocation) -> float:

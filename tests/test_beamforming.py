@@ -20,6 +20,7 @@ from imrc import (
     example_channel,
     zero_forcing_residual,
 )
+from imrc.model import boundary_signal, own_gain, zf_root
 
 from helpers import feasible_instance, random_setup
 
@@ -232,3 +233,31 @@ def test_approx_error_is_second_order():
         errs.append(err)
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.25)
+
+
+def test_kernel_gain_matches_beam_vectors():
+    # model's closed-form f_ii, which the rates and the grid search use,
+    # against this module's geometric construction: h_ii + hRi.t_i0 inside,
+    # and the received power (hRi.t_i0)^2 at the p_i = P boundary
+    rng = np.random.default_rng(47)
+    for k in range(1000):
+        setup, alloc = feasible_instance(rng, det_zero=k % 5 == 0)
+        if k % 4 == 1:
+            alloc = PowerAllocation(setup.P, alloc.p2, alloc.rho1,
+                                    alloc.n1, alloc.n2)
+        elif k % 4 == 3:
+            alloc = PowerAllocation(alloc.p1, setup.P, alloc.rho1,
+                                    alloc.n1, alloc.n2)
+        vecs = beam_vectors(setup, alloc)
+        for user, t, boundary, h_own, hRi in (
+                (1, vecs.t10, vecs.boundary1, setup.h11, setup.hR1),
+                (2, vecs.t20, vecs.boundary2, setup.h22, setup.hR2)):
+            p_i, rho_i, n_i = alloc.user(user)
+            relay = hRi[0] * t[0] + hRi[1] * t[1]
+            if boundary:
+                assert boundary_signal(setup, user, rho_i) == pytest.approx(
+                    relay ** 2, rel=1e-12)
+            else:
+                root = zf_root(setup, user, rho_i, setup.P - p_i)
+                assert own_gain(setup, user, n_i, root) == pytest.approx(
+                    h_own + relay, rel=1e-12)

@@ -1,6 +1,7 @@
 """Channel/allocation containers, validation, and the channel-file parser."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from imrc import (
     resolve_channel,
     validate,
 )
-from imrc.model import exact_radicand, linear_radicand, user_links
+from imrc.model import own_gain, zf_radicand
 
 from helpers import random_setup
 
@@ -41,7 +42,7 @@ def test_example_channel_derived_quantities():
     assert ch.hR2_norm2 == pytest.approx(5.0, rel=1e-15)
     # relay columns are parallel in the running example
     assert ch.relay_det() == pytest.approx(0.0, abs=1e-15)
-    assert ch.relay_dot() == pytest.approx(2.5, rel=1e-15)
+    assert ch.hR_dot == pytest.approx(2.5, rel=1e-15)
 
 
 def test_validate_passthrough():
@@ -94,25 +95,47 @@ def test_allocation_rho2():
     assert alloc.rho2 == pytest.approx(0.7, rel=1e-15)
 
 
-def test_user_links_mapping():
+def test_kernel_user_mapping():
     ch = example_channel()
     alloc = PowerAllocation(p1=0.01, p2=0.02, rho1=0.3, n1=1, n2=-1)
-    h_cross, hRj, hRi, rho_i, n_i, p_i = user_links(ch, alloc, 1)
-    assert (h_cross, hRj, hRi) == (ch.h12, ch.hR2, ch.hR1)
-    assert (rho_i, n_i, p_i) == (0.3, 1, 0.01)
-    h_cross, hRj, hRi, rho_i, n_i, p_i = user_links(ch, alloc, 2)
-    assert (h_cross, hRj, hRi) == (ch.h21, ch.hR1, ch.hR2)
-    assert (rho_i, n_i, p_i) == (0.7, -1, 0.02)
+    assert alloc.user(1) == (0.01, 0.3, 1)
+    assert alloc.user(2) == (0.02, 0.7, -1)
+    # user 1 nulls h12 along hR2, user 2 nulls h21 along hR1
+    assert zf_radicand(ch, 1, 0.3, 0.5)[0] == pytest.approx(
+        ch.hR2_norm2 * 0.3 * ch.PR / 0.5 - ch.h12 ** 2, rel=1e-15)
+    assert zf_radicand(ch, 2, 0.7, 0.5)[0] == pytest.approx(
+        ch.hR1_norm2 * 0.7 * ch.PR / 0.5 - ch.h21 ** 2, rel=1e-15)
+    # det(H) = 0: f_ii = h_ii - h_ij (hR1.hR2)/||hRj||^2 for any root
+    assert own_gain(ch, 1, 1, 3.0) == pytest.approx(0.95, rel=1e-15)
+    assert own_gain(ch, 2, -1, 3.0) == pytest.approx(0.2, rel=1e-14)
+    for bad in (0, 3):
+        with pytest.raises(ValueError):
+            alloc.user(bad)
+        with pytest.raises(ValueError):
+            zf_radicand(ch, bad, 0.5, ch.P)
 
 
 def test_radicands_at_example_point():
     ch = example_channel()
-    alloc = PowerAllocation(p1=0.0, p2=0.0, rho1=0.5)
+    # p_i = 0: the exact radicand is the low-power expansion's S_i^2
     # 0.5 * 0.1 * 5 / 0.1 - 0.25
-    assert exact_radicand(ch, alloc, 1) == pytest.approx(2.25, rel=1e-15)
-    assert linear_radicand(ch, 0.5, 1) == pytest.approx(2.25, rel=1e-15)
+    rad, feasible = zf_radicand(ch, 1, 0.5, ch.P)
+    assert rad == pytest.approx(2.25, rel=1e-15) and feasible
     # 0.5 * 0.1 * 1.25 / 0.1 - 0.25
-    assert exact_radicand(ch, alloc, 2) == pytest.approx(0.375, rel=1e-15)
+    rad, feasible = zf_radicand(ch, 2, 0.5, ch.P)
+    assert rad == pytest.approx(0.375, rel=1e-15) and feasible
+
+
+def test_parallel_relay_columns_store_zero_det():
+    # columns built parallel leave rounding noise in a*d - b*c; it is
+    # stored as exactly 0, while a genuine determinant is kept as computed
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        assert random_setup(rng, det_zero=True).relay_det() == 0.0
+        ch = random_setup(rng)
+        (a, c), (b, d) = ch.hR1, ch.hR2
+        assert ch.relay_det() == a * d - b * c
+        assert ch.hR_dot == a * b + c * d
 
 
 def test_feasibility_report_flags():
@@ -132,6 +155,18 @@ def test_feasibility_boundary():
     assert rep.boundary1 and not rep.boundary2
     assert rep.exact1  # boundary beam always exists
     assert math.isnan(rep.radicand1)
+
+
+def test_feasibility_zero_relay_column():
+    # hR2 = 0 leaves user 1 no beam at all, the p_i = P one included
+    # (beam_vectors raises DegenerateRelayChannel); user 2 is unaffected
+    ch = replace(example_channel(), hR2=(0.0, 0.0))
+    for p1 in (0.0, ch.P):
+        rep = feasibility(ch, PowerAllocation(p1=p1, p2=0.0, rho1=0.5))
+        assert not rep.exact1 and not rep.linear1
+        assert math.isnan(rep.radicand1) and math.isnan(rep.s_radicand1)
+        assert rep.boundary1 == (p1 == ch.P)
+        assert rep.exact2 and rep.linear2
 
 
 def test_feasibility_more_own_power_helps():

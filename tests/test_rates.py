@@ -1,6 +1,7 @@
 """Rate formulas: relay-side caps, destination-side caps, combination."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from imrc import (
     BadBlockCount,
     ChannelSetup,
+    DegenerateRelayChannel,
     PowerAllocation,
     RatePoint,
     RateRegion,
@@ -165,6 +167,17 @@ def test_scheme_truncation_respects_sum_cap():
         assert rates.R1 * pre2 == pytest.approx(rates.R2 * pre1, rel=1e-12)
         assert rates.R1 <= pre1 and rates.R2 <= pre2
     assert hits >= 20  # the regime is generic with abundant relay power
+
+
+@pytest.mark.parametrize("column", ["hR1", "hR2"])
+def test_zero_relay_column_is_degenerate(column):
+    # no beam cancels the cross link toward a receiver the relay cannot
+    # reach; that must surface as the domain error, inside the budget (where
+    # the radicand is negative too) and at the p_i = P boundary alike
+    setup = replace(EX, **{column: (0.0, 0.0)})
+    for p in (0.0, 0.5 * EX.P, EX.P):
+        with pytest.raises(DegenerateRelayChannel):
+            scheme_rate_point(setup, PowerAllocation(p1=p, p2=p, rho1=0.5))
 
 
 def test_block_penalty_factor():

@@ -32,7 +32,8 @@ from imrc import (
     taylor_coeffs,
 )
 
-from imrc.search import _coarse, _exponent, _objective, _signal
+from imrc.search import (_coarse, _exponent, _fixed_split_rate, _objective,
+                         _signal, _sum_rate_or_nan)
 
 from helpers import linearizable_setup, random_setup
 
@@ -100,12 +101,24 @@ def test_grid_search_matches_brute_force(case):
     assert (alloc.rho1, alloc.p1, alloc.p2, alloc.n1, alloc.n2) == key
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_parallel_relay_columns_tie_by_smallest_key(seed):
+    # det(H) = 0: the beam branch and, among feasible splits, rho1 leave
+    # the sum rate unchanged, so the optimum is decided by the tie-break;
+    # det(H) is stored as exactly 0, so both searches see exact ties
+    setup, grid = _brute_force_case(seed, True, (1.0, 100.0, 0.25)[seed % 3])
+    assert setup.relay_det() == 0.0
+    alloc = grid_search_sum_rate(setup, grid).allocation
+    _, key = brute_force(setup, grid)
+    assert (alloc.rho1, alloc.p1, alloc.p2, alloc.n1, alloc.n2) == key
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_objective_matches_scheme_rate_point(seed):
-    # the grid objective and scheme_rate_point are two implementations of
-    # the same rate; every cell of a small grid must agree once the linear
-    # value is taken back to bits, 0 exactly where the beamforming
-    # construction refuses the allocation
+    # the grid objective and scheme_rate_point evaluate the same per-user
+    # kernel, one over arrays in the linear domain and one on scalars in
+    # bits; every cell of a small grid must agree once the linear value is
+    # taken back to bits, 0 exactly where zero forcing refuses the allocation
     rng = np.random.default_rng(900 + seed)
     ratio = (1.0, 100.0, 0.01, 0.0)[seed % 4]
     P = float(10.0 ** rng.uniform(-1.0, 1.0))
@@ -310,6 +323,19 @@ def test_sweep_relay_budget_policy():
     pinned_other = sweep_P(setup, [0.1], policy=SweepPolicy(grid=grid, PR=0.4))
     assert pinned_other.rows != tracking.rows
     assert pinned_other.rows[0].R_sum_exact > tracking.rows[0].R_sum_exact
+
+
+def test_sweep_on_zero_relay_column():
+    # hR2 = 0 leaves user 1 no zero-forcing beam: the strategies' cells are
+    # NaN (written empty) rather than an error, and since no grid cell
+    # serves both users the row itself is refused with NoFeasiblePoint
+    setup = replace(EX, hR2=(0.0, 0.0))
+    assert math.isnan(_fixed_split_rate(setup, 0.5 * setup.P))
+    closed = sum_rate_allocation(setup, GridSpec(n_rho=9).rho_values())
+    assert closed.p1 == 0.0 and closed.p2 > 0.0  # user 2 alone is served
+    assert math.isnan(_sum_rate_or_nan(setup, closed))
+    with pytest.raises(NoFeasiblePoint):
+        sweep_P(setup, [0.1], SweepPolicy(grid=GridSpec(n_p=11, n_rho=3)))
 
 
 def test_sweep_rejects_unsorted_budgets():
