@@ -75,6 +75,8 @@ class ChannelSetup:
     # det([hR1 hR2]) (0 for parallel columns, see _DET_RTOL) and hR1 . hR2
     hR_det: float = field(init=False, repr=False, compare=False)
     hR_dot: float = field(init=False, repr=False, compare=False)
+    # det([g1R g2R])^2 expanded, the MAC sum cap's alpha
+    mac_alpha: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in _SCALAR_KEYS:
@@ -90,6 +92,9 @@ class ChannelSetup:
             det = 0.0
         object.__setattr__(self, "hR_det", det)
         object.__setattr__(self, "hR_dot", a * b + c * d)
+        (g11, g12), (g21, g22) = self.g1R, self.g2R
+        object.__setattr__(self, "mac_alpha", (g11 * g22) ** 2 + (g21 * g12) ** 2
+                           - 2.0 * g12 * g21 * g11 * g22)
 
     def relay_det(self) -> float:
         """det of the 2x2 relay-to-receivers matrix [hR1 hR2]."""
@@ -207,6 +212,19 @@ def own_gain(setup: ChannelSetup, user: int, sign, root):
     h_own, h_cross, norm2, orient = _user(setup, user)
     return (h_own - h_cross * setup.hR_dot / norm2
             + orient * sign * setup.hR_det * root / norm2)
+
+
+def branch_sign(setup: ChannelSetup, user: int) -> int:
+    """The n_i whose |f_ii| is never smaller, at any rho_i and p_i: with
+    f_ii = a_i + n_i b_i sqrt(rad_i), +1 when a_i b_i > 0, else -1 (a tie,
+    bit for bit, where a_i b_i = 0). Rounding is monotone and symmetric, so
+    |fl(a + c)| >= |fl(a - c)| whenever c has the sign of a."""
+    h_own, h_cross, norm2, orient = _user(setup, user)
+    offset = h_own - h_cross * setup.hR_dot / norm2  # a_i, as in own_gain
+    slope = orient * setup.hR_det  # b_i's sign; the product could underflow
+    if (offset > 0.0 and slope > 0.0) or (offset < 0.0 and slope < 0.0):
+        return 1
+    return -1
 
 
 def own_signal(setup: ChannelSetup, user: int, sign, root, remaining):

@@ -156,15 +156,11 @@ def mac_rates(setup: ChannelSetup, p1: float, p2: float) -> MacRates:
 
 def mac_sum_argument(setup: ChannelSetup, p1, p2, scale: float = 1.0):
     """scale * (alpha p1 p2 + ||g1R||^2 p1 + ||g2R||^2 p2 + 1), the MAC sum
-    cap's argument, with alpha = (g11 g22)^2 + (g21 g12)^2 - 2 g12 g21 g11
-    g22 the squared 2x2 determinant of [g1R g2R]. Plain arithmetic, so
-    floats and numpy arrays both pass; scaling p1 first keeps alpha p1 p2
-    finite, and a power-of-two scale does not round."""
-    g11, g12 = setup.g1R
-    g21, g22 = setup.g2R
-    alpha = (g11 * g22) ** 2 + (g21 * g12) ** 2 - 2.0 * g12 * g21 * g11 * g22
+    cap's argument, with alpha = det([g1R g2R])^2 (setup.mac_alpha). Plain
+    arithmetic, so floats and numpy arrays both pass; scaling p1 first
+    keeps alpha p1 p2 finite, and a power-of-two scale does not round."""
     p1 = p1 * scale
-    return (alpha * (p1 * p2) + setup.g1R_norm2 * p1
+    return (setup.mac_alpha * (p1 * p2) + setup.g1R_norm2 * p1
             + setup.g2R_norm2 * p2 * scale + scale)
 
 

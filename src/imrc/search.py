@@ -5,10 +5,16 @@ scheme sum rate over every (p1, p2, rho1, n1, n2) combination of the grid,
 and bisection finds curve intersections by sign changes alone. These are
 the references the analytical results are checked against.
 
+One sign block per rho1 suffices: model.branch_sign gives each user the
+n_i with the larger |f_ii| at every cell, bit for bit, and A_i and
+min(A1 A2, M) below never fall as |f_ii| grows, so that block is the
+cellwise maximum of the four. The signs are resolved at the chosen cell
+alone, over all four pairs, so exact ties still go to the smallest (n1, n2).
+
 One broadcast objective serves every search. It evaluates model's per-user
 kernel -- the radicand with its feasibility tolerance, f_ii and the
 boundary power, the same functions scheme_rate_point calls on scalars --
-over whole arrays of (rho1, n1, n2) blocks, never materializing beam
+over whole arrays of rho1 (and sign) blocks, never materializing beam
 vectors. It compares cells in the linear domain: user i's term is
 A_i = 1 + min(||g_iR||^2 p_i, SINR_i), or 0 where zero forcing fails, and
 a cell's value is min(A1 A2, M) with M the MAC sum cap's argument
@@ -21,16 +27,15 @@ infeasible cell never wins. A1 and M are scaled by the power of two 2^-e
 with 2^e > 1 + ||g1R||^2 P, which keeps A1 A2 finite at budgets where it
 would overflow; a power of two does not round, so no comparison changes.
 
-The coarse stage shares what a block does not depend on (the MAC sum cap
-once per grid, each user's signal power and feasibility once per grid
-and rho1), and it skips the cells where zero forcing fails. The skip is
-exact: feasibility depends on neither sign, and the radicand only grows as
-p_i grows, so for each rho1 the feasible cells form the rectangle
-p1 >= k1, p2 >= k2; every cell outside it scores 0 and every cell inside
-scores more, so the rectangle holds the block's first maximum. The zoom
-stage advances all live windows together, round by round, in fixed-size
-chunks. argmax keeps the first row-major maximum, and the windows repeat
-np.linspace's arithmetic.
+The coarse stage computes the MAC sum cap once per grid and each user's
+signal power and feasibility once per grid and rho1, and it skips the
+cells where zero forcing fails. The skip is exact: feasibility depends on
+neither sign, and the radicand only grows as p_i grows, so for each rho1
+the feasible cells form the rectangle p1 >= k1, p2 >= k2; every cell
+outside it scores 0 and every cell inside scores more, so the rectangle
+holds the block's first maximum. The zoom stage advances the windows of
+all rho1 together, round by round, in fixed-size chunks. argmax keeps the
+first row-major maximum, and the windows repeat np.linspace's arithmetic.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .errors import (DegenerateRelayChannel, InfeasibleRadicand,
                      NoFeasiblePoint, NoFeasibleRho, NoSignChange)
 from .lowpower import sum_rate_allocation
 from .model import (ChannelSetup, PowerAllocation, boundary_signal,
-                    own_signal, validate, zf_radicand)
+                    branch_sign, own_signal, validate, zf_radicand)
 from .rates import mac_sum_argument, scheme_rate_point
 
 __all__ = [
@@ -92,9 +97,9 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class SweepPolicy:
-    """How each sweep row is computed: the coarse grid, whether each sign
-    block's best cell is sharpened by a nested zoom around its argmax, and
-    the relay budget rule (None means PR = P row by row)."""
+    """How each sweep row is computed: the coarse grid, whether each rho1's
+    best cell (of its dominant sign block) is sharpened by a nested zoom,
+    and the relay budget rule (None means PR = P row by row)."""
 
     grid: GridSpec = GridSpec()
     refine: bool = True
@@ -215,48 +220,42 @@ def _first(ok: np.ndarray) -> np.ndarray:
     return np.where(ok.any(axis=-1), ok.argmax(axis=-1), ok.shape[-1])
 
 
-def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Best cell of every (rho1, n1, n2) block on the grid pv x pv: the
-    linear value (0 when nothing is feasible) and the first row-major
-    argmax, both shaped (rho1, n1, n2). Per rho1 only the feasible
-    rectangle [k1:, k2:] is evaluated, into reused buffers: outside it
-    every cell is 0 and every cell inside is positive, so the rectangle's
-    first maximum is the block's."""
+def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
+            n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best cell of the (n1, n2) block for every rho1 on the grid pv x pv:
+    the linear value (0 when nothing is feasible) and the first row-major
+    argmax, both shaped (rho1,). Per rho1 only the feasible rectangle
+    [k1:, k2:] is evaluated, into reused buffers (see the module docstring
+    for why that and branch_sign's block find the best of all cells)."""
     n = len(pv)
     rows, cols = pv[:, None], pv[None, :]
-    rho1, signs = rhos[:, None, None, None], _SIGNS[:, None, None]
+    rho1 = rhos[:, None, None]
     scale = _scale(setup)
-    sig1, ok1 = _signal(setup, 1, rho1, signs, rows)  # (rho1, n1, p1, 1)
-    sig2, ok2 = _signal(setup, 2, rho1, signs, cols)  # (rho1, n2, 1, p2)
-    # feasibility depends on neither sign and never falls as p_i grows
-    k1, k2 = _first(ok1[:, 0, :, 0]), _first(ok2[:, 0, 0, :])
+    sig1, ok1 = _signal(setup, 1, rho1, n1, rows)  # (rho1, p1, 1)
+    sig2, ok2 = _signal(setup, 2, rho1, n2, cols)  # (rho1, 1, p2)
+    # feasibility never falls as p_i grows
+    k1, k2 = _first(ok1[:, :, 0]), _first(ok2[:, 0, :])
     rsum = mac_sum_argument(setup, rows, cols, scale)
     # allocated once for all rho1: the rectangles vary in size, and fresh
     # arrays of varying size fragment the heap and raise peak RSS
-    buffer = np.empty(4 * n * n)
-    buffer1, buffer2 = np.empty(2 * n * n), np.empty(2 * n * n)
-    value = np.zeros((len(rhos), 4))
-    arg = np.zeros((len(rhos), 4), dtype=np.intp)
+    buffer1, buffer2 = np.empty(n * n), np.empty(n * n)
+    value, arg = np.zeros(len(rhos)), np.zeros(len(rhos), dtype=np.intp)
     for k in range(len(rhos)):
         a, b = int(k1[k]), int(k2[k])
         if a == n or b == n:
             continue  # no cell zero-forces both users
         m1, m2 = n - a, n - b
         r, c = rows[a:], cols[:, b:]
-        term1 = _capped_term(setup, 1, sig1[k, :, a:], r, c, scale,
-                             out=buffer1[:2 * m1 * m2].reshape(2, m1, m2))
-        term2 = _capped_term(setup, 2, sig2[k, :, :, b:], c, r,
-                             out=buffer2[:2 * m1 * m2].reshape(2, m1, m2))
-        blocks = buffer[:4 * m1 * m2].reshape(2, 2, m1, m2)
-        np.multiply(term1[:, None], term2[None, :], out=blocks)
-        np.minimum(blocks, rsum[a:, b:], out=blocks)
-        flat = blocks.reshape(4, -1)
-        at = flat.argmax(axis=1)
-        value[k] = flat[np.arange(4), at]
-        i, j = np.divmod(at, m2)
+        block = _capped_term(setup, 1, sig1[k, a:], r, c, scale,
+                             out=buffer1[:m1 * m2].reshape(m1, m2))
+        block *= _capped_term(setup, 2, sig2[k, :, b:], c, r,
+                              out=buffer2[:m1 * m2].reshape(m1, m2))
+        np.minimum(block, rsum[a:, b:], out=block)
+        at = int(block.argmax())
+        value[k] = block.flat[at]
+        i, j = divmod(at, m2)
         arg[k] = (a + i) * n + (b + j)
-    return value.reshape(-1, 2, 2), arg.reshape(-1, 2, 2)
+    return value, arg
 
 
 def _linspace_rows(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
@@ -286,7 +285,7 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: np.ndarray,
     never falls below the coarse value. A window stops at the first round
     that finds no feasible cell, and a window whose coarse value is 0
     (infeasible) is not zoomed. All live windows advance together, round
-    by round."""
+    by round. _search zooms one window per feasible rho1 (its sign block)."""
     best, best1, best2 = value.copy(), c1.copy(), c2.copy()
     c1, c2 = c1.copy(), c2.copy()
     live = np.flatnonzero(value > 0.0)
@@ -321,35 +320,42 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: np.ndarray,
 def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
             ) -> PowerAllocation | None:
     """Maximize the exact scheme sum rate over the grid and both signs per
-    user, optionally zooming on each block's best cell (the zoom result
-    replaces the cell only when strictly better). Exact-value ties resolve
-    to the smallest (rho1, p1, p2, n1, n2); None when nothing is
-    feasible."""
+    user, in each rho1's dominant sign block, optionally zooming on its
+    best cell (replaced only by a strictly better zoom cell). Exact-value
+    ties go to the smallest (rho1, p1, p2), then to the first sign pair,
+    -1 first, reaching the value there; None when nothing is feasible."""
+    try:
+        n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
+    except DegenerateRelayChannel:
+        return None  # a zero relay column hRj leaves user i no beam
     pv = grid.p_values(setup.P)
     rhos = grid.rho_values()
-    value, arg = _coarse(setup, rhos, pv)
-    k, a, b = np.nonzero(value > 0.0)
+    value, arg = _coarse(setup, rhos, pv, n1, n2)
+    k = np.flatnonzero(value > 0.0)
     if not len(k):
         return None
-    value, arg = value[k, a, b], arg[k, a, b]
-    rho1, n1, n2 = rhos[k], _SIGNS[a], _SIGNS[b]
-    c1, c2 = pv[arg // len(pv)], pv[arg % len(pv)]
+    value, rho1 = value[k], rhos[k]
+    c1, c2 = pv[arg[k] // len(pv)], pv[arg[k] % len(pv)]
     step = float(pv[1] - pv[0]) if len(pv) > 1 else 0.0
     if refine and step > 0.0:
-        value, c1, c2 = _zoom(setup, rho1, n1, n2, value, c1, c2, step, step)
-    ties = np.flatnonzero(value == value.max())
-    key = min((float(rho1[t]), float(c1[t]), float(c2[t]), int(n1[t]),
-               int(n2[t])) for t in ties)
-    rho, p1, p2, s1, s2 = key
-    return PowerAllocation(p1=p1, p2=p2, rho1=rho, n1=s1, n2=s2)
+        value, c1, c2 = _zoom(setup, rho1, np.full(len(k), n1),
+                              np.full(len(k), n2), value, c1, c2, step, step)
+    t = int(np.argmax(value))  # one cell per rho1: the first is smallest
+    rho, p1, p2 = float(rho1[t]), float(c1[t]), float(c2[t])
+    cell = _objective(setup, rho, _SIGNS[:, None, None, None],
+                      _SIGNS[:, None, None], np.array([p1]), np.array([p2]))
+    s1, s2 = divmod(int(cell.argmax()), 2)
+    return PowerAllocation(p1=p1, p2=p2, rho1=rho, n1=int(_SIGNS[s1]),
+                           n2=int(_SIGNS[s2]))
 
 
 def grid_search_sum_rate(setup: ChannelSetup,
                          grid: GridSpec | None = None) -> SearchResult:
     """Maximize the exact scheme sum rate over the full grid x both sign
-    choices per user. Every cell where both users zero-force is evaluated;
+    choices per user. Every cell where both users zero-force is evaluated
+    in each rho1's dominant sign block, the four blocks' cellwise maximum;
     the others score 0 and are skipped, per rho1 as one rectangle (see the
-    module docstring for why that is exact). Deterministic: exact-value
+    module docstring for why both are exact). Deterministic: exact-value
     ties resolve to the smallest (rho1, p1, p2, n1, n2)."""
     validate(setup)
     alloc = _search(setup, grid or GridSpec(), refine=False)
