@@ -35,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRelayChannel, LinearizationInfeasible
-from .model import ChannelSetup, PowerAllocation, zf_radicand, zf_root
+from .errors import LinearizationInfeasible
+from .model import (ChannelSetup, PowerAllocation, _user, zf_radicand,
+                    zf_root)
 
 __all__ = [
     "BeamVectors",
@@ -71,20 +72,10 @@ class EffectiveChannel:
     f21: float
 
 
-def _links(setup: ChannelSetup, user: int):
-    """(h_ij, hRj, hRi) of `user`, j the other user."""
-    if user == 1:
-        return setup.h12, setup.hR2, setup.hR1
-    if user == 2:
-        return setup.h21, setup.hR1, setup.hR2
-    raise ValueError(f"user must be 1 or 2, got {user}")
-
-
 def _zero_forcing_vector(h_cross: float, hRj: tuple[float, float],
-                         root: float, sign: int) -> np.ndarray:
+                         norm2: float, root: float, sign: int) -> np.ndarray:
     """The zero-forcing line's closest point to the origin, displaced by
-    sign * root along the line, all over ||hRj||^2 (nonzero)."""
-    norm2 = hRj[0] ** 2 + hRj[1] ** 2
+    sign * root along the line, all over norm2 = ||hRj||^2 (nonzero)."""
     return np.array([
         (-h_cross * hRj[0] + sign * root * hRj[1]) / norm2,
         (-h_cross * hRj[1] - sign * root * hRj[0]) / norm2,
@@ -100,9 +91,9 @@ def beam_vector(setup: ChannelSetup, alloc: PowerAllocation, user: int) -> np.nd
     p_i, rho_i, n_i = alloc.user(user)
     if p_i >= setup.P:  # p_i = P is boundary_beam_vector's case
         raise ValueError(f"p{user} = {p_i} is not below the budget P = {setup.P}")
-    h_cross, hRj, _ = _links(setup, user)
+    _, h_cross, norm2, _, _, hRj = _user(setup, user)
     root = zf_root(setup, user, rho_i, setup.P - p_i)
-    return _zero_forcing_vector(h_cross, hRj, root, n_i)
+    return _zero_forcing_vector(h_cross, hRj, norm2, root, n_i)
 
 
 def boundary_beam_vector(setup: ChannelSetup, rho_i: float, user: int,
@@ -110,10 +101,7 @@ def boundary_beam_vector(setup: ChannelSetup, rho_i: float, user: int,
     """Beam vector for the p_i = P boundary: orthogonal to hRj with
     ||t_i0||^2 = rho_i*PR. The default sign +1 picks the orientation with
     hRi . t_i0 >= 0 (coherent with the direct link)."""
-    _, hRj, hRi = _links(setup, user)
-    norm2 = hRj[0] ** 2 + hRj[1] ** 2
-    if norm2 == 0.0:
-        raise DegenerateRelayChannel("relay-to-receiver vector is zero")
+    _, _, norm2, _, hRi, hRj = _user(setup, user)
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
     unit = np.array([hRj[1], -hRj[0]]) / math.sqrt(norm2)
@@ -156,7 +144,7 @@ def zero_forcing_residual(setup: ChannelSetup, alloc: PowerAllocation,
     away from the boundary, hRj.t_i0 at it. Zero up to rounding by
     construction; exposed for tests and diagnostics."""
     vectors = beam_vectors(setup, alloc)
-    h_cross, hRj, _ = _links(setup, user)
+    _, h_cross, _, _, _, hRj = _user(setup, user)
     t = vectors.t10 if user == 1 else vectors.t20
     boundary = vectors.boundary1 if user == 1 else vectors.boundary2
     projection = hRj[0] * t[0] + hRj[1] * t[1]
@@ -173,12 +161,11 @@ def approx_beam_vector(setup: ChannelSetup, alloc: PowerAllocation,
     with S_i the p_i = 0 value. Exact at p_i = 0; a rough approximation as
     p_i approaches P."""
     p_i, rho_i, n_i = alloc.user(user)
-    h_cross, hRj, _ = _links(setup, user)
+    _, h_cross, norm2, _, _, hRj = _user(setup, user)
     s_sq, _ = zf_radicand(setup, user, rho_i, setup.P)
     if s_sq <= 0.0:
         raise LinearizationInfeasible(
             f"low-power expansion undefined for user {user}: S^2 = {s_sq:.3e} <= 0")
     s_i = math.sqrt(s_sq)
-    norm2 = hRj[0] ** 2 + hRj[1] ** 2
     root = s_i + norm2 * rho_i * setup.PR * p_i / (2.0 * setup.P ** 2 * s_i)
-    return _zero_forcing_vector(h_cross, hRj, root, n_i)
+    return _zero_forcing_vector(h_cross, hRj, norm2, root, n_i)

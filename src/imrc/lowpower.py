@@ -23,7 +23,7 @@ have enough power to zero-force at p_i = 0 with margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (DegenerateAntenna, DegenerateRelayChannel,
@@ -62,6 +62,17 @@ class ApproxCoeffs:
     S2: float
     lambda1: float
     lambda2: float
+    # mu^2 and q = mu nu, read by every linearized_rates call
+    mu11_sq: float = field(init=False, repr=False, compare=False)
+    q11: float = field(init=False, repr=False, compare=False)
+    mu22_sq: float = field(init=False, repr=False, compare=False)
+    q22: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mu11_sq", self.mu11 * self.mu11)
+        object.__setattr__(self, "q11", self.mu11 * self.nu11)
+        object.__setattr__(self, "mu22_sq", self.mu22 * self.mu22)
+        object.__setattr__(self, "q22", self.mu22 * self.nu22)
 
 
 class LinearizedRates(NamedTuple):
@@ -173,18 +184,17 @@ def linearized_rates(coeffs: ApproxCoeffs, setup: ChannelSetup,
     to repeat."""
     r1mac = setup.g1R_norm2 * p1 / LN2
     r2mac = setup.g2R_norm2 * p2 / LN2
-    r1ic = _linear_ic(coeffs.mu11, coeffs.nu11, setup.P, p1)
-    r2ic = _linear_ic(coeffs.mu22, coeffs.nu22, setup.P, p2)
+    r1ic = _linear_ic(coeffs.mu11_sq, coeffs.q11, setup.P, p1)
+    r2ic = _linear_ic(coeffs.mu22_sq, coeffs.q22, setup.P, p2)
     return LinearizedRates(r1mac, r2mac, r1ic, r2ic)
 
 
-def _linear_ic(mu: float, nu: float, big_p: float, p: float) -> float:
-    q = mu * nu
-    return (mu * mu * big_p + (2.0 * q - mu * mu) * p
+def _linear_ic(mu_sq: float, q: float, big_p: float, p: float) -> float:
+    return (mu_sq * big_p + (2.0 * q - mu_sq) * p
             - 2.0 * q * p * p / big_p) / LN2
 
 
-def _phat_user(mu: float, nu: float, g_norm2: float,
+def _phat_user(mu_sq: float, q: float, g_norm2: float,
                big_p: float) -> tuple[float, bool]:
     """Crossing of the two first-order caps in [0, P] for one user.
 
@@ -192,19 +202,18 @@ def _phat_user(mu: float, nu: float, g_norm2: float,
     lambda = 2q - mu^2 - ||g||^2; the rationalized root 2 mu^2 P / (sqrt(
     lambda^2 + 8 mu^2 q) - lambda) is the one in [0, P] for either sign of
     q and stays stable as q -> 0."""
-    if mu == 0.0:
+    if mu_sq == 0.0:
         # destination-side cap is identically zero; only p = 0 avoids waste
         return 0.0, False
     if g_norm2 == 0.0:
         # relay-side cap is identically zero; the crossing degenerates to P
         return big_p, False
-    q = mu * nu
-    lam = 2.0 * q - mu * mu - g_norm2
-    disc = lam * lam + 8.0 * mu * mu * q
+    lam = 2.0 * q - mu_sq - g_norm2
+    disc = lam * lam + 8.0 * mu_sq * q
     denom = math.sqrt(max(disc, 0.0)) - lam
     if denom <= 0.0:
         return 0.0, True
-    p = 2.0 * mu * mu * big_p / denom
+    p = 2.0 * mu_sq * big_p / denom
     if p < 0.0:
         return 0.0, True
     if p > big_p:
@@ -214,8 +223,8 @@ def _phat_user(mu: float, nu: float, g_norm2: float,
 
 def closed_form_phat(coeffs: ApproxCoeffs, setup: ChannelSetup) -> ClosedFormPowers:
     """Both users' crossing-point powers for the signs baked into coeffs."""
-    p1, c1 = _phat_user(coeffs.mu11, coeffs.nu11, setup.g1R_norm2, setup.P)
-    p2, c2 = _phat_user(coeffs.mu22, coeffs.nu22, setup.g2R_norm2, setup.P)
+    p1, c1 = _phat_user(coeffs.mu11_sq, coeffs.q11, setup.g1R_norm2, setup.P)
+    p2, c2 = _phat_user(coeffs.mu22_sq, coeffs.q22, setup.g2R_norm2, setup.P)
     return ClosedFormPowers(p1=p1, p2=p2, clamped1=c1, clamped2=c2)
 
 
@@ -227,7 +236,7 @@ def _best_sign_user(setup: ChannelSetup, rho1: float,
     best_sign, best_p = 0, -1.0
     for sign in (1, -1):
         mu, nu, _ = _user_expansion(setup, rho1, user, sign)
-        p, _ = _phat_user(mu, nu, g_norm2, setup.P)
+        p, _ = _phat_user(mu * mu, mu * nu, g_norm2, setup.P)
         if p > best_p:
             best_sign, best_p = sign, p
     return best_sign, best_p

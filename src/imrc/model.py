@@ -75,7 +75,8 @@ class ChannelSetup:
     # det([hR1 hR2]) (0 for parallel columns, see _DET_RTOL) and hR1 . hR2
     hR_det: float = field(init=False, repr=False, compare=False)
     hR_dot: float = field(init=False, repr=False, compare=False)
-    # det([g1R g2R])^2 expanded, the MAC sum cap's alpha
+    # det([g1R g2R])^2 expanded, the MAC sum cap's alpha, at least 0 so
+    # that the cap never falls as a power grows (parallel columns round it)
     mac_alpha: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -93,8 +94,8 @@ class ChannelSetup:
         object.__setattr__(self, "hR_det", det)
         object.__setattr__(self, "hR_dot", a * b + c * d)
         (g11, g12), (g21, g22) = self.g1R, self.g2R
-        object.__setattr__(self, "mac_alpha", (g11 * g22) ** 2 + (g21 * g12) ** 2
-                           - 2.0 * g12 * g21 * g11 * g22)
+        object.__setattr__(self, "mac_alpha", max(0.0, (g11 * g22) ** 2
+                           + (g21 * g12) ** 2 - 2.0 * g12 * g21 * g11 * g22))
 
     def relay_det(self) -> float:
         """det of the 2x2 relay-to-receivers matrix [hR1 hR2]."""
@@ -171,14 +172,14 @@ def validate(setup: ChannelSetup) -> ChannelSetup:
 # Callers take the square root (math.sqrt or np.sqrt, both correctly
 # rounded) and pick the boundary case themselves.
 
-def _user(setup: ChannelSetup, user: int) -> tuple[float, float, float, float]:
-    """(h_ii, h_ij, ||hRj||^2, orient) of `user`: hRi . [hRj2, -hRj1] is
-    orient * det(H), +1 for user 1 and -1 for user 2. A zero hRj leaves no
-    beam that cancels the cross link."""
+def _user(setup: ChannelSetup, user: int) -> tuple:
+    """(h_ii, h_ij, ||hRj||^2, orient, hRi, hRj) of `user`, j the other
+    user: hRi . [hRj2, -hRj1] is orient * det(H), +1 for user 1 and -1 for
+    user 2. A zero hRj leaves no beam that cancels the cross link."""
     if user == 1:
-        terms = setup.h11, setup.h12, setup.hR2_norm2, 1.0
+        terms = setup.h11, setup.h12, setup.hR2_norm2, 1.0, setup.hR1, setup.hR2
     elif user == 2:
-        terms = setup.h22, setup.h21, setup.hR1_norm2, -1.0
+        terms = setup.h22, setup.h21, setup.hR1_norm2, -1.0, setup.hR2, setup.hR1
     else:
         raise ValueError(f"user must be 1 or 2, got {user}")
     if terms[2] == 0.0:
@@ -190,7 +191,7 @@ def zf_radicand(setup: ChannelSetup, user: int, rho_i, remaining):
     """(rad_i, feasible): the zero-forcing radicand at P - p_i = remaining,
     and whether it counts as nonnegative (within RADICAND_RTOL of its
     positive part). remaining = P gives the low-power expansion's S_i^2."""
-    _, h_cross, norm2, _ = _user(setup, user)
+    _, h_cross, norm2, *_ = _user(setup, user)
     scale = norm2 * (rho_i * setup.PR / remaining)
     rad = scale - h_cross ** 2
     return rad, rad >= -RADICAND_RTOL * abs(scale)
@@ -209,7 +210,7 @@ def zf_root(setup: ChannelSetup, user: int, rho_i: float,
 
 def own_gain(setup: ChannelSetup, user: int, sign, root):
     """f_ii for branch sign n_i and root = sqrt(rad_i)."""
-    h_own, h_cross, norm2, orient = _user(setup, user)
+    h_own, h_cross, norm2, orient, *_ = _user(setup, user)
     return (h_own - h_cross * setup.hR_dot / norm2
             + orient * sign * setup.hR_det * root / norm2)
 
@@ -219,7 +220,7 @@ def branch_sign(setup: ChannelSetup, user: int) -> int:
     f_ii = a_i + n_i b_i sqrt(rad_i), +1 when a_i b_i > 0, else -1 (a tie,
     bit for bit, where a_i b_i = 0). Rounding is monotone and symmetric, so
     |fl(a + c)| >= |fl(a - c)| whenever c has the sign of a."""
-    h_own, h_cross, norm2, orient = _user(setup, user)
+    h_own, h_cross, norm2, orient, *_ = _user(setup, user)
     offset = h_own - h_cross * setup.hR_dot / norm2  # a_i, as in own_gain
     slope = orient * setup.hR_det  # b_i's sign; the product could underflow
     if (offset > 0.0 and slope > 0.0) or (offset < 0.0 and slope < 0.0):
@@ -235,7 +236,7 @@ def own_signal(setup: ChannelSetup, user: int, sign, root, remaining):
 
 def boundary_signal(setup: ChannelSetup, user: int, rho_i):
     """rho_i PR det(H)^2 / ||hRj||^2: the same power at p_i = P."""
-    _, _, norm2, _ = _user(setup, user)
+    norm2 = _user(setup, user)[2]
     return rho_i * setup.PR * setup.hR_det * setup.hR_det / norm2
 
 

@@ -28,14 +28,18 @@ with 2^e > 1 + ||g1R||^2 P, which keeps A1 A2 finite at budgets where it
 would overflow; a power of two does not round, so no comparison changes.
 
 The coarse stage computes the MAC sum cap once per grid and each user's
-signal power and feasibility once per grid and rho1, and it skips the
-cells where zero forcing fails. The skip is exact: feasibility depends on
-neither sign, and the radicand only grows as p_i grows, so for each rho1
-the feasible cells form the rectangle p1 >= k1, p2 >= k2; every cell
-outside it scores 0 and every cell inside scores more, so the rectangle
-holds the block's first maximum. The zoom stage advances the windows of
-all rho1 together, round by round, in fixed-size chunks. argmax keeps the
-first row-major maximum, and the windows repeat np.linspace's arithmetic.
+signal power and feasibility once per grid and rho1, and bounds each 8 x 8
+block of cells with the cells' own operations at the block's largest
+signal and own power and the other user's least power. A_i never falls as
+its signal or p_i grows, never rises as p_j grows, M never falls as a
+power grows (alpha >= 0), and IEEE + - * / and min round monotonically,
+so the bound is at least every cell's rounded value; it is 0 for a block
+without a feasible cell. Only blocks whose bound reaches their rho1's
+incumbent are evaluated, so a skipped block cannot hold a maximum, and a
+tie is still evaluated: argmax keeps each block's first row-major maximum
+and the least cell index wins among blocks. The zoom stage advances the
+windows of all rho1 together, round by round, in fixed-size chunks, and
+they repeat np.linspace's arithmetic.
 """
 
 from __future__ import annotations
@@ -145,6 +149,11 @@ _ZOOM_ROUNDS = 3
 _ZOOM_POINTS = 21
 _ZOOM_CHUNK = 18
 
+# The coarse grid is bounded in _BLOCK x _BLOCK blocks of cells and its
+# surviving blocks are evaluated _COARSE_CHUNK at a time (8,192 cells).
+_BLOCK = 8
+_COARSE_CHUNK = 128
+
 
 def _signal(setup: ChannelSetup, user: int, rho1, sign, p
             ) -> tuple[np.ndarray, np.ndarray]:
@@ -177,21 +186,20 @@ def _scale(setup: ChannelSetup) -> float:
 
 
 def _capped_term(setup: ChannelSetup, user: int, sig, p_own, p_other,
-                 scale: float = 1.0, out: np.ndarray | None = None
-                 ) -> np.ndarray:
+                 scale: float = 1.0) -> np.ndarray:
     """scale * (1 + min(||g_iR||^2 p_i, SINR_i)), the linear form of
     min(R_i^mac, R_i^ic), for user i given its _signal power over p_own.
     It ignores feasibility; the caller zeroes or skips infeasible cells.
-    The arguments broadcast, so the result's axes are the caller's; out,
-    if given, must have that shape."""
+    The arguments broadcast, so the result's axes are the caller's."""
     if user == 1:
         gain2, cross2 = setup.g1R_norm2, setup.h21 ** 2
     else:
         gain2, cross2 = setup.g2R_norm2, setup.h12 ** 2
-    term = np.divide(sig, 1.0 + cross2 * p_other, out=out)
+    term = sig / (1.0 + cross2 * p_other)
     np.minimum(term, gain2 * p_own, out=term)
     term += 1.0
-    term *= scale  # a power of two: exact
+    if scale != 1.0:
+        term *= scale  # a power of two: exact
     return term
 
 
@@ -215,47 +223,97 @@ def _objective(setup: ChannelSetup, rho1, n1, n2, p1: np.ndarray,
     return total
 
 
-def _first(ok: np.ndarray) -> np.ndarray:
-    """Index of the first True along the last axis; its length if none."""
-    return np.where(ok.any(axis=-1), ok.argmax(axis=-1), ok.shape[-1])
+def _block_bounds(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
+                  n1: int, n2: int) -> tuple:
+    """Every _BLOCK x _BLOCK block's bound, shaped (rho1, block row, block
+    column) and 0 where no cell is feasible, with pv (ascending) padded to
+    whole blocks and each user's _signal over (rho1, padded p)."""
+    n, b, n_rho = len(pv), _BLOCK, len(rhos)
+    blocks = -(-n // b)
+    pp = np.concatenate([pv, np.full(blocks * b - n, pv[-1])])
+    sig1, ok1 = _signal(setup, 1, rhos[:, None], n1, pp)
+    sig2, ok2 = _signal(setup, 2, rhos[:, None], n2, pp)
+    ok1[:, n:] = ok2[:, n:] = False
+    lo, hi = pp[::b], pp[b - 1::b]  # each block's least and largest power
+    # an infeasible row's signal is finite, so counting it only loosens
+    s1, s2 = (s.reshape(n_rho, blocks, b).max(axis=2) for s in (sig1, sig2))
+    live1, live2 = (ok.reshape(n_rho, blocks, b).any(axis=2)
+                    for ok in (ok1, ok2))
+    scale = _scale(setup)
+    bound = _capped_term(setup, 1, s1[:, :, None], hi[:, None], lo, scale)
+    bound *= _capped_term(setup, 2, s2[:, None, :], hi, lo[:, None])
+    np.minimum(bound, mac_sum_argument(setup, hi[:, None], hi, scale),
+               out=bound)
+    bound[~(live1[:, :, None] & live2[:, None, :])] = 0.0
+    return bound, pp, (sig1, ok1, sig2, ok2)
 
 
 def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
-            n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best cell of the (n1, n2) block for every rho1 on the grid pv x pv:
-    the linear value (0 when nothing is feasible) and the first row-major
-    argmax, both shaped (rho1,). Per rho1 only the feasible rectangle
-    [k1:, k2:] is evaluated, into reused buffers (see the module docstring
-    for why that and branch_sign's block find the best of all cells)."""
-    n = len(pv)
-    rows, cols = pv[:, None], pv[None, :]
-    rho1 = rhos[:, None, None]
+            n1: int, n2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best cell of the (n1, n2) block for every rho1 on the grid pv x pv
+    (pv ascending): the linear value (0 when nothing is feasible), the
+    first row-major argmax, and how many _BLOCK x _BLOCK blocks were
+    evaluated, all shaped (rho1,). A block is evaluated only while its
+    bound reaches its rho1's incumbent (see the module docstring for why
+    that and branch_sign's block find the best of all cells)."""
+    n, b, n_rho = len(pv), _BLOCK, len(rhos)
+    bound, pp, (sig1, ok1, sig2, ok2) = _block_bounds(setup, rhos, pv, n1,
+                                                      n2)
+    blocks, bound = bound.shape[1], bound.reshape(n_rho, -1)
     scale = _scale(setup)
-    sig1, ok1 = _signal(setup, 1, rho1, n1, rows)  # (rho1, p1, 1)
-    sig2, ok2 = _signal(setup, 2, rho1, n2, cols)  # (rho1, 1, p2)
-    # feasibility never falls as p_i grows
-    k1, k2 = _first(ok1[:, :, 0]), _first(ok2[:, 0, :])
-    rsum = mac_sum_argument(setup, rows, cols, scale)
-    # allocated once for all rho1: the rectangles vary in size, and fresh
-    # arrays of varying size fragment the heap and raise peak RSS
-    buffer1, buffer2 = np.empty(n * n), np.empty(n * n)
-    value, arg = np.zeros(len(rhos)), np.zeros(len(rhos), dtype=np.intp)
-    for k in range(len(rhos)):
-        a, b = int(k1[k]), int(k2[k])
-        if a == n or b == n:
-            continue  # no cell zero-forces both users
-        m1, m2 = n - a, n - b
-        r, c = rows[a:], cols[:, b:]
-        block = _capped_term(setup, 1, sig1[k, a:], r, c, scale,
-                             out=buffer1[:m1 * m2].reshape(m1, m2))
-        block *= _capped_term(setup, 2, sig2[k, :, b:], c, r,
-                              out=buffer2[:m1 * m2].reshape(m1, m2))
-        np.minimum(block, rsum[a:, b:], out=block)
-        at = int(block.argmax())
-        value[k] = block.flat[at]
-        i, j = divmod(at, m2)
-        arg[k] = (a + i) * n + (b + j)
-    return value, arg
+    # rsum ends in a 0: a cell's index into it points past the grid where
+    # either user fails, and is clipped to that 0, so the cell scores 0
+    rsum = np.append(mac_sum_argument(setup, pv[:, None], pv, scale), 0.0)
+    ramp = np.arange(b)
+    value, arg = np.zeros(n_rho), np.zeros(n_rho, dtype=np.intp)
+    evaluated = np.zeros(n_rho, dtype=np.intp)
+
+    def merge(k, block):  # evaluate blocks, k ascending, into value, arg
+        row0, col0 = np.divmod(block, blocks)
+        rows, cols = row0[:, None] * b + ramp, col0[:, None] * b + ramp
+        base = k[:, None] * len(pp)  # rho1's row in the (rho1, p) tables
+        at_rows, at_cols = base + rows, base + cols
+        p1, p2 = pp[rows][:, :, None], pp[cols][:, None, :]
+        v = _capped_term(setup, 1, sig1.take(at_rows)[:, :, None], p1, p2,
+                         scale)
+        v *= _capped_term(setup, 2, sig2.take(at_cols)[:, None, :], p2, p1)
+        at1 = np.where(ok1.take(at_rows), rows * n, n * n)[:, :, None]
+        at2 = np.where(ok2.take(at_cols), cols, n * n)[:, None, :]
+        np.minimum(v, rsum.take(at1 + at2, mode="clip"), out=v)
+        v = v.reshape(len(k), b * b)
+        at = v.argmax(axis=1)  # the first maximum, row-major in a block
+        idx = np.arange(len(k))
+        top, cell = v[idx, at], rows[idx, at // b] * n + cols[idx, at % b]
+        # per rho1: the best value, then the least cell index reaching it
+        start = np.flatnonzero(np.diff(k, prepend=-1))
+        seg, size = k[start], np.diff(start, append=len(k))
+        best = np.maximum.reduceat(top, start)
+        first = np.minimum.reduceat(
+            np.where(top == np.repeat(best, size), cell, n * n), start)
+        win = (best > value[seg]) | ((best == value[seg]) & (first < arg[seg]))
+        value[seg[win]], arg[seg[win]] = best[win], first[win]
+        evaluated[seg] += size
+
+    # each rho1's top-bound block gives its incumbent (a rho1 with no
+    # feasible cell gets none, and no candidates); then every block whose
+    # bound still reaches it, _COARSE_CHUNK at a time by bound over
+    # incumbent, so that weak incumbents rise first, each chunk pruning more
+    k = np.flatnonzero(bound.max(axis=1) > 0.0)
+    block = bound.argmax(axis=1)[k]
+    merge(k, block)
+    bound[k, block] = 0.0
+    reach = np.where(value > 0.0, value, np.inf)[:, None]
+    k, block = np.divmod(np.flatnonzero(bound >= reach), bound.shape[1])
+    bound = bound[k, block]  # only the candidates' bounds stay in memory
+    order = np.argsort(value[k] / bound, kind="stable")
+    k, block, bound = k[order], block[order], bound[order]
+    while len(k):
+        now = np.argsort(k[:_COARSE_CHUNK], kind="stable")
+        merge(k[now], block[now])
+        k, block, bound = (x[_COARSE_CHUNK:] for x in (k, block, bound))
+        keep = bound >= value[k]
+        k, block, bound = k[keep], block[keep], bound[keep]
+    return value, arg, evaluated
 
 
 def _linspace_rows(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
@@ -330,7 +388,7 @@ def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
         return None  # a zero relay column hRj leaves user i no beam
     pv = grid.p_values(setup.P)
     rhos = grid.rho_values()
-    value, arg = _coarse(setup, rhos, pv, n1, n2)
+    value, arg, _ = _coarse(setup, rhos, pv, n1, n2)
     k = np.flatnonzero(value > 0.0)
     if not len(k):
         return None
@@ -352,11 +410,11 @@ def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
 def grid_search_sum_rate(setup: ChannelSetup,
                          grid: GridSpec | None = None) -> SearchResult:
     """Maximize the exact scheme sum rate over the full grid x both sign
-    choices per user. Every cell where both users zero-force is evaluated
-    in each rho1's dominant sign block, the four blocks' cellwise maximum;
-    the others score 0 and are skipped, per rho1 as one rectangle (see the
-    module docstring for why both are exact). Deterministic: exact-value
-    ties resolve to the smallest (rho1, p1, p2, n1, n2)."""
+    choices per user. Each rho1's dominant sign block, the four blocks'
+    cellwise maximum, is searched, skipping the blocks of cells whose bound
+    shows they cannot win (see the module docstring for why both are
+    exact). Deterministic: exact-value ties resolve to the smallest
+    (rho1, p1, p2, n1, n2)."""
     validate(setup)
     alloc = _search(setup, grid or GridSpec(), refine=False)
     if alloc is None:

@@ -33,8 +33,9 @@ from imrc import (
 )
 
 from imrc.model import branch_sign
-from imrc.search import (_coarse, _exponent, _fixed_split_rate, _objective,
-                         _search, _signal, _sum_rate_or_nan)
+from imrc.search import (_BLOCK, _block_bounds, _coarse, _exponent,
+                         _fixed_split_rate, _objective, _search, _signal,
+                         _sum_rate_or_nan)
 
 from helpers import linearizable_setup, random_setup
 
@@ -76,6 +77,11 @@ def _huge_budget_case(P):
     return setup, GridSpec(n_p=41, n_rho=9)
 
 
+# g2R = 0.336 g1R: det([g1R g2R])^2 written out rounds to -1.4e-17 here
+PARALLEL_UPLINKS = replace(EX, g2R=(0.20170854271356783, 0.40341708542713567),
+                           P=1e20, PR=1e20)
+
+
 @pytest.mark.parametrize("case", [
     pytest.param(lambda: (EX, GridSpec(n_p=7, n_rho=3)), id="True"),
     pytest.param(lambda: (linearizable_setup(np.random.default_rng(73)),
@@ -92,6 +98,8 @@ def _huge_budget_case(P):
     # cap binding, so the scaled objective and the scalar cap both count
     pytest.param(lambda: _huge_budget_case(1e160), id="huge-1e160"),
     pytest.param(lambda: _huge_budget_case(1e250), id="huge-1e250"),
+    pytest.param(lambda: (PARALLEL_UPLINKS, GridSpec(n_p=7, n_rho=3)),
+                 id="parallel-uplinks"),
 ])
 def test_grid_search_matches_brute_force(case):
     setup, grid = case()
@@ -165,10 +173,10 @@ def _all_sign_blocks(setup, pv, rhos):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_feasible_cells_form_a_rectangle(seed):
-    # _coarse evaluates only p1 >= k1, p2 >= k2 per rho1: each user's
-    # zero-forcing feasibility must not depend on the sign and must never
-    # fall as p_i grows, and the skip must find what a full evaluation of
-    # all four sign blocks finds
+    # each user's zero-forcing feasibility must not depend on the sign and
+    # must never fall as p_i grows, so the feasible cells of a rho1 form the
+    # rectangle p1 >= k1, p2 >= k2, and the pruned coarse stage must find
+    # what a full evaluation of all four sign blocks finds
     setup, pv, rhos = _sign_case(seed)
     rho1, signs = rhos[:, None, None, None], np.array([-1, 1])[:, None, None]
     for user, p in ((1, pv[:, None]), (2, pv[None, :])):
@@ -179,8 +187,8 @@ def test_feasible_cells_form_a_rectangle(seed):
         assert (np.diff(ok.astype(int), axis=-1) >= 0).all()
     flat = _all_sign_blocks(setup, pv, rhos).max(axis=(1, 2)).reshape(
         len(rhos), -1)
-    value, arg = _coarse(setup, rhos, pv, branch_sign(setup, 1),
-                         branch_sign(setup, 2))
+    value, arg, _ = _coarse(setup, rhos, pv, branch_sign(setup, 1),
+                            branch_sign(setup, 2))
     assert (arg[value > 0.0] == flat.argmax(axis=-1)[value > 0.0]).all()
     assert (value == flat.max(axis=-1)).all()
 
@@ -201,6 +209,109 @@ def test_branch_sign_block_is_cellwise_max(seed):
     best = _objective(setup, rhos[:, None, None], branch_sign(setup, 1),
                       branch_sign(setup, 2), pv, pv)
     assert (best == full.max(axis=(1, 2))).all()
+
+
+def test_parallel_uplinks_keep_alpha_nonnegative():
+    # a negative alpha made the MAC sum cap's argument negative at large
+    # powers, and scheme_rate_point took log2 of it
+    setup = PARALLEL_UPLINKS
+    assert setup.mac_alpha == 0.0
+    half = PowerAllocation(p1=0.5 * setup.P, p2=0.5 * setup.P, rho1=0.5)
+    assert math.isfinite(scheme_rate_point(setup, half).sum_rate)
+
+
+def _grid_case(setup, grid):
+    return setup, grid.p_values(setup.P), grid.rho_values()
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param(lambda seed=seed: _sign_case(seed), id=f"random-{seed}")
+      for seed in range(20)),
+    pytest.param(lambda: _grid_case(*_huge_budget_case(1e160)),
+                 id="huge-1e160"),
+    pytest.param(lambda: _grid_case(*_huge_budget_case(1e250)),
+                 id="huge-1e250"),
+    pytest.param(lambda: _grid_case(PARALLEL_UPLINKS, GridSpec(41, 9)),
+                 id="parallel-uplinks"),
+])
+def test_block_bound_is_sound(case):
+    # the coarse stage skips a block whose bound is below an incumbent, so
+    # the bound must be at least every cell's value in its block, bit for
+    # bit, and 0 exactly where no cell of the block is feasible
+    setup, pv, rhos = case()
+    n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
+    bound = _block_bounds(setup, rhos, pv, n1, n2)[0]
+    side = bound.shape[1] * _BLOCK
+    cells = np.zeros((len(rhos), side, side))
+    cells[:, :len(pv), :len(pv)] = _objective(setup, rhos[:, None, None], n1,
+                                              n2, pv, pv)
+    top = cells.reshape(len(rhos), side // _BLOCK, _BLOCK, side // _BLOCK,
+                        _BLOCK).max(axis=(2, 4))
+    assert (bound >= top).all()
+    assert ((bound == 0.0) == (top == 0.0)).all()
+
+
+def _workload_channel(seed):
+    """The paper example and a random channel at P = 20 dB with PR = 100 P,
+    then random channels over the PR/P mix, det(H) = 0 in 1 of 4."""
+    rng = np.random.default_rng(1700 + seed)
+    if seed == 0:
+        return replace(EX, P=100.0, PR=1e4)
+    if seed == 1:
+        return random_setup(rng, P=100.0, PR=1e4)
+    P = float(10.0 ** rng.uniform(-3.0, 2.0))
+    ratio = (1.0, 100.0, 0.25, 0.0, 0.01)[seed % 5]
+    return random_setup(rng, P=P, PR=ratio * P, det_zero=seed % 4 == 0)
+
+
+@pytest.mark.parametrize("n_p", [101, 201])
+@pytest.mark.parametrize("seed", range(8))
+def test_coarse_prune_matches_full_grid(seed, n_p):
+    # at workload size, the pruned coarse stage gives every rho1 the value
+    # and the first row-major argmax of its full grid
+    setup = _workload_channel(seed)
+    grid = GridSpec(n_p=n_p, n_rho=99)
+    pv, rhos = grid.p_values(setup.P), grid.rho_values()
+    n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
+    value, arg, _ = _coarse(setup, rhos, pv, n1, n2)
+    for k, rho1 in enumerate(rhos):
+        full = _objective(setup, rho1, n1, n2, pv, pv).ravel()
+        assert value[k] == full.max()
+        assert value[k] == 0.0 or arg[k] == full.argmax()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coarse_keeps_first_row_among_tied_rows(seed):
+    # g1R = 0 and h12 = 0: user 1's term is 1 at every p1 and nothing else
+    # depends on p1, so all rows of a rho1 tie bit for bit, across block
+    # boundaries; the first row, p1 = 0, must win
+    rng = np.random.default_rng(1800 + seed)
+    P = float(10.0 ** rng.uniform(-2.0, 1.0))
+    setup = replace(random_setup(rng, P=P, PR=(1.0, 100.0)[seed % 2] * P),
+                    g1R=(0.0, 0.0), h12=0.0)
+    grid = GridSpec(n_p=101, n_rho=9, include_boundary=seed < 2)
+    pv, rhos = grid.p_values(P), grid.rho_values()
+    n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
+    value, arg, _ = _coarse(setup, rhos, pv, n1, n2)
+    assert (value > 0.0).any()
+    for k, rho1 in enumerate(rhos):
+        full = _objective(setup, rho1, n1, n2, pv, pv)
+        assert (full == full[:1]).all()
+        assert value[k] == full.max()
+        assert value[k] == 0.0 or arg[k] == full.argmax() < len(pv)
+
+
+@pytest.mark.parametrize("P", [0.1, 1.0])
+def test_coarse_prunes_most_blocks(P):
+    # a count, not a timing: on the paper example at -10 dB and 0 dB the
+    # bounds rule out at least 80% of the blocks that hold a feasible cell
+    # (465 and 208 of 14,989 are evaluated)
+    setup = replace(EX, P=P, PR=P)
+    pv, rhos = GridSpec().p_values(P), GridSpec().rho_values()
+    n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
+    live = (_block_bounds(setup, rhos, pv, n1, n2)[0] > 0.0).sum()
+    _, _, evaluated = _coarse(setup, rhos, pv, n1, n2)
+    assert evaluated.sum() <= 0.2 * live
 
 
 # Sizing sample: 60 channels (seeds 7000-7059) gave a largest continuous
