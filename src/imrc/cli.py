@@ -89,8 +89,8 @@ def parse_db_range(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError(f"range must be MIN:MAX:STEP in dB, got {text!r}")
     lo, hi, step = (float(x) for x in parts)
-    if step <= 0.0 or hi < lo:
-        raise ValueError(f"range must be ascending with step > 0, got {text!r}")
+    if not (0.0 < step < math.inf and -math.inf < lo <= hi < math.inf):
+        raise ValueError(f"range must be finite, ascending, step > 0: {text!r}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return tuple(lo + k * step for k in range(count))
 
@@ -144,10 +144,8 @@ def cmd_validate(config: RunConfig) -> int:
     for name in ("h11", "h12", "h21", "h22", "g1R", "g2R", "hR1", "hR2",
                  "P", "PR"):
         print(f"{name} = {getattr(setup, name)}")
-    print(f"||g1R||^2 = {_fmt(setup.g1R_norm2)}")
-    print(f"||g2R||^2 = {_fmt(setup.g2R_norm2)}")
-    print(f"||hR1||^2 = {_fmt(setup.hR1_norm2)}")
-    print(f"||hR2||^2 = {_fmt(setup.hR2_norm2)}")
+    for name in ("g1R", "g2R", "hR1", "hR2"):
+        print(f"||{name}||^2 = {_fmt(getattr(setup, name + '_norm2'))}")
     print(f"det(H) = {_fmt(setup.relay_det())}")
     report = feasibility(setup, _alloc(config))
     print(f"zero-forcing feasible: user1={report.exact1} user2={report.exact2}")

@@ -38,8 +38,17 @@ without a feasible cell. Only blocks whose bound reaches their rho1's
 incumbent are evaluated, so a skipped block cannot hold a maximum, and a
 tie is still evaluated: argmax keeps each block's first row-major maximum
 and the least cell index wins among blocks. The zoom stage advances the
-windows of all rho1 together, round by round, in fixed-size chunks, and
-they repeat np.linspace's arithmetic.
+windows of all rho1 together, round by round, in fixed-size chunks,
+repeating np.linspace's arithmetic. A window's cells from a round of
+half-width h on lie in its hull, within h + h/10 + ... < h (1 + 1/9) of
+its center. f_ii is monotone in p_i, so the kernel at the hull's ends
+bounds every cell's signal (+inf where the hull reaches P) and gives a
+bound U as for a block. Before a round of two or more windows, a window
+is dropped when U < max(best), as it cannot win the argmax, or U <= its
+own best, as only a strictly better cell replaces that. det(H) = 0 is
+stored exactly, so f_ii then has no rho1 or sign term: windows with one
+start and a hull feasible for both users tie throughout, and only the
+first, which the argmax keeps on a tie, is zoomed.
 """
 
 from __future__ import annotations
@@ -147,6 +156,7 @@ _SIGNS = np.array([-1, 1])  # branch signs in key order: -1 sorts first
 # RSS: 146 windows (64k cells) added 1.5 MB over a 600-row sweep.
 _ZOOM_ROUNDS = 3
 _ZOOM_POINTS = 21
+_ZOOM_SHRINK = (_ZOOM_POINTS - 1) // 2  # a window's half-width over spacing
 _ZOOM_CHUNK = 18
 
 # The coarse grid is bounded in _BLOCK x _BLOCK blocks of cells and its
@@ -316,12 +326,14 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
     return value, arg, evaluated
 
 
-def _linspace_rows(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
-    """np.linspace(lo[w], hi[w], points) for every row w, with its exact
-    arithmetic: arange * step + lo, or (arange / div) * delta + lo where
-    the step underflows to zero, and the last sample set to hi."""
-    div = points - 1
-    ramp = np.arange(points, dtype=float)
+def _window_rows(P: float, c: np.ndarray, half: float) -> np.ndarray:
+    """np.linspace(lo, hi, _ZOOM_POINTS) on each window c[w] +/- half,
+    clamped to [0, P] with exact ends so p = P stays reachable, with its
+    exact arithmetic: arange * step + lo, or (arange / div) * delta + lo
+    where the step underflows to zero, and the last sample set to hi."""
+    lo, hi = np.maximum(0.0, c - half), np.minimum(P, c + half)
+    div = _ZOOM_POINTS - 1
+    ramp = np.arange(_ZOOM_POINTS, dtype=float)
     delta = (hi - lo)[:, None]
     step = delta / div
     rows = np.where(step == 0.0, ramp / div * delta, ramp * step)
@@ -330,49 +342,79 @@ def _linspace_rows(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
     return rows
 
 
+def _window_bound(setup: ChannelSetup, rho1, n1, n2, c1, c2, half1: float,
+                  half2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each window's bound on the cells of its hull, c_i +/- half_i (1 + 1/9)
+    in [0, P], and whether both users are feasible on the whole hull."""
+    reach = 1.0 + 1.0 / (_ZOOM_SHRINK - 1)  # > 1 + 1/10 + 1/100 + ...
+    reach1, reach2 = half1 * reach, half2 * reach
+    lo1, hi1 = np.maximum(0.0, c1 - reach1), np.minimum(setup.P, c1 + reach1)
+    lo2, hi2 = np.maximum(0.0, c2 - reach2), np.minimum(setup.P, c2 + reach2)
+    sig, whole, live = [], True, True
+    for user, lo, hi, sign in ((1, lo1, hi1, n1), (2, lo2, hi2, n2)):
+        p = np.stack([lo, hi])
+        # at p_i = P take f_ii as at p_i = 0: finite, then replaced by +inf
+        remaining = np.where(p >= setup.P, setup.P or 1.0, setup.P - p)
+        rad, ok = zf_radicand(setup, user, rho1 if user == 1 else 1.0 - rho1,
+                              remaining)
+        root = np.sqrt(np.maximum(rad, 0.0))  # f_ii at both ends, P - lo
+        top = own_signal(setup, user, sign, root, remaining[0]).max(axis=0)
+        sig.append(np.where(hi >= setup.P, np.inf, top))
+        ok |= p >= setup.P  # feasibility never falls as p_i grows
+        whole, live = whole & ok[0], live & ok[1]
+    scale = _scale(setup)
+    bound = _capped_term(setup, 1, sig[0], hi1, lo2, scale)
+    bound *= _capped_term(setup, 2, sig[1], hi2, lo1)
+    np.minimum(bound, mac_sum_argument(setup, hi1, hi2, scale), out=bound)
+    bound[~live] = 0.0
+    return bound, whole
+
+
 def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: np.ndarray,
           n2: np.ndarray, value: np.ndarray, c1: np.ndarray, c2: np.ndarray,
           half1: float, half2: float
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Sharpen each window's coarse best cell (value at c1, c2) by a
     deterministic zoom: re-grid +/- half per axis around the current
-    center, move the center to the argmax, shrink the half-widths to the
-    new sample spacing, repeat. Windows are clamped to [0, P] with exact
-    endpoints so p = P stays reachable; a zero half-width pins that axis.
-    A zoom cell replaces the best only when strictly better, so the result
-    never falls below the coarse value. A window stops at the first round
-    that finds no feasible cell, and a window whose coarse value is 0
-    (infeasible) is not zoomed. All live windows advance together, round
-    by round. _search zooms one window per feasible rho1 (its sign block)."""
+    center (_window_rows), move the center to the argmax, shrink the
+    half-widths to the new spacing, repeat; a zero half-width pins that
+    axis. Only a strictly better cell replaces the best. A window is not
+    zoomed while its value is 0 or it cannot change the first argmax of
+    best (module docstring). Returns best, p1, p2 and the window-rounds."""
     best, best1, best2 = value.copy(), c1.copy(), c2.copy()
     c1, c2 = c1.copy(), c2.copy()
     live = np.flatnonzero(value > 0.0)
-    cells = _ZOOM_POINTS * _ZOOM_POINTS
-    for _ in range(_ZOOM_ROUNDS):
-        found = np.zeros(len(live), dtype=bool)
+    runs = 0
+    for round_ in range(_ZOOM_ROUNDS):
+        if len(live) > 1:  # a lone window zooms faster than it is bounded
+            bound, whole = _window_bound(setup, rho1[live], n1[live],
+                                         n2[live], c1[live], c2[live], half1,
+                                         half2)
+            keep = (bound >= best.max()) & (bound > best[live])
+            if round_ == 0 and setup.hR_det == 0.0:
+                twins = np.flatnonzero(whole)
+                _, first = np.unique(np.stack([c1, c2], axis=1)[live[twins]],
+                                     axis=0, return_index=True)
+                keep[np.delete(twins, first)] = False  # the later twins
+            live = live[keep]
+        runs += len(live)
         for start in range(0, len(live), _ZOOM_CHUNK):
             w = live[start:start + _ZOOM_CHUNK]
-            p1w = _linspace_rows(np.maximum(0.0, c1[w] - half1),
-                                 np.minimum(setup.P, c1[w] + half1),
-                                 _ZOOM_POINTS)
-            p2w = _linspace_rows(np.maximum(0.0, c2[w] - half2),
-                                 np.minimum(setup.P, c2[w] + half2),
-                                 _ZOOM_POINTS)
+            p1w = _window_rows(setup.P, c1[w], half1)
+            p2w = _window_rows(setup.P, c2[w], half2)
             obj = _objective(setup, rho1[w, None, None], n1[w, None, None],
-                             n2[w, None, None], p1w, p2w).reshape(-1, cells)
+                             n2[w, None, None], p1w, p2w).reshape(len(w), -1)
             row = np.arange(len(w))
             at = obj.argmax(axis=1)  # first maximum, row-major
             top = obj[row, at]
-            found[start:start + len(w)] = top > 0.0
             i, j = np.divmod(at, _ZOOM_POINTS)
             c1[w], c2[w] = p1w[row, i], p2w[row, j]
             gain = top > best[w]
             won = w[gain]
             best[won], best1[won], best2[won] = top[gain], c1[won], c2[won]
-        live = live[found]  # a window that found nothing stops here
-        half1 /= 10.0  # the sampled spacing of a 21-point +/-half window
-        half2 /= 10.0
-    return best, best1, best2
+        half1 /= _ZOOM_SHRINK
+        half2 /= _ZOOM_SHRINK
+    return best, best1, best2, runs
 
 
 def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
@@ -396,8 +438,9 @@ def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
     c1, c2 = pv[arg[k] // len(pv)], pv[arg[k] % len(pv)]
     step = float(pv[1] - pv[0]) if len(pv) > 1 else 0.0
     if refine and step > 0.0:
-        value, c1, c2 = _zoom(setup, rho1, np.full(len(k), n1),
-                              np.full(len(k), n2), value, c1, c2, step, step)
+        value, c1, c2, _ = _zoom(setup, rho1, np.full(len(k), n1),
+                                 np.full(len(k), n2), value, c1, c2, step,
+                                 step)
     t = int(np.argmax(value))  # one cell per rho1: the first is smallest
     rho, p1, p2 = float(rho1[t]), float(c1[t]), float(c2[t])
     cell = _objective(setup, rho, _SIGNS[:, None, None, None],
@@ -433,11 +476,10 @@ def search_p1(setup: ChannelSetup, rho1: float, n_p: int) -> float | None:
                         np.zeros(1))[:, :, 0]
     at = column.argmax(axis=1)
     step = float(pv[1] - pv[0])
-    value, c1, _ = _zoom(setup, np.full(2, rho1), n1, np.ones(2, dtype=int),
-                         column[np.arange(2), at], pv[at], np.zeros(2),
-                         step, 0.0)
-    k = int(np.argmax(value))
-    return None if value[k] == 0.0 else float(c1[k])
+    value, c1, _, _ = _zoom(setup, np.full(2, rho1), n1,
+                            np.ones(2, dtype=int), column[np.arange(2), at],
+                            pv[at], np.zeros(2), step, 0.0)
+    return float(c1[value.argmax()]) if value.any() else None
 
 
 def bisect_intersection(curve_pair, interval, tol: float = 1e-12) -> float:

@@ -8,6 +8,7 @@ accidentally tiny or huge; feasibility is then arranged by construction
 import numpy as np
 
 from imrc import ChannelSetup, PowerAllocation
+from imrc.search import _objective
 
 
 def _signed(rng, size=None):
@@ -71,3 +72,29 @@ def swap_users(setup):
     return ChannelSetup(h11=setup.h22, h12=setup.h21, h21=setup.h12,
                         h22=setup.h11, g1R=setup.g2R, g2R=setup.g1R,
                         hR1=setup.hR2, hR2=setup.hR1, P=setup.P, PR=setup.PR)
+
+
+def reference_zoom(setup, rho1, n1, n2, value, c1, c2, half1, half2,
+                   rounds=3, points=21):
+    """search._zoom without pruning: every window with a positive value,
+    every round, one window at a time on np.linspace grids. Each round
+    re-grids +/- half around the center, clamped to [0, P], moves the
+    center to the first row-major argmax, keeps it when strictly better,
+    and divides the half-widths by 10. Returns the same tuple as _zoom:
+    best value, p1 and p2 per window, and the window-rounds run."""
+    best = np.array(value, dtype=float)
+    best1, best2 = np.array(c1, dtype=float), np.array(c2, dtype=float)
+    runs = 0
+    for w in np.flatnonzero(best > 0.0):
+        a, b, h1, h2 = c1[w], c2[w], half1, half2
+        for _ in range(rounds):
+            p1 = np.linspace(max(0.0, a - h1), min(setup.P, a + h1), points)
+            p2 = np.linspace(max(0.0, b - h2), min(setup.P, b + h2), points)
+            obj = _objective(setup, rho1[w], n1[w], n2[w], p1, p2)
+            i, j = divmod(int(obj.argmax()), points)
+            a, b = p1[i], p2[j]
+            if obj[i, j] > best[w]:
+                best[w], best1[w], best2[w] = obj[i, j], a, b
+            runs += 1
+            h1, h2 = h1 / 10.0, h2 / 10.0
+    return best, best1, best2, runs

@@ -79,7 +79,8 @@ def test_parse_db_range():
     assert len(values) == 51
     assert values[0] == -30.0 and values[-1] == 20.0
     assert parse_db_range("0:1:0.5") == (0.0, 0.5, 1.0)
-    for bad in ("5:1:1", "1:2", "0:1:0", "a:b:c"):
+    for bad in ("5:1:1", "1:2", "0:1:0", "a:b:c", "-inf:0:1", "0:inf:1",
+                "0:1:inf", "nan:0:1"):
         with pytest.raises(ValueError):
             parse_db_range(bad)
 
@@ -138,6 +139,14 @@ def test_nonfinite_budget_is_usage_error(capsys, flag):
     code, out, _ = run(capsys, "rates", flag)
     assert code == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("text", ["-inf:0:1", "0:inf:1"])
+def test_nonfinite_db_range_is_usage_error(capsys, text):
+    # an infinite bound made math.floor raise OverflowError, a traceback
+    code, out, err = run(capsys, "sweep", f"--p-db-range={text}")
+    assert (code, out) == (1, "")
+    assert "--p-db-range" in err
 
 
 def test_out_of_range_inputs_are_usage_errors(tmp_path, capsys):

@@ -32,12 +32,13 @@ from imrc import (
     taylor_coeffs,
 )
 
+import imrc.search as search_module
 from imrc.model import branch_sign
-from imrc.search import (_BLOCK, _block_bounds, _coarse, _exponent,
+from imrc.search import (_BLOCK, _SIGNS, _block_bounds, _coarse, _exponent,
                          _fixed_split_rate, _objective, _search, _signal,
-                         _sum_rate_or_nan)
+                         _sum_rate_or_nan, _window_bound, _zoom, search_p1)
 
-from helpers import linearizable_setup, random_setup
+from helpers import linearizable_setup, random_setup, reference_zoom
 
 EX = example_channel()
 
@@ -312,6 +313,114 @@ def test_coarse_prunes_most_blocks(P):
     live = (_block_bounds(setup, rhos, pv, n1, n2)[0] > 0.0).sum()
     _, _, evaluated = _coarse(setup, rhos, pv, n1, n2)
     assert evaluated.sum() <= 0.2 * live
+
+
+def _window_case(seed):
+    """_sign_case's channels (both signs, det(H) = 0, h21 = 0, PR/P in
+    {0, 1/100, 1/4, 1, 100}) and the 1e160 budget, with 64 random windows:
+    centers anywhere in [0, P], a quarter of them at p_i = P."""
+    if seed == "huge":
+        setup, rng = _huge_budget_case(1e160)[0], np.random.default_rng(77)
+    else:
+        setup, rng = _sign_case(seed)[0], np.random.default_rng(4000 + seed)
+    c1, c2 = rng.uniform(0.0, setup.P, (2, 64))
+    c1[:16], c2[8:24] = setup.P, setup.P
+    rho1 = rng.uniform(0.0, 1.0, 64)
+    n1, n2 = rng.choice([-1, 1], (2, 64))
+    return setup, rng, rho1, n1, n2, c1, c2
+
+
+def _hull_points(rng, lo, hi):
+    """Both ends of each hull [lo, hi] and 7 random points between them."""
+    t = np.concatenate([[0.0], np.sort(rng.uniform(size=7)), [1.0]])
+    points = np.minimum(lo[:, None] + (hi - lo)[:, None] * t, hi[:, None])
+    points[:, 0] = lo
+    return points
+
+
+@pytest.mark.parametrize("seed", [*range(20), "huge"])
+def test_window_bound_is_sound(seed):
+    # the zoom drops a window whose bound cannot beat the best, so the
+    # bound must be at least _objective at every point of the window's
+    # hull, c +/- h (1 + 1/9) in [0, P], 0 only where no point is feasible,
+    # and a hull reported wholly feasible must have no infeasible point;
+    # half-widths h from 1e-4 P to P, and h = 0 pinning p2 as in search_p1
+    setup, rng, rho1, n1, n2, c1, c2 = _window_case(seed)
+    for half1, half2 in ((1e-4, 1e-3), (0.05, 0.0), (0.3, 0.2), (1.0, 1.0)):
+        half1, half2 = half1 * setup.P, half2 * setup.P
+        bound, whole = _window_bound(setup, rho1, n1, n2, c1, c2, half1,
+                                     half2)
+        reach1, reach2 = half1 * (1.0 + 1.0 / 9.0), half2 * (1.0 + 1.0 / 9.0)
+        p1 = _hull_points(rng, np.maximum(0.0, c1 - reach1),
+                          np.minimum(setup.P, c1 + reach1))
+        p2 = _hull_points(rng, np.maximum(0.0, c2 - reach2),
+                          np.minimum(setup.P, c2 + reach2))
+        obj = _objective(setup, rho1[:, None, None], n1[:, None, None],
+                         n2[:, None, None], p1, p2)
+        top = obj.max(axis=(1, 2))
+        assert (bound >= top).all()
+        assert (top[bound == 0.0] == 0.0).all()
+        assert (obj[whole] > 0.0).all()
+
+
+def _zoom_case(case):
+    """Channels for the zoom checks: the paper example at -10 and 0 dB
+    (det(H) = 0), random det(H) = 0 channels whose equal starts have hulls
+    not wholly feasible (cases 2 and 9), a PR = 100 P channel whose optimum
+    has p1 = p2 = P, a det(H) != 0 channel whose two search_p1 sign windows
+    start apart, and random channels over the PR/P mix."""
+    if case < 2:
+        return replace(EX, P=(0.1, 1.0)[case], PR=(0.1, 1.0)[case])
+    seed, top, ratio, det_zero = {
+        2: (2300, 1.0, 0.01, True), 3: (2100, 2.0, 100.0, False),
+        4: (2201, 1.0, 1.0, False), 5: (2105, 1.0, 1.0, False),
+        6: (2106, 1.0, 100.0, False), 7: (2107, 1.0, 0.25, False),
+        8: (2108, 1.0, 0.01, False), 9: (2302, 1.0, 0.25, True)}[case]
+    rng = np.random.default_rng(seed)
+    P = float(10.0 ** rng.uniform(-1.0, top))
+    return random_setup(rng, P=P, PR=ratio * P, det_zero=det_zero)
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_pruned_zoom_matches_reference(case, monkeypatch):
+    # dropping windows that cannot win and det(H) = 0 twins leaves the
+    # refined search and search_p1 bit for bit as an unpruned zoom
+    setup = _zoom_case(case)
+    if case == 3:
+        alloc = _search(setup, GridSpec(), refine=True)
+        assert alloc.p1 == alloc.p2 == setup.P
+    if case == 4:
+        pv = np.linspace(0.0, setup.P, 101)
+        column = _objective(setup, 0.5, _SIGNS[:, None, None], 1, pv,
+                            np.zeros(1))
+        assert column[0].argmax() != column[1].argmax()
+
+    def run():
+        return (_search(setup, GridSpec(), refine=True),
+                _search(setup, GridSpec(n_p=41, n_rho=9), refine=True),
+                [search_p1(setup, rho1, 101) for rho1 in (0.2, 0.5, 0.8)])
+
+    pruned = run()
+    monkeypatch.setattr(search_module, "_zoom", reference_zoom)
+    assert run() == pruned
+
+
+@pytest.mark.parametrize("P", [0.1, 1.0])
+def test_zoom_skips_most_window_rounds(P, monkeypatch):
+    # a count, not a timing: on the paper example at -10 dB and 0 dB the
+    # window bounds and the det(H) = 0 rule leave at most 10% of the
+    # window-rounds an unpruned zoom runs (11 and 5 of 297)
+    counts = []
+
+    def both(*args):
+        result = _zoom(*args)
+        counts.append((result[3], reference_zoom(*args)[3]))
+        return result
+
+    monkeypatch.setattr(search_module, "_zoom", both)
+    _search(replace(EX, P=P, PR=P), GridSpec(), refine=True)
+    (runs, unpruned), = counts
+    assert runs <= 0.1 * unpruned
 
 
 # Sizing sample: 60 channels (seeds 7000-7059) gave a largest continuous
