@@ -8,15 +8,17 @@ the standard plots). Output goes to stdout as plain `name = value` lines;
 
 Exit codes: 0 success, 1 usage/input error, 2 infeasible computation.
 Power flags accept linear values or decibels: `--P 0.1` or `--P -10dB`.
+`main` builds the argument parser once per process and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,26 +43,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from calling sys.exit itself
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand needs, parsed and converted (dB already
-    linear). P/PR of None mean "use the channel file's values"."""
-
-    channel: str
-    rho: float
-    p1: float
-    p2: float
-    n1: int
-    n2: int
-    B: int | None
-    P: float | None
-    PR: float | None
-    grid: GridSpec | None
-    p_db: tuple[float, ...]
-    out: str | None
-    figure: int | None = None
 
 
 def parse_power(text: str) -> float:
@@ -117,7 +99,7 @@ def write_csv(path: str, header, rows) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
-def _setup(config: RunConfig) -> ChannelSetup:
+def _setup(config: argparse.Namespace) -> ChannelSetup:
     """The channel with the budget overrides applied; an out-of-range gain
     or budget is a usage error."""
     try:
@@ -131,7 +113,7 @@ def _setup(config: RunConfig) -> ChannelSetup:
         raise UsageError(str(exc)) from exc
 
 
-def _alloc(config: RunConfig) -> PowerAllocation:
+def _alloc(config: argparse.Namespace) -> PowerAllocation:
     try:
         return PowerAllocation(p1=config.p1, p2=config.p2, rho1=config.rho,
                                n1=config.n1, n2=config.n2)
@@ -139,7 +121,7 @@ def _alloc(config: RunConfig) -> PowerAllocation:
         raise UsageError(str(exc)) from exc
 
 
-def cmd_validate(config: RunConfig) -> int:
+def cmd_validate(config: argparse.Namespace) -> int:
     setup = _setup(config)
     for name in ("h11", "h12", "h21", "h22", "g1R", "g2R", "hR1", "hR2",
                  "P", "PR"):
@@ -154,7 +136,7 @@ def cmd_validate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_beam(config: RunConfig) -> int:
+def cmd_beam(config: argparse.Namespace) -> int:
     setup = _setup(config)
     alloc = _alloc(config)
     vectors = beamforming.beam_vectors(setup, alloc)
@@ -172,7 +154,7 @@ def cmd_beam(config: RunConfig) -> int:
     return 0
 
 
-def cmd_rates(config: RunConfig) -> int:
+def cmd_rates(config: argparse.Namespace) -> int:
     setup = _setup(config)
     alloc = _alloc(config)
     rates = scheme_rate_point(setup, alloc)
@@ -193,7 +175,7 @@ def cmd_rates(config: RunConfig) -> int:
     return 0
 
 
-def cmd_phat(config: RunConfig) -> int:
+def cmd_phat(config: argparse.Namespace) -> int:
     setup = _setup(config)
     best = best_sign_powers(setup, config.rho)
     print(f"phat1 = {_fmt(best.p1)} (n1 = {best.n1:+d})")
@@ -205,7 +187,7 @@ def cmd_phat(config: RunConfig) -> int:
     return 0
 
 
-def cmd_region(config: RunConfig) -> int:
+def cmd_region(config: argparse.Namespace) -> int:
     setup = _setup(config)
     rho_grid = config.grid.rho_values().tolist() if config.grid else None
     region = full_region(setup, rho_grid)
@@ -232,7 +214,7 @@ def _sqrt_cell(value: float | None):
     return value
 
 
-def cmd_sweep(config: RunConfig) -> int:
+def cmd_sweep(config: argparse.Namespace) -> int:
     setup = _setup(config)
     policy = SweepPolicy(grid=config.grid or GridSpec(), PR=config.PR)
     table = sweep_P(setup, _budgets(config.p_db), policy)
@@ -325,19 +307,19 @@ def figure5_rows(setup_template: ChannelSetup, db_values, PR: float | None,
     return rows
 
 
-def cmd_figure(config: RunConfig) -> int:
+def cmd_figure(config: argparse.Namespace) -> int:
     setup = _setup(config)
-    out = config.out or f"fig{config.figure}.csv"
-    if config.figure == 2:
+    out = config.out or f"fig{config.which}.csv"
+    if config.which == 2:
         header = ["p1_over_P", "t10_1_exact", "t10_2_exact",
                   "t10_1_approx", "t10_2_approx"]
         rows = figure2_rows(setup, config.rho, config.n1)
-    elif config.figure == 3:
+    elif config.which == 3:
         header = ["p1_over_P", "r1_mac", "r1_ic", "R1_mac_exact", "R1_ic_exact"]
         rows, crossing = figure3_rows(setup, config.rho, config.n1,
                                       config.p2 if config.p2 > 0.0 else 1e-4)
         print(f"intersection p1 = {_fmt(crossing)}")
-    elif config.figure == 4:
+    elif config.which == 4:
         header = ["P_dB", "phat1_grid_over_P", "phat1_closed_over_P"]
         n_p = config.grid.n_p if config.grid else 2001
         rows = figure4_rows(setup, config.p_db, config.PR, config.rho, n_p)
@@ -361,6 +343,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="imrc",
                      description="Two-user interference channel with a "
@@ -387,20 +370,18 @@ def build_parser() -> _Parser:
         p.add_argument("--PR", type=parse_power, default=None, metavar="VAL[dB]",
                        help="override relay power budget (sweeps: pin PR instead of PR = P)")
         p.add_argument("--grid", type=parse_grid, default=None, metavar="NPxNRHO")
-        p.add_argument("--p-db-range", type=parse_db_range,
+        p.add_argument("--p-db-range", type=parse_db_range, dest="p_db",
                        default=parse_db_range(DEFAULT_DB_RANGE), metavar="MIN:MAX:STEP",
                        help=f"budget sweep in dB (default {DEFAULT_DB_RANGE})")
         p.add_argument("--out", default=None, help="write CSV here")
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
+def _config(args: argparse.Namespace) -> argparse.Namespace:
+    """The checked flags, dB already linear; None P/PR keep the file's."""
     if args.B is not None and args.B < 2:
         raise UsageError(f"--B must be an integer >= 2, got {args.B}")
-    return RunConfig(channel=args.channel, rho=args.rho, p1=args.p1,
-                     p2=args.p2, n1=args.n1, n2=args.n2, B=args.B, P=args.P,
-                     PR=args.PR, grid=args.grid, p_db=args.p_db_range,
-                     out=args.out, figure=getattr(args, "which", None))
+    return args
 
 
 def main(argv=None) -> int:

@@ -18,13 +18,17 @@ the sign-dependent relay contribution, and nu_ii is the first derivative of
 the square-root term. Both require S_i^2 = rho_i PR ||hRj||^2 / P - h_ij^2
 to be strictly positive: that is exactly the condition for the relay to
 have enough power to zero-force at p_i = 0 with margin.
+
+_user_expansion and _phat_user take numpy arrays, branching by np.where, so
+one pass serves a whole grid of relay splits and the scalar functions alike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (DegenerateAntenna, DegenerateRelayChannel,
                      LinearizationInfeasible, NoFeasibleRho)
@@ -130,12 +134,13 @@ class RhoRegion:
                 (self.R1max, self.R2max), (0.0, self.R2max))
 
 
-def _user_expansion(setup: ChannelSetup, rho1: float, user: int,
-                    sign: int) -> tuple[float, float, float]:
-    """(mu, nu, S) for one user at one beam-branch sign.
+def _user_expansion(setup: ChannelSetup, rho1, user: int, sign):
+    """(mu, nu, S, S^2) for one user at arrays (or scalars) of rho1 and the
+    beam-branch sign, broadcast. mu, nu and S are NaN where S^2 <= 0 (no
+    zero-forcing margin at p_i = 0); _expansion raises there.
 
     Raises DegenerateAntenna if the other user's relay column vanishes and
-    LinearizationInfeasible if S^2 <= 0 (no zero-forcing margin at p_i = 0).
+    LinearizationInfeasible if P <= 0, for every rho1 alike.
     """
     rho_i, orient = (rho1, 1.0) if user == 1 else (1.0 - rho1, -1.0)
     if setup.P <= 0.0:
@@ -145,20 +150,26 @@ def _user_expansion(setup: ChannelSetup, rho1: float, user: int,
     except DegenerateRelayChannel as exc:
         raise DegenerateAntenna(
             f"relay column for user {3 - user} is zero; cannot zero-force") from exc
-    if s_sq <= 0.0:
-        raise LinearizationInfeasible(
-            f"user {user}: rho_i*PR*||hRj||^2/P - h_ij^2 = {s_sq:.6g} <= 0")
-    s_val = math.sqrt(s_sq)
+    s_val = np.sqrt(np.where(s_sq > 0.0, s_sq, np.nan))
     mu = own_gain(setup, user, sign, s_val)
     nu = (orient * sign * rho_i * setup.PR * setup.hR_det
           / (2.0 * setup.P * s_val))
-    return mu, nu, s_val
+    return mu, nu, s_val, s_sq
 
 
-def _check_rho(rho1: float) -> float:
+def _expansion(setup: ChannelSetup, rho1: float, user: int,
+               sign: int) -> tuple[float, float, float]:
+    """(mu, nu, S) at one split; LinearizationInfeasible where S^2 <= 0."""
+    mu, nu, s_val, s_sq = _user_expansion(setup, rho1, user, sign)
+    if s_sq <= 0.0:
+        raise LinearizationInfeasible(
+            f"user {user}: rho_i*PR*||hRj||^2/P - h_ij^2 = {s_sq:.6g} <= 0")
+    return float(mu), float(nu), float(s_val)
+
+
+def _check_rho(rho1: float) -> None:
     if not 0.0 <= rho1 <= 1.0:
         raise ValueError(f"rho1 must lie in [0, 1], got {rho1!r}")
-    return rho1
 
 
 def taylor_coeffs(setup: ChannelSetup, rho1: float,
@@ -167,8 +178,8 @@ def taylor_coeffs(setup: ChannelSetup, rho1: float,
     _check_rho(rho1)
     if n1 not in (-1, 1) or n2 not in (-1, 1):
         raise ValueError("beam-branch signs must be -1 or 1")
-    mu11, nu11, s1 = _user_expansion(setup, rho1, 1, n1)
-    mu22, nu22, s2 = _user_expansion(setup, rho1, 2, n2)
+    mu11, nu11, s1 = _expansion(setup, rho1, 1, n1)
+    mu22, nu22, s2 = _expansion(setup, rho1, 2, n2)
     lambda1 = 2.0 * mu11 * nu11 - mu11 ** 2 - setup.g1R_norm2
     lambda2 = 2.0 * mu22 * nu22 - mu22 ** 2 - setup.g2R_norm2
     return ApproxCoeffs(rho1=rho1, n1=n1, n2=n2, mu11=mu11, nu11=nu11, S1=s1,
@@ -194,103 +205,110 @@ def _linear_ic(mu_sq: float, q: float, big_p: float, p: float) -> float:
             - 2.0 * q * p * p / big_p) / LN2
 
 
-def _phat_user(mu_sq: float, q: float, g_norm2: float,
-               big_p: float) -> tuple[float, bool]:
-    """Crossing of the two first-order caps in [0, P] for one user.
+def _phat_user(mu_sq, q, g_norm2, big_p):
+    """Crossing of the two first-order caps in [0, P] for one user, and
+    whether a clamp pulled it there.
 
     The crossing solves 2q p^2/P - lambda p - mu^2 P = 0 with q = mu*nu and
     lambda = 2q - mu^2 - ||g||^2; the rationalized root 2 mu^2 P / (sqrt(
     lambda^2 + 8 mu^2 q) - lambda) is the one in [0, P] for either sign of
-    q and stays stable as q -> 0."""
-    if mu_sq == 0.0:
-        # destination-side cap is identically zero; only p = 0 avoids waste
-        return 0.0, False
-    if g_norm2 == 0.0:
-        # relay-side cap is identically zero; the crossing degenerates to P
-        return big_p, False
+    q and stays stable as q -> 0. mu^2 = 0 makes the destination-side cap
+    identically zero, so only p = 0 avoids waste; ||g||^2 = 0 does so for
+    the relay-side cap, and the crossing degenerates to P."""
     lam = 2.0 * q - mu_sq - g_norm2
     disc = lam * lam + 8.0 * mu_sq * q
-    denom = math.sqrt(max(disc, 0.0)) - lam
-    if denom <= 0.0:
-        return 0.0, True
-    p = 2.0 * mu_sq * big_p / denom
-    if p < 0.0:
-        return 0.0, True
-    if p > big_p:
-        return big_p, True
-    return p, False
+    denom = np.sqrt(np.maximum(disc, 0.0)) - lam
+    low = denom <= 0.0
+    p = 2.0 * mu_sq * big_p / np.where(low, 1.0, denom)
+    low |= p < 0.0
+    high = p > big_p
+    p = np.where(low, 0.0, np.where(high, big_p, p))
+    p = np.where(mu_sq == 0.0, 0.0, np.where(g_norm2 == 0.0, big_p, p))
+    return p, (low | high) & (mu_sq != 0.0) & (g_norm2 != 0.0)
 
 
 def closed_form_phat(coeffs: ApproxCoeffs, setup: ChannelSetup) -> ClosedFormPowers:
     """Both users' crossing-point powers for the signs baked into coeffs."""
     p1, c1 = _phat_user(coeffs.mu11_sq, coeffs.q11, setup.g1R_norm2, setup.P)
     p2, c2 = _phat_user(coeffs.mu22_sq, coeffs.q22, setup.g2R_norm2, setup.P)
-    return ClosedFormPowers(p1=p1, p2=p2, clamped1=c1, clamped2=c2)
-
-
-def _best_sign_user(setup: ChannelSetup, rho1: float,
-                    user: int) -> tuple[int, float]:
-    """Beam-branch sign maximizing the crossing power; ties keep +1.
-    S is sign-independent, so feasibility never depends on the branch."""
-    g_norm2 = setup.g1R_norm2 if user == 1 else setup.g2R_norm2
-    best_sign, best_p = 0, -1.0
-    for sign in (1, -1):
-        mu, nu, _ = _user_expansion(setup, rho1, user, sign)
-        p, _ = _phat_user(mu * mu, mu * nu, g_norm2, setup.P)
-        if p > best_p:
-            best_sign, best_p = sign, p
-    return best_sign, best_p
+    return ClosedFormPowers(p1=float(p1), p2=float(p2),
+                            clamped1=bool(c1), clamped2=bool(c2))
 
 
 def best_sign_powers(setup: ChannelSetup, rho1: float) -> BestSignPowers:
     """Maximize each user's crossing power over its beam-branch sign.
 
     The users decouple (p_i depends on n_i only), so the joint optimum is
-    two independent one-bit choices."""
+    two independent one-bit choices. Raises where region_rho would report
+    a user infeasible."""
     _check_rho(rho1)
-    n1, p1 = _best_sign_user(setup, rho1, 1)
-    n2, p2 = _best_sign_user(setup, rho1, 2)
-    return BestSignPowers(n1=n1, n2=n2, p1=p1, p2=p2)
+    for user in (1, 2):
+        _expansion(setup, rho1, user, 1)
+    region = region_rho(setup, rho1)
+    return BestSignPowers(n1=region.n1, n2=region.n2, p1=region.p1,
+                          p2=region.p2)
+
+
+def _splits(setup: ChannelSetup, rho_grid):
+    """rho_grid as an array and, per user, (n, p, feasible) arrays in one
+    pass: n maximizes the crossing power, +1 on ties (S, and so feasibility,
+    does not depend on the branch); a user left unserved gets n = 1, p = 0."""
+    rho = np.asarray(rho_grid, dtype=float)
+    outside = ~((rho >= 0.0) & (rho <= 1.0))
+    if outside.any():
+        _check_rho(float(rho[outside][0]))
+    signs = np.array([[1], [-1]])  # both beam branches per split, +1 first
+    users = []
+    for user, g_norm2 in ((1, setup.g1R_norm2), (2, setup.g2R_norm2)):
+        try:
+            mu, nu, _, s_sq = _user_expansion(setup, rho, user, signs)
+        except (DegenerateAntenna, LinearizationInfeasible):
+            mu = nu = np.full((2,) + rho.shape, np.nan)
+            s_sq = np.zeros(rho.shape)  # no split serves the user
+        p, _ = _phat_user(mu * mu, mu * nu, g_norm2, setup.P)
+        minus = p[1] > p[0]  # +1 keeps ties; False where p is NaN
+        feasible = ~(s_sq <= 0.0)
+        users.append((np.where(minus, -1, 1),
+                      np.where(feasible, np.where(minus, p[1], p[0]), 0.0),
+                      feasible))
+    return rho, users
 
 
 def region_rho(setup: ChannelSetup, rho1: float) -> RhoRegion:
     """First-order rectangle at one relay split, degenerate per infeasible
     user instead of raising: R_i^max = ||g_iR||^2 p~_i / ln 2."""
     _check_rho(rho1)
-    found = []
-    for user in (1, 2):
-        try:
-            sign, p = _best_sign_user(setup, rho1, user)
-            found.append((sign, p, True))
-        except (DegenerateAntenna, LinearizationInfeasible):
-            found.append((1, 0.0, False))
-    (n1, p1, f1), (n2, p2, f2) = found
+    _, ((n1, p1, f1), (n2, p2, f2)) = _splits(setup, [rho1])
+    p1, p2 = float(p1[0]), float(p2[0])
     return RhoRegion(rho1=rho1,
                      R1max=setup.g1R_norm2 * p1 / LN2,
                      R2max=setup.g2R_norm2 * p2 / LN2,
-                     p1=p1, p2=p2, n1=n1, n2=n2, feasible1=f1, feasible2=f2)
+                     p1=p1, p2=p2, n1=int(n1[0]), n2=int(n2[0]),
+                     feasible1=bool(f1[0]), feasible2=bool(f2[0]))
 
 
-def _feasible_regions(setup: ChannelSetup, rho_grid) -> list[RhoRegion]:
-    """region_rho over a grid of relay splits (default 0.01, ..., 0.99),
-    keeping the splits where at least one user is feasible."""
+def _feasible_regions(setup: ChannelSetup, rho_grid):
+    """rho1, n1, n2, p1, p2 arrays over a grid of relay splits (default
+    0.01, ..., 0.99), keeping the splits where at least one user is
+    feasible."""
     if rho_grid is None:
-        rho_grid = [k / 100.0 for k in range(1, 100)]
-    regions = [region_rho(setup, float(rho1)) for rho1 in rho_grid]
-    regions = [r for r in regions if r.feasible1 or r.feasible2]
-    if not regions:
+        rho_grid = np.arange(1, 100) / 100.0
+    rho, ((n1, p1, f1), (n2, p2, f2)) = _splits(setup, rho_grid)
+    keep = f1 | f2
+    if not keep.any():
         raise NoFeasibleRho(
             "no relay split in the grid leaves zero-forcing margin for either user")
-    return regions
+    return rho[keep], n1[keep], n2[keep], p1[keep], p2[keep]
 
 
 def full_region(setup: ChannelSetup, rho_grid=None) -> RateRegion:
     """Union of the per-rho rectangles over a grid of relay splits, returned
     as the convex hull of their corners (time sharing fills the rest)."""
-    points = [(0.0, 0.0)]
-    for region in _feasible_regions(setup, rho_grid):
-        points.extend(region.rectangle[1:])
-    return RateRegion(vertices=tuple(hull2d(points)))
+    _, _, _, p1, p2 = _feasible_regions(setup, rho_grid)
+    r1, r2 = setup.g1R_norm2 * p1 / LN2, setup.g2R_norm2 * p2 / LN2
+    zero = np.zeros_like(r1)
+    corners = zip(np.r_[r1, r1, zero], np.r_[zero, r2, r2])
+    return RateRegion(vertices=tuple(hull2d([(0.0, 0.0), *corners])))
 
 
 def sum_rate_allocation(setup: ChannelSetup, rho_values=None) -> PowerAllocation:
@@ -300,7 +318,7 @@ def sum_rate_allocation(setup: ChannelSetup, rho_values=None) -> PowerAllocation
     Ties keep the earliest split in the grid, the smallest rho1 on an
     ascending grid. A split where only one user is feasible still competes
     with that user's term alone."""
-    region = max(_feasible_regions(setup, rho_values),
-                 key=lambda r: setup.g1R_norm2 * r.p1 + setup.g2R_norm2 * r.p2)
-    return PowerAllocation(p1=region.p1, p2=region.p2, rho1=region.rho1,
-                           n1=region.n1, n2=region.n2)
+    rho, n1, n2, p1, p2 = _feasible_regions(setup, rho_values)
+    k = int(np.argmax(setup.g1R_norm2 * p1 + setup.g2R_norm2 * p2))
+    return PowerAllocation(p1=float(p1[k]), p2=float(p2[k]),
+                           rho1=float(rho[k]), n1=int(n1[k]), n2=int(n2[k]))

@@ -43,9 +43,9 @@ repeating np.linspace's arithmetic. A window's cells from a round of
 half-width h on lie in its hull, within h + h/10 + ... < h (1 + 1/9) of
 its center. f_ii is monotone in p_i, so the kernel at the hull's ends
 bounds every cell's signal (+inf where the hull reaches P) and gives a
-bound U as for a block. Before a round of two or more windows, a window
-is dropped when U < max(best), as it cannot win the argmax, or U <= its
-own best, as only a strictly better cell replaces that. det(H) = 0 is
+bound U as for a block. Before a round of more than two windows, a
+window is dropped when U < max(best), as it cannot win the argmax, or
+U <= its own best, as only a strictly better cell replaces that. det(H) = 0 is
 stored exactly, so f_ii then has no rho1 or sign term: windows with one
 start and a hull feasible for both users tie throughout, and only the
 first, which the argmax keeps on a tie, is zoomed.
@@ -386,7 +386,7 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: np.ndarray,
     live = np.flatnonzero(value > 0.0)
     runs = 0
     for round_ in range(_ZOOM_ROUNDS):
-        if len(live) > 1:  # a lone window zooms faster than it is bounded
+        if len(live) > 2:  # two windows zoom faster than they are bounded
             bound, whole = _window_bound(setup, rho1[live], n1[live],
                                          n2[live], c1[live], c2[live], half1,
                                          half2)

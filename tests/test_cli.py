@@ -314,3 +314,43 @@ def test_python_m_imrc_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "channel ok" in done.stdout
+
+
+def test_repeated_main_matches_fresh_processes(tmp_path, capsys):
+    # main reuses one parser per process: a flag given to one call must not
+    # leak into the next, nor a usage error spoil the parser
+    commands = [
+        ["sweep", "--PR=0.01", "--p-db-range=-10:0:5", "--grid", "21x9"],
+        ["sweep", "--p-db-range=-10:0:5", "--grid", "21x9"],
+        ["figure", "4", "--grid", "41x9"],
+        ["figure", "4"],
+        ["rates", "--B", "1"],
+        ["rates", "--p1", "0.02"],
+    ]
+    paths = [tmp_path / f"out{k}.csv" for k in range(len(commands))]
+    in_process = []
+    for argv, path in zip(commands, paths):
+        code = main(argv + ["--out", str(path)])
+        captured = capsys.readouterr()
+        data = path.read_bytes() if path.exists() else None
+        path.unlink(missing_ok=True)
+        in_process.append((code, captured.out, captured.err, data))
+    assert [result[0] for result in in_process] == [0, 0, 0, 0, 1, 0]
+
+    src = str(Path(imrc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    fresh = [subprocess.Popen([sys.executable, "-m", "imrc", *argv, "--out",
+                               str(path)], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env)
+             for argv, path in zip(commands, paths)]
+    try:
+        for proc, path, expect in zip(fresh, paths, in_process):
+            out, err = proc.communicate(timeout=60)
+            data = path.read_bytes() if path.exists() else None
+            assert (proc.returncode, out, err, data) == expect
+    finally:
+        for proc in fresh:
+            proc.kill()  # a no-op for a process that has exited
+            proc.communicate()

@@ -1,6 +1,7 @@
 """Low-power expansion: Taylor coefficients, linearized caps, closed forms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,14 +17,18 @@ from imrc import (
     effective_gains,
     example_channel,
     full_region,
+    hull2d,
     linearized_rates,
     mac_rates,
     region_rho,
     sum_rate_allocation,
     taylor_coeffs,
 )
+from imrc.errors import ImrcError
 
-from helpers import linearizable_setup, random_setup, swap_users
+from helpers import (linearizable_setup, random_setup, reference_best_sign,
+                     reference_regions, reference_sum_rate_allocation,
+                     swap_users)
 
 EX = example_channel()
 LN2 = math.log(2.0)
@@ -247,3 +252,73 @@ def test_taylor_coeffs_validation():
                             P=0.0, PR=0.1)
     with pytest.raises(LinearizationInfeasible):
         taylor_coeffs(no_power, 0.5)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the error it raises."""
+    try:
+        return f(*args)
+    except (ImrcError, ValueError) as exc:
+        return type(exc)
+
+
+def _reference_vertices(regions):
+    regions = [r for r in regions if r.feasible1 or r.feasible2]
+    if not regions:
+        raise NoFeasibleRho("no feasible split")
+    return tuple(hull2d([(0.0, 0.0)] + [corner for r in regions
+                                         for corner in r.rectangle[1:]]))
+
+
+def _reference_best_sign_powers(setup, rho1):
+    if not 0.0 <= rho1 <= 1.0:
+        raise ValueError(f"rho1 must lie in [0, 1], got {rho1!r}")
+    (n1, p1), (n2, p2) = (reference_best_sign(setup, rho1, user)
+                          for user in (1, 2))
+    return n1, n2, p1, p2
+
+
+def _closed_form_cases():
+    """(setup, grid): seeded random channels over the PR/P mix, det(H) = 0
+    in 1 of 5, the default grid and 21 points with both ends as a list and
+    as an ndarray; channels with a tiny or zero relay-side gain; then the
+    edge cases on the paper example."""
+    rng = np.random.default_rng(808)
+    grids = (None, [k / 20.0 for k in range(21)], np.linspace(0.0, 1.0, 21))
+    for k in range(210):
+        P = float(10.0 ** rng.uniform(-3.0, 2.0))
+        ratio = (1.0, 100.0, 0.25, 0.01)[k % 4]
+        yield (random_setup(rng, P=P, PR=ratio * P, det_zero=(k % 5 == 0)),
+               grids[k % 3])
+    for k in range(12):  # a tiny or zero relay-side cap: crossings at P
+        setup = random_setup(rng, P=0.1, PR=(1.0, 100.0, 0.25)[k % 3] * 0.1)
+        g1R = (1e-9 * setup.g1R[0], 1e-9 * setup.g1R[1])
+        yield (replace(setup, g1R=g1R) if k % 2
+               else replace(setup, g2R=(0.0, 0.0))), grids[k % 3]
+    for setup in (EX, replace(EX, hR2=(0.0, 0.0)), replace(EX, P=0.0),
+                  replace(EX, PR=1e-6), replace(EX, g1R=(0.0, 0.0))):
+        for grid in grids:
+            yield setup, grid
+    for grid in ([0.5], np.array([0.05]), [0.0], np.array([1.0]), [],
+                 [0.5, 1.5], np.array([0.5, -0.1])):
+        yield EX, grid
+    yield random_setup(rng, P=0.5, PR=0.5), [0.3]
+
+
+def test_batched_closed_form_matches_per_split_reference():
+    for setup, grid in _closed_form_cases():
+        assert (_outcome(sum_rate_allocation, setup, grid)
+                == _outcome(reference_sum_rate_allocation, setup, grid))
+        regions = _outcome(reference_regions, setup, grid)
+        assert (_outcome(lambda: full_region(setup, grid).vertices)
+                == (regions if isinstance(regions, type)
+                    else _outcome(_reference_vertices, regions)))
+        for rho1 in [0.0, 0.05, 0.5, 1.0] if grid is None else grid[::10]:
+            assert (_outcome(region_rho, setup, rho1)
+                    == _outcome(lambda: reference_regions(setup, [rho1])[0]))
+            got = _outcome(best_sign_powers, setup, rho1)
+            expect = _outcome(_reference_best_sign_powers, setup, rho1)
+            if isinstance(got, type):
+                assert got is expect
+            else:
+                assert (got.n1, got.n2, got.p1, got.p2) == expect
