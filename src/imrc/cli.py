@@ -99,6 +99,13 @@ def write_csv(path: str, header, rows) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
+def _write(config: argparse.Namespace, header, rows) -> None:
+    """The CSV behind a subcommand's printout, when --out names a file."""
+    if config.out:
+        write_csv(config.out, header, rows)
+        print(f"wrote {config.out}")
+
+
 def _setup(config: argparse.Namespace) -> ChannelSetup:
     """The channel with the budget overrides applied; an out-of-range gain
     or budget is a usage error."""
@@ -146,15 +153,15 @@ def cmd_beam(config: argparse.Namespace) -> int:
     res2 = beamforming.zero_forcing_residual(setup, alloc, 2)
     print(f"residual1 = {_fmt(res1)}")
     print(f"residual2 = {_fmt(res2)}")
-    if config.out:
-        write_csv(config.out, ["user", "t_1", "t_2", "boundary"],
-                  [(1, vectors.t10[0], vectors.t10[1], vectors.boundary1),
-                   (2, vectors.t20[0], vectors.t20[1], vectors.boundary2)])
-        print(f"wrote {config.out}")
+    _write(config, ["user", "t_1", "t_2", "boundary"],
+           [(1, vectors.t10[0], vectors.t10[1], vectors.boundary1),
+            (2, vectors.t20[0], vectors.t20[1], vectors.boundary2)])
     return 0
 
 
 def cmd_rates(config: argparse.Namespace) -> int:
+    if config.B is not None and config.B < 2:
+        raise UsageError(f"--B must be an integer >= 2, got {config.B}")
     setup = _setup(config)
     alloc = _alloc(config)
     rates = scheme_rate_point(setup, alloc)
@@ -165,13 +172,11 @@ def cmd_rates(config: argparse.Namespace) -> int:
         with_blocks = block_penalty(rates.point, config.B)
         print(f"R1 x (B-1)/B = {_fmt(with_blocks.R1)}")
         print(f"R2 x (B-1)/B = {_fmt(with_blocks.R2)}")
-    if config.out:
-        write_csv(config.out,
-                  ["R1", "R2", "R1mac", "R2mac", "Rsum_mac", "R1ic", "R2ic",
-                   "truncated"],
-                  [(rates.R1, rates.R2, rates.R1mac, rates.R2mac,
-                    rates.Rsum_mac, rates.R1ic, rates.R2ic, rates.truncated)])
-        print(f"wrote {config.out}")
+    _write(config,
+           ["R1", "R2", "R1mac", "R2mac", "Rsum_mac", "R1ic", "R2ic",
+            "truncated"],
+           [(rates.R1, rates.R2, rates.R1mac, rates.R2mac, rates.Rsum_mac,
+             rates.R1ic, rates.R2ic, rates.truncated)])
     return 0
 
 
@@ -180,10 +185,8 @@ def cmd_phat(config: argparse.Namespace) -> int:
     best = best_sign_powers(setup, config.rho)
     print(f"phat1 = {_fmt(best.p1)} (n1 = {best.n1:+d})")
     print(f"phat2 = {_fmt(best.p2)} (n2 = {best.n2:+d})")
-    if config.out:
-        write_csv(config.out, ["rho1", "phat1", "phat2", "n1", "n2"],
-                  [(config.rho, best.p1, best.p2, best.n1, best.n2)])
-        print(f"wrote {config.out}")
+    _write(config, ["rho1", "phat1", "phat2", "n1", "n2"],
+           [(config.rho, best.p1, best.p2, best.n1, best.n2)])
     return 0
 
 
@@ -194,9 +197,7 @@ def cmd_region(config: argparse.Namespace) -> int:
     print(f"vertices = {len(region.vertices)}")
     for r1, r2 in region.vertices:
         print(f"  ({_fmt(r1)}, {_fmt(r2)})")
-    if config.out:
-        write_csv(config.out, ["R1", "R2"], list(region.vertices))
-        print(f"wrote {config.out}")
+    _write(config, ["R1", "R2"], region.vertices)
     return 0
 
 
@@ -225,17 +226,14 @@ def cmd_sweep(config: argparse.Namespace) -> int:
         if row.R_sum_sqrt is not None:
             line += f", sqrt = {_fmt(row.R_sum_sqrt) or 'undefined'}"
         print(line)
-    if config.out:
-        rows = [(db, row.best_alloc.rho1, row.best_alloc.p1, row.best_alloc.p2,
-                 row.best_alloc.n1, row.best_alloc.n2, row.phat1, row.phat2,
-                 row.R_sum_exact, row.R_sum_closed, row.R_sum_half,
-                 _sqrt_cell(row.R_sum_sqrt))
-                for db, row in zip(config.p_db, table.rows)]
-        write_csv(config.out,
-                  ["P_dB", "rho1", "p1", "p2", "n1", "n2", "phat1", "phat2",
-                   "R_sum_exact", "R_sum_closed", "R_sum_half", "R_sum_sqrt"],
-                  rows)
-        print(f"wrote {config.out}")
+    _write(config,
+           ["P_dB", "rho1", "p1", "p2", "n1", "n2", "phat1", "phat2",
+            "R_sum_exact", "R_sum_closed", "R_sum_half", "R_sum_sqrt"],
+           [(db, row.best_alloc.rho1, row.best_alloc.p1, row.best_alloc.p2,
+             row.best_alloc.n1, row.best_alloc.n2, row.phat1, row.phat2,
+             row.R_sum_exact, row.R_sum_closed, row.R_sum_half,
+             _sqrt_cell(row.R_sum_sqrt))
+            for db, row in zip(config.p_db, table.rows)])
     return 0
 
 
@@ -332,14 +330,41 @@ def cmd_figure(config: argparse.Namespace) -> int:
     return 0
 
 
+# every flag's add_argument keywords; _COMMANDS names the flags each
+# subcommand reads besides _BUDGET_FLAGS, so any other flag is a usage error
+_FLAGS = {
+    "--channel": dict(default="paper-example",
+                      help="channel config file, or the built-in 'paper-example'"),
+    "--rho": dict(type=float, default=0.5,
+                  help="relay power share of user 1 (default 0.5)"),
+    "--p1": dict(type=float, default=0.0),
+    "--p2": dict(type=float, default=0.0),
+    "--n1": dict(type=int, choices=(-1, 1), default=1),
+    "--n2": dict(type=int, choices=(-1, 1), default=1),
+    "--B": dict(type=int, default=None,
+                help="block count; reported rates get the (B-1)/B factor"),
+    "--P": dict(type=parse_power, default=None, metavar="VAL[dB]",
+                help="override node power budget"),
+    "--PR": dict(type=parse_power, default=None, metavar="VAL[dB]",
+                 help="override relay power budget (sweeps: pin PR instead of PR = P)"),
+    "--grid": dict(type=parse_grid, default=None, metavar="NPxNRHO"),
+    "--p-db-range": dict(type=parse_db_range, dest="p_db",
+                         default=parse_db_range(DEFAULT_DB_RANGE), metavar="MIN:MAX:STEP",
+                         help=f"budget sweep in dB (default {DEFAULT_DB_RANGE})"),
+    "--out": dict(default=None, help="write CSV here"),
+}
+_BUDGET_FLAGS = ("--channel", "--P", "--PR")
+_ALLOC_FLAGS = ("--rho", "--p1", "--p2", "--n1", "--n2")
+
 _COMMANDS = {
-    "validate": cmd_validate,
-    "beam": cmd_beam,
-    "rates": cmd_rates,
-    "phat": cmd_phat,
-    "region": cmd_region,
-    "sweep": cmd_sweep,
-    "figure": cmd_figure,
+    "validate": (cmd_validate, _ALLOC_FLAGS),
+    "beam": (cmd_beam, _ALLOC_FLAGS + ("--out",)),
+    "rates": (cmd_rates, _ALLOC_FLAGS + ("--B", "--out")),
+    "phat": (cmd_phat, ("--rho", "--out")),
+    "region": (cmd_region, ("--grid", "--out")),
+    "sweep": (cmd_sweep, ("--grid", "--p-db-range", "--out")),
+    "figure": (cmd_figure, ("--rho", "--n1", "--p2", "--grid", "--p-db-range",
+                            "--out")),
 }
 
 
@@ -350,44 +375,20 @@ def build_parser() -> _Parser:
                                  "two-antenna relay: rates, beamforming, "
                                  "power allocation, figure data.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         if name == "figure":
             p.add_argument("which", type=int, choices=(2, 3, 4, 5),
                            help="figure number to reproduce")
-        p.add_argument("--channel", default="paper-example",
-                       help="channel config file, or the built-in 'paper-example'")
-        p.add_argument("--rho", type=float, default=0.5,
-                       help="relay power share of user 1 (default 0.5)")
-        p.add_argument("--p1", type=float, default=0.0)
-        p.add_argument("--p2", type=float, default=0.0)
-        p.add_argument("--n1", type=int, choices=(-1, 1), default=1)
-        p.add_argument("--n2", type=int, choices=(-1, 1), default=1)
-        p.add_argument("--B", type=int, default=None,
-                       help="block count; reported rates get the (B-1)/B factor")
-        p.add_argument("--P", type=parse_power, default=None, metavar="VAL[dB]",
-                       help="override node power budget")
-        p.add_argument("--PR", type=parse_power, default=None, metavar="VAL[dB]",
-                       help="override relay power budget (sweeps: pin PR instead of PR = P)")
-        p.add_argument("--grid", type=parse_grid, default=None, metavar="NPxNRHO")
-        p.add_argument("--p-db-range", type=parse_db_range, dest="p_db",
-                       default=parse_db_range(DEFAULT_DB_RANGE), metavar="MIN:MAX:STEP",
-                       help=f"budget sweep in dB (default {DEFAULT_DB_RANGE})")
-        p.add_argument("--out", default=None, help="write CSV here")
+        for flag in _BUDGET_FLAGS + flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-def _config(args: argparse.Namespace) -> argparse.Namespace:
-    """The checked flags, dB already linear; None P/PR keep the file's."""
-    if args.B is not None and args.B < 2:
-        raise UsageError(f"--B must be an integer >= 2, got {args.B}")
-    return args
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](_config(args))
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

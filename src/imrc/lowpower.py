@@ -25,7 +25,7 @@ one pass serves a whole grid of relay splits and the scalar functions alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -66,17 +66,6 @@ class ApproxCoeffs:
     S2: float
     lambda1: float
     lambda2: float
-    # mu^2 and q = mu nu, read by every linearized_rates call
-    mu11_sq: float = field(init=False, repr=False, compare=False)
-    q11: float = field(init=False, repr=False, compare=False)
-    mu22_sq: float = field(init=False, repr=False, compare=False)
-    q22: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu11_sq", self.mu11 * self.mu11)
-        object.__setattr__(self, "q11", self.mu11 * self.nu11)
-        object.__setattr__(self, "mu22_sq", self.mu22 * self.mu22)
-        object.__setattr__(self, "q22", self.mu22 * self.nu22)
 
 
 class LinearizedRates(NamedTuple):
@@ -195,17 +184,18 @@ def linearized_rates(coeffs: ApproxCoeffs, setup: ChannelSetup,
     to repeat."""
     r1mac = setup.g1R_norm2 * p1 / LN2
     r2mac = setup.g2R_norm2 * p2 / LN2
-    r1ic = _linear_ic(coeffs.mu11_sq, coeffs.q11, setup.P, p1)
-    r2ic = _linear_ic(coeffs.mu22_sq, coeffs.q22, setup.P, p2)
+    r1ic = _linear_ic(coeffs.mu11, coeffs.nu11, setup.P, p1)
+    r2ic = _linear_ic(coeffs.mu22, coeffs.nu22, setup.P, p2)
     return LinearizedRates(r1mac, r2mac, r1ic, r2ic)
 
 
-def _linear_ic(mu_sq: float, q: float, big_p: float, p: float) -> float:
+def _linear_ic(mu: float, nu: float, big_p: float, p: float) -> float:
+    mu_sq, q = mu * mu, mu * nu
     return (mu_sq * big_p + (2.0 * q - mu_sq) * p
             - 2.0 * q * p * p / big_p) / LN2
 
 
-def _phat_user(mu_sq, q, g_norm2, big_p):
+def _phat_user(mu, nu, g_norm2, big_p):
     """Crossing of the two first-order caps in [0, P] for one user, and
     whether a clamp pulled it there.
 
@@ -215,6 +205,7 @@ def _phat_user(mu_sq, q, g_norm2, big_p):
     q and stays stable as q -> 0. mu^2 = 0 makes the destination-side cap
     identically zero, so only p = 0 avoids waste; ||g||^2 = 0 does so for
     the relay-side cap, and the crossing degenerates to P."""
+    mu_sq, q = mu * mu, mu * nu
     lam = 2.0 * q - mu_sq - g_norm2
     disc = lam * lam + 8.0 * mu_sq * q
     denom = np.sqrt(np.maximum(disc, 0.0)) - lam
@@ -229,8 +220,8 @@ def _phat_user(mu_sq, q, g_norm2, big_p):
 
 def closed_form_phat(coeffs: ApproxCoeffs, setup: ChannelSetup) -> ClosedFormPowers:
     """Both users' crossing-point powers for the signs baked into coeffs."""
-    p1, c1 = _phat_user(coeffs.mu11_sq, coeffs.q11, setup.g1R_norm2, setup.P)
-    p2, c2 = _phat_user(coeffs.mu22_sq, coeffs.q22, setup.g2R_norm2, setup.P)
+    p1, c1 = _phat_user(coeffs.mu11, coeffs.nu11, setup.g1R_norm2, setup.P)
+    p2, c2 = _phat_user(coeffs.mu22, coeffs.nu22, setup.g2R_norm2, setup.P)
     return ClosedFormPowers(p1=float(p1), p2=float(p2),
                             clamped1=bool(c1), clamped2=bool(c2))
 
@@ -241,10 +232,10 @@ def best_sign_powers(setup: ChannelSetup, rho1: float) -> BestSignPowers:
     The users decouple (p_i depends on n_i only), so the joint optimum is
     two independent one-bit choices. Raises where region_rho would report
     a user infeasible."""
-    _check_rho(rho1)
-    for user in (1, 2):
-        _expansion(setup, rho1, user, 1)
     region = region_rho(setup, rho1)
+    for user, feasible in ((1, region.feasible1), (2, region.feasible2)):
+        if not feasible:
+            _expansion(setup, rho1, user, 1)  # raises the user's error
     return BestSignPowers(n1=region.n1, n2=region.n2, p1=region.p1,
                           p2=region.p2)
 
@@ -265,7 +256,7 @@ def _splits(setup: ChannelSetup, rho_grid):
         except (DegenerateAntenna, LinearizationInfeasible):
             mu = nu = np.full((2,) + rho.shape, np.nan)
             s_sq = np.zeros(rho.shape)  # no split serves the user
-        p, _ = _phat_user(mu * mu, mu * nu, g_norm2, setup.P)
+        p, _ = _phat_user(mu, nu, g_norm2, setup.P)
         minus = p[1] > p[0]  # +1 keeps ties; False where p is NaN
         feasible = ~(s_sq <= 0.0)
         users.append((np.where(minus, -1, 1),

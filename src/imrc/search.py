@@ -19,6 +19,7 @@ vectors. It compares cells in the linear domain: user i's term is
 A_i = 1 + min(||g_iR||^2 p_i, SINR_i), or 0 where zero forcing fails, and
 a cell's value is min(A1 A2, M) with M the MAC sum cap's argument
 alpha p1 p2 + ||g1R||^2 p1 + ||g2R||^2 p2 + 1 (rates.mac_sum_argument).
+_value is that formula, for every cell and every bound below alike.
 log2 is monotone, so min(log2 a, log2 b) = log2 min(a, b) and the order
 of cells is the order of their sum rates; no cell takes a log2, and the
 bits come from scheme_rate_point on the chosen allocation alone. Every
@@ -195,11 +196,11 @@ def _scale(setup: ChannelSetup) -> float:
     return math.ldexp(1.0, -_exponent(setup))
 
 
-def _capped_term(setup: ChannelSetup, user: int, sig, p_own, p_other,
-                 scale: float = 1.0) -> np.ndarray:
-    """scale * (1 + min(||g_iR||^2 p_i, SINR_i)), the linear form of
+def _capped_term(setup: ChannelSetup, user: int, sig, p_own,
+                 p_other) -> np.ndarray:
+    """1 + min(||g_iR||^2 p_i, SINR_i), the linear form of
     min(R_i^mac, R_i^ic), for user i given its _signal power over p_own.
-    It ignores feasibility; the caller zeroes or skips infeasible cells.
+    It ignores feasibility; _value zeroes infeasible cells.
     The arguments broadcast, so the result's axes are the caller's."""
     if user == 1:
         gain2, cross2 = setup.g1R_norm2, setup.h21 ** 2
@@ -208,29 +209,37 @@ def _capped_term(setup: ChannelSetup, user: int, sig, p_own, p_other,
     term = sig / (1.0 + cross2 * p_other)
     np.minimum(term, gain2 * p_own, out=term)
     term += 1.0
-    if scale != 1.0:
-        term *= scale  # a power of two: exact
     return term
+
+
+def _value(setup: ChannelSetup, sig1, sig2, hi1, hi2, lo1, lo2,
+           ok) -> np.ndarray:
+    """min(A1 A2, M) scaled by _scale(setup), 0 where ok is false, with A_i
+    user i's _capped_term at signal sig_i, own power hi_i and the other
+    user's power lo_j, and M mac_sum_argument at (hi1, hi2). A cell passes
+    hi = lo = p; a block or window bound passes each user's largest signal
+    and power as hi and least power as lo. The arguments broadcast, sig1
+    and sig2 possibly to different shapes, so A1 A2 is a new array."""
+    scale = _scale(setup)  # a power of two: exact
+    total = (scale * _capped_term(setup, 1, sig1, hi1, lo2)
+             * _capped_term(setup, 2, sig2, hi2, lo1))
+    np.minimum(total, mac_sum_argument(setup, hi1, hi2, scale), out=total)
+    np.copyto(total, 0.0, where=~ok)
+    return total
 
 
 def _objective(setup: ChannelSetup, rho1, n1, n2, p1: np.ndarray,
                p2: np.ndarray) -> np.ndarray:
     """Linear-domain scheme sum rate on the outer grid p1 (rows) x p2
-    (columns): min(A1 A2, M) scaled by _scale(setup), 0 where zero forcing
-    fails for either user. Leading axes of p1 and p2 broadcast against
-    rho1, n1 and n2, one block per index. log2 of a value plus
-    _exponent(setup) agrees with scheme_rate_point up to rounding:
-    sum-cap truncation preserves the sum, so the rate is simply
-    min(R1 + R2, Rsum_mac)."""
+    (columns): _value at each cell, 0 where zero forcing fails for either
+    user. Leading axes of p1 and p2 broadcast against rho1, n1 and n2, one
+    block per index. log2 of a value plus _exponent(setup) agrees with
+    scheme_rate_point up to rounding: sum-cap truncation preserves the
+    sum, so the rate is simply min(R1 + R2, Rsum_mac)."""
     rows, cols = p1[..., :, None], p2[..., None, :]
-    scale = _scale(setup)
     sig1, ok1 = _signal(setup, 1, rho1, n1, rows)
     sig2, ok2 = _signal(setup, 2, rho1, n2, cols)
-    total = (_capped_term(setup, 1, sig1, rows, cols, scale)
-             * _capped_term(setup, 2, sig2, cols, rows))
-    np.minimum(total, mac_sum_argument(setup, rows, cols, scale), out=total)
-    np.copyto(total, 0.0, where=~(ok1 & ok2))
-    return total
+    return _value(setup, sig1, sig2, rows, cols, rows, cols, ok1 & ok2)
 
 
 def _block_bounds(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
@@ -249,12 +258,8 @@ def _block_bounds(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
     s1, s2 = (s.reshape(n_rho, blocks, b).max(axis=2) for s in (sig1, sig2))
     live1, live2 = (ok.reshape(n_rho, blocks, b).any(axis=2)
                     for ok in (ok1, ok2))
-    scale = _scale(setup)
-    bound = _capped_term(setup, 1, s1[:, :, None], hi[:, None], lo, scale)
-    bound *= _capped_term(setup, 2, s2[:, None, :], hi, lo[:, None])
-    np.minimum(bound, mac_sum_argument(setup, hi[:, None], hi, scale),
-               out=bound)
-    bound[~(live1[:, :, None] & live2[:, None, :])] = 0.0
+    bound = _value(setup, s1[:, :, None], s2[:, None, :], hi[:, None], hi,
+                   lo[:, None], lo, live1[:, :, None] & live2[:, None, :])
     return bound, pp, (sig1, ok1, sig2, ok2)
 
 
@@ -270,10 +275,6 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
     bound, pp, (sig1, ok1, sig2, ok2) = _block_bounds(setup, rhos, pv, n1,
                                                       n2)
     blocks, bound = bound.shape[1], bound.reshape(n_rho, -1)
-    scale = _scale(setup)
-    # rsum ends in a 0: a cell's index into it points past the grid where
-    # either user fails, and is clipped to that 0, so the cell scores 0
-    rsum = np.append(mac_sum_argument(setup, pv[:, None], pv, scale), 0.0)
     ramp = np.arange(b)
     value, arg = np.zeros(n_rho), np.zeros(n_rho, dtype=np.intp)
     evaluated = np.zeros(n_rho, dtype=np.intp)
@@ -284,12 +285,9 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
         base = k[:, None] * len(pp)  # rho1's row in the (rho1, p) tables
         at_rows, at_cols = base + rows, base + cols
         p1, p2 = pp[rows][:, :, None], pp[cols][:, None, :]
-        v = _capped_term(setup, 1, sig1.take(at_rows)[:, :, None], p1, p2,
-                         scale)
-        v *= _capped_term(setup, 2, sig2.take(at_cols)[:, None, :], p2, p1)
-        at1 = np.where(ok1.take(at_rows), rows * n, n * n)[:, :, None]
-        at2 = np.where(ok2.take(at_cols), cols, n * n)[:, None, :]
-        np.minimum(v, rsum.take(at1 + at2, mode="clip"), out=v)
+        ok = ok1.take(at_rows)[:, :, None] & ok2.take(at_cols)[:, None, :]
+        v = _value(setup, sig1.take(at_rows)[:, :, None],
+                   sig2.take(at_cols)[:, None, :], p1, p2, p1, p2, ok)
         v = v.reshape(len(k), b * b)
         at = v.argmax(axis=1)  # the first maximum, row-major in a block
         idx = np.arange(len(k))
@@ -362,12 +360,7 @@ def _window_bound(setup: ChannelSetup, rho1, n1, n2, c1, c2, half1: float,
         sig.append(np.where(hi >= setup.P, np.inf, top))
         ok |= p >= setup.P  # feasibility never falls as p_i grows
         whole, live = whole & ok[0], live & ok[1]
-    scale = _scale(setup)
-    bound = _capped_term(setup, 1, sig[0], hi1, lo2, scale)
-    bound *= _capped_term(setup, 2, sig[1], hi2, lo1)
-    np.minimum(bound, mac_sum_argument(setup, hi1, hi2, scale), out=bound)
-    bound[~live] = 0.0
-    return bound, whole
+    return _value(setup, sig[0], sig[1], hi1, hi2, lo1, lo2, live), whole
 
 
 def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: np.ndarray,

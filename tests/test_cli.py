@@ -133,6 +133,25 @@ def test_block_count_below_two_is_usage_error(capsys):
     assert "--B" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--rho", "0.9"],
+    ["phat", "--n1=-1"],
+    ["region", "--p-db-range=0:1:1"],
+    ["validate", "--out", "x.csv"],
+    ["figure", "5", "--B", "3"],
+    ["beam", "--grid", "11x3"],
+    ["figure", "2", "--p1", "0.01"],
+])
+def test_flag_a_subcommand_does_not_read_is_usage_error(capsys, tmp_path,
+                                                        monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # figure writes figN.csv here by default
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag", ["--P=nan", "--P=inf", "--PR=nan",
                                   "--PR=infdB", "--P=4000dB"])
 def test_nonfinite_budget_is_usage_error(capsys, flag):
