@@ -14,10 +14,10 @@ from .beamforming import (BeamVectors, EffectiveChannel, approx_beam_vector,
 from .rates import (MacRates, RatePoint, RateRegion, SchemeRates,
                     abundant_power_rates, block_penalty, hull2d, ic_rates,
                     mac_rates, mac_sum_expanded, scheme_rate_point)
-from .lowpower import (ApproxCoeffs, BestSignPowers, ClosedFormPowers,
-                       LinearizedRates, RhoRegion, best_sign_powers,
-                       closed_form_phat, full_region, linearized_rates,
-                       region_rho, sum_rate_allocation, taylor_coeffs)
+from .lowpower import (ApproxCoeffs, ClosedFormPowers, LinearizedRates,
+                       RhoRegion, best_sign_powers, closed_form_phat,
+                       full_region, linearized_rates, region_rho,
+                       sum_rate_allocation, taylor_coeffs)
 from .search import (GridSpec, SearchResult, SweepPolicy, SweepRow, SweepTable,
                      bisect_intersection, grid_search_sum_rate, sweep_P)
 

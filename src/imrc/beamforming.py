@@ -35,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LinearizationInfeasible
-from .model import (ChannelSetup, PowerAllocation, _user, zf_radicand,
-                    zf_root)
+from .lowpower import _expansion
+from .model import ChannelSetup, PowerAllocation, _user, zf_root
 
 __all__ = [
     "BeamVectors",
@@ -158,14 +157,11 @@ def approx_beam_vector(setup: ChannelSetup, alloc: PowerAllocation,
 
         sqrt(radicand(p_i)) ~ S_i + ||hRj||^2 * rho_i*PR * p_i / (2 P^2 S_i),
 
-    with S_i the p_i = 0 value. Exact at p_i = 0; a rough approximation as
-    p_i approaches P."""
+    with S_i the p_i = 0 value, from the low-power expansion (which raises
+    LinearizationInfeasible where S_i^2 <= 0). Exact at p_i = 0; a rough
+    approximation as p_i approaches P."""
     p_i, rho_i, n_i = alloc.user(user)
     _, h_cross, norm2, _, _, hRj = _user(setup, user)
-    s_sq, _ = zf_radicand(setup, user, rho_i, setup.P)
-    if s_sq <= 0.0:
-        raise LinearizationInfeasible(
-            f"low-power expansion undefined for user {user}: S^2 = {s_sq:.3e} <= 0")
-    s_i = math.sqrt(s_sq)
+    s_i = _expansion(setup, alloc.rho1, user, n_i)[2]
     root = s_i + norm2 * rho_i * setup.PR * p_i / (2.0 * setup.P ** 2 * s_i)
     return _zero_forcing_vector(h_cross, hRj, norm2, root, n_i)

@@ -59,11 +59,13 @@ def parse_power(text: str) -> float:
     return value
 
 
-def parse_grid(text: str) -> GridSpec:
+def parse_grid(text: str) -> tuple[int, int]:
+    """`101x99` -> (101, 99): NP and NRHO. Each subcommand checks the halves
+    it reads by building its GridSpec."""
     left, sep, right = text.partition("x")
     if not sep:
         raise ValueError(f"grid must look like 101x99, got {text!r}")
-    return GridSpec(n_p=int(left), n_rho=int(right))
+    return int(left), int(right)
 
 
 def parse_db_range(text: str) -> tuple[float, ...]:
@@ -82,9 +84,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.bool_, np.integer)):  # bool is an int
         return str(int(value))
     if math.isnan(value):
         return ""  # undefined here
@@ -149,10 +149,9 @@ def cmd_beam(config: argparse.Namespace) -> int:
     vectors = beamforming.beam_vectors(setup, alloc)
     print(f"t10 = [{_fmt(vectors.t10[0])}, {_fmt(vectors.t10[1])}]")
     print(f"t20 = [{_fmt(vectors.t20[0])}, {_fmt(vectors.t20[1])}]")
-    res1 = beamforming.zero_forcing_residual(setup, alloc, 1)
-    res2 = beamforming.zero_forcing_residual(setup, alloc, 2)
-    print(f"residual1 = {_fmt(res1)}")
-    print(f"residual2 = {_fmt(res2)}")
+    for user in (1, 2):
+        residual = beamforming.zero_forcing_residual(setup, alloc, user)
+        print(f"residual{user} = {_fmt(residual)}")
     _write(config, ["user", "t_1", "t_2", "boundary"],
            [(1, vectors.t10[0], vectors.t10[1], vectors.boundary1),
             (2, vectors.t20[0], vectors.t20[1], vectors.boundary2)])
@@ -165,18 +164,16 @@ def cmd_rates(config: argparse.Namespace) -> int:
     setup = _setup(config)
     alloc = _alloc(config)
     rates = scheme_rate_point(setup, alloc)
-    for name in ("R1", "R2", "R1mac", "R2mac", "Rsum_mac", "R1ic", "R2ic"):
+    names = ("R1", "R2", "R1mac", "R2mac", "Rsum_mac", "R1ic", "R2ic")
+    for name in names:
         print(f"{name} = {_fmt(getattr(rates, name))}")
     print(f"truncated = {rates.truncated}")
     if config.B is not None:
         with_blocks = block_penalty(rates.point, config.B)
         print(f"R1 x (B-1)/B = {_fmt(with_blocks.R1)}")
         print(f"R2 x (B-1)/B = {_fmt(with_blocks.R2)}")
-    _write(config,
-           ["R1", "R2", "R1mac", "R2mac", "Rsum_mac", "R1ic", "R2ic",
-            "truncated"],
-           [(rates.R1, rates.R2, rates.R1mac, rates.R2mac, rates.Rsum_mac,
-             rates.R1ic, rates.R2ic, rates.truncated)])
+    header = names + ("truncated",)
+    _write(config, header, [[getattr(rates, name) for name in header]])
     return 0
 
 
@@ -192,7 +189,8 @@ def cmd_phat(config: argparse.Namespace) -> int:
 
 def cmd_region(config: argparse.Namespace) -> int:
     setup = _setup(config)
-    rho_grid = config.grid.rho_values().tolist() if config.grid else None
+    rho_grid = (GridSpec(n_rho=config.grid[1]).rho_values().tolist()
+                if config.grid else None)
     region = full_region(setup, rho_grid)
     print(f"vertices = {len(region.vertices)}")
     for r1, r2 in region.vertices:
@@ -217,7 +215,7 @@ def _sqrt_cell(value: float | None):
 
 def cmd_sweep(config: argparse.Namespace) -> int:
     setup = _setup(config)
-    policy = SweepPolicy(grid=config.grid or GridSpec(), PR=config.PR)
+    policy = SweepPolicy(grid=GridSpec(*config.grid or ()), PR=config.PR)
     table = sweep_P(setup, _budgets(config.p_db), policy)
     for db, row in zip(config.p_db, table.rows):
         line = (f"P = {db:g} dB: exact = {_fmt(row.R_sum_exact)}, "
@@ -275,8 +273,7 @@ def figure4_rows(setup_template: ChannelSetup, db_values, PR: float | None,
     vs the closed form, both maximized over the branch sign. A cell is NaN
     where its method has no feasible p1."""
     rows = []
-    for db in db_values:
-        big_p = 10.0 ** (db / 10.0)
+    for db, big_p in zip(db_values, _budgets(db_values)):
         setup = validate(replace(setup_template, P=big_p,
                                  PR=big_p if PR is None else PR))
         best = search_p1(setup, rho1, n_p)
@@ -306,6 +303,8 @@ def figure5_rows(setup_template: ChannelSetup, db_values, PR: float | None,
 
 
 def cmd_figure(config: argparse.Namespace) -> int:
+    if not config.p2 >= 0.0:
+        raise UsageError(f"--p2 must be nonnegative, got {config.p2}")
     setup = _setup(config)
     out = config.out or f"fig{config.which}.csv"
     if config.which == 2:
@@ -315,16 +314,17 @@ def cmd_figure(config: argparse.Namespace) -> int:
     elif config.which == 3:
         header = ["p1_over_P", "r1_mac", "r1_ic", "R1_mac_exact", "R1_ic_exact"]
         rows, crossing = figure3_rows(setup, config.rho, config.n1,
-                                      config.p2 if config.p2 > 0.0 else 1e-4)
+                                      config.p2 or 1e-4)
         print(f"intersection p1 = {_fmt(crossing)}")
     elif config.which == 4:
         header = ["P_dB", "phat1_grid_over_P", "phat1_closed_over_P"]
-        n_p = config.grid.n_p if config.grid else 2001
+        n_p = GridSpec(n_p=config.grid[0]).n_p if config.grid else 2001
         rows = figure4_rows(setup, config.p_db, config.PR, config.rho, n_p)
     else:
         header = ["P_dB", "norm_sum_grid", "norm_sum_closed",
                   "norm_sum_half", "norm_sum_sqrt"]
-        rows = figure5_rows(setup, config.p_db, config.PR, config.grid)
+        rows = figure5_rows(setup, config.p_db, config.PR,
+                            GridSpec(*config.grid or ()))
     write_csv(out, header, rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
@@ -338,7 +338,8 @@ _FLAGS = {
     "--rho": dict(type=float, default=0.5,
                   help="relay power share of user 1 (default 0.5)"),
     "--p1": dict(type=float, default=0.0),
-    "--p2": dict(type=float, default=0.0),
+    "--p2": dict(type=float, default=0.0,
+                 help="user 2's new-message power (figure 3: 0 means 1e-4)"),
     "--n1": dict(type=int, choices=(-1, 1), default=1),
     "--n2": dict(type=int, choices=(-1, 1), default=1),
     "--B": dict(type=int, default=None,

@@ -39,7 +39,6 @@ __all__ = [
     "ApproxCoeffs",
     "LinearizedRates",
     "ClosedFormPowers",
-    "BestSignPowers",
     "RhoRegion",
     "taylor_coeffs",
     "linearized_rates",
@@ -87,16 +86,6 @@ class ClosedFormPowers:
     p2: float
     clamped1: bool
     clamped2: bool
-
-
-@dataclass(frozen=True)
-class BestSignPowers:
-    """Per-user best beam-branch signs and the powers they achieve."""
-
-    n1: int
-    n2: int
-    p1: float
-    p2: float
 
 
 @dataclass(frozen=True)
@@ -226,18 +215,18 @@ def closed_form_phat(coeffs: ApproxCoeffs, setup: ChannelSetup) -> ClosedFormPow
                             clamped1=bool(c1), clamped2=bool(c2))
 
 
-def best_sign_powers(setup: ChannelSetup, rho1: float) -> BestSignPowers:
+def best_sign_powers(setup: ChannelSetup, rho1: float) -> RhoRegion:
     """Maximize each user's crossing power over its beam-branch sign.
 
     The users decouple (p_i depends on n_i only), so the joint optimum is
-    two independent one-bit choices. Raises where region_rho would report
-    a user infeasible."""
+    two independent one-bit choices. Returns region_rho's RhoRegion, whose
+    n_i and p_i are those choices; raises where region_rho would report a
+    user infeasible."""
     region = region_rho(setup, rho1)
     for user, feasible in ((1, region.feasible1), (2, region.feasible2)):
         if not feasible:
             _expansion(setup, rho1, user, 1)  # raises the user's error
-    return BestSignPowers(n1=region.n1, n2=region.n2, p1=region.p1,
-                          p2=region.p2)
+    return region
 
 
 def _splits(setup: ChannelSetup, rho_grid):
@@ -268,7 +257,6 @@ def _splits(setup: ChannelSetup, rho_grid):
 def region_rho(setup: ChannelSetup, rho1: float) -> RhoRegion:
     """First-order rectangle at one relay split, degenerate per infeasible
     user instead of raising: R_i^max = ||g_iR||^2 p~_i / ln 2."""
-    _check_rho(rho1)
     _, ((n1, p1, f1), (n2, p2, f2)) = _splits(setup, [rho1])
     p1, p2 = float(p1[0]), float(p2[0])
     return RhoRegion(rho1=rho1,

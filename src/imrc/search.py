@@ -40,7 +40,7 @@ incumbent are evaluated, so a skipped block cannot hold a maximum, and a
 tie is still evaluated: argmax keeps each block's first row-major maximum
 and the least cell index wins among blocks. The zoom stage advances the
 windows of all rho1 together, round by round, in fixed-size chunks,
-repeating np.linspace's arithmetic. A window's cells from a round of
+each window sampled by np.linspace. A window's cells from a round of
 half-width h on lie in its hull, within h + h/10 + ... < h (1 + 1/9) of
 its center. f_ii is monotone in p_i, so the kernel at the hull's ends
 bounds every cell's signal (+inf where the hull reaches P) and gives a
@@ -170,16 +170,12 @@ def _signal(setup: ChannelSetup, user: int, rho1, sign, p
             ) -> tuple[np.ndarray, np.ndarray]:
     """User i's received power and zero-forcing feasibility, broadcast over
     rho1, the branch sign and p_i: model's per-user kernel, as in
-    scheme_rate_point, with the boundary value (always feasible) at p_i = P."""
+    scheme_rate_point, with the boundary value (always feasible) at p_i = P.
+    Raises DegenerateRelayChannel where hRj = 0, as zf_radicand does."""
     rho_i = rho1 if user == 1 else 1.0 - rho1
     boundary = p >= setup.P
     remaining = np.where(boundary, 1.0, setup.P - p)
-    try:
-        rad, feasible = zf_radicand(setup, user, rho_i, remaining)
-    except DegenerateRelayChannel:
-        # no direction cancels the cross link; nothing is feasible
-        zeros = np.zeros(np.broadcast(rho_i, sign, p).shape)
-        return zeros, zeros != 0.0
+    rad, feasible = zf_radicand(setup, user, rho_i, remaining)
     root = np.sqrt(np.maximum(rad, 0.0))
     sig = np.where(boundary, boundary_signal(setup, user, rho_i),
                    own_signal(setup, user, sign, root, remaining))
@@ -325,19 +321,11 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
 
 
 def _window_rows(P: float, c: np.ndarray, half: float) -> np.ndarray:
-    """np.linspace(lo, hi, _ZOOM_POINTS) on each window c[w] +/- half,
-    clamped to [0, P] with exact ends so p = P stays reachable, with its
-    exact arithmetic: arange * step + lo, or (arange / div) * delta + lo
-    where the step underflows to zero, and the last sample set to hi."""
-    lo, hi = np.maximum(0.0, c - half), np.minimum(P, c + half)
-    div = _ZOOM_POINTS - 1
-    ramp = np.arange(_ZOOM_POINTS, dtype=float)
-    delta = (hi - lo)[:, None]
-    step = delta / div
-    rows = np.where(step == 0.0, ramp / div * delta, ramp * step)
-    rows += lo[:, None]
-    rows[:, -1] = hi
-    return rows
+    """_ZOOM_POINTS samples by np.linspace on each window c[w] +/- half,
+    clamped to [0, P]; np.linspace sets the last sample to the window's
+    end exactly, so p = P stays reachable."""
+    return np.linspace(np.maximum(0.0, c - half), np.minimum(P, c + half),
+                       _ZOOM_POINTS, axis=1)
 
 
 def _window_bound(setup: ChannelSetup, rho1, n1, n2, c1, c2, half1: float,
@@ -462,11 +450,15 @@ def grid_search_sum_rate(setup: ChannelSetup,
 def search_p1(setup: ChannelSetup, rho1: float, n_p: int) -> float | None:
     """Best new-message power p1 of user 1 with p2 = 0 and n2 = +1: the
     exact sum rate on np.linspace(0, P, n_p), zoomed around the argmax,
-    maximized over n1 with +1 kept on ties. None when no p1 is feasible."""
+    maximized over n1 with +1 kept on ties. None when no p1 is feasible,
+    or when a zero relay column hRj leaves a user no beam."""
     pv = np.linspace(0.0, setup.P, n_p)
     n1 = _SIGNS[::-1]
-    column = _objective(setup, rho1, n1[:, None, None], 1, pv,
-                        np.zeros(1))[:, :, 0]
+    try:
+        column = _objective(setup, rho1, n1[:, None, None], 1, pv,
+                            np.zeros(1))[:, :, 0]
+    except DegenerateRelayChannel:
+        return None
     at = column.argmax(axis=1)
     step = float(pv[1] - pv[0])
     value, c1, _, _ = _zoom(setup, np.full(2, rho1), n1,

@@ -1,6 +1,7 @@
 """Zero-forcing beam vectors: exact construction, boundary case, expansion."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from imrc import (
     ChannelSetup,
     DegenerateRelayChannel,
     InfeasibleRadicand,
+    LinearizationInfeasible,
     PowerAllocation,
     approx_beam_vector,
     beam_vector,
@@ -222,6 +224,26 @@ def test_approx_matches_exact_at_origin():
     exact = beam_vector(EX, alloc, 1)
     approx = approx_beam_vector(EX, alloc, 1)
     assert approx == pytest.approx(exact, abs=1e-15)
+
+
+def test_approx_needs_zero_forcing_margin_at_origin():
+    # S_i^2 = rho_i PR ||hRj||^2 / P - h_ij^2 must be positive: here it is
+    # 0.5 - 1 < 0 for user 1, and exactly 0 for user 2 at rho2 = 0, h21 = 0
+    setup = ChannelSetup(h11=1.0, h12=1.0, h21=0.0, h22=1.0,
+                         g1R=(1.0, 0.0), g2R=(0.0, 1.0),
+                         hR1=(0.0, 1.0), hR2=(1.0, 0.0), P=0.1, PR=0.1)
+    with pytest.raises(LinearizationInfeasible):
+        approx_beam_vector(setup, PowerAllocation(p1=0.01, p2=0.0, rho1=0.5),
+                           1)
+    with pytest.raises(LinearizationInfeasible):
+        approx_beam_vector(setup, PowerAllocation(p1=0.0, p2=0.01, rho1=1.0),
+                           2)
+    with pytest.raises(LinearizationInfeasible):  # no expansion at P = 0
+        approx_beam_vector(replace(setup, P=0.0),
+                           PowerAllocation(p1=0.0, p2=0.0, rho1=0.5), 1)
+    with pytest.raises(DegenerateRelayChannel):
+        approx_beam_vector(replace(setup, hR2=(0.0, 0.0)),
+                           PowerAllocation(p1=0.01, p2=0.0, rho1=0.5), 1)
 
 
 def test_approx_error_is_second_order():

@@ -67,11 +67,33 @@ def test_parse_power():
 
 
 def test_parse_grid():
-    assert parse_grid("101x99") == GridSpec(n_p=101, n_rho=99)
+    assert parse_grid("101x99") == (101, 99)
     with pytest.raises(ValueError):
         parse_grid("101")
-    with pytest.raises(ValueError):
-        parse_grid("1x9")   # n_p too small
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["region", "--grid", "1x5"], 0),  # region reads only NRHO
+    (["figure", "4", "--grid", "2001x0", "--p-db-range=-10:-10:1"], 0),
+    (["sweep", "--grid", "1x9"], 1),  # n_p too small
+    (["figure", "5", "--grid", "11x0"], 1),  # n_rho too small
+])
+def test_grid_is_checked_only_where_it_is_read(capsys, tmp_path, monkeypatch,
+                                               argv, code):
+    # figure 4 reads only NP; sweep and figure 5 read both halves and
+    # refuse either one before any output
+    monkeypatch.chdir(tmp_path)  # figure writes figN.csv here by default
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code:
+        assert out == ""
+        assert "must be >= " in err
+        assert list(tmp_path.iterdir()) == []
+    elif argv[0] == "region":
+        vertices = full_region(EX, GridSpec(n_rho=5).rho_values()).vertices
+        assert f"vertices = {len(vertices)}" in out
+    else:
+        assert (tmp_path / "fig4.csv").exists()
 
 
 def test_parse_db_range():
@@ -290,6 +312,34 @@ def test_figure3_reports_intersection(tmp_path, capsys):
     assert rows[0] == ["p1_over_P", "r1_mac", "r1_ic",
                        "R1_mac_exact", "R1_ic_exact"]
     assert len(rows) == 101
+
+
+@pytest.mark.parametrize("p2", ["-1", "-1e-300", "nan"])
+def test_figure3_negative_p2_is_usage_error(capsys, tmp_path, monkeypatch,
+                                            p2):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "figure", "3", f"--p2={p2}")
+    assert (code, out) == (1, "")
+    assert "--p2" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure3_zero_p2_runs_at_1e_4(tmp_path, capsys):
+    zero, small = tmp_path / "zero.csv", tmp_path / "small.csv"
+    assert run(capsys, "figure", "3", "--p2", "0", "--out", str(zero))[0] == 0
+    assert run(capsys, "figure", "3", "--p2", "1e-4",
+               "--out", str(small))[0] == 0
+    assert zero.read_bytes() == small.read_bytes()
+
+
+def test_phat_prints_readme_example(tmp_path, capsys):
+    out_path = tmp_path / "phat.csv"
+    code, out, _ = run(capsys, "phat", "--rho", "0.5", "--out", str(out_path))
+    assert code == 0
+    assert out.splitlines()[:2] == ["phat1 = 0.0333950046253 (n1 = +1)",
+                                    "phat2 = 0.0031007751938 (n2 = +1)"]
+    assert out_path.read_text() == ("rho1,phat1,phat2,n1,n2\n"
+                                    "0.5,0.0333950046253,0.0031007751938,1,1\n")
 
 
 def test_sweep_leaves_undefined_closed_form_empty(tmp_path, capsys):

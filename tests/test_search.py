@@ -614,6 +614,12 @@ def test_sweep_relay_budget_policy():
     assert pinned_other.rows[0].R_sum_exact > tracking.rows[0].R_sum_exact
 
 
+@pytest.mark.parametrize("column", ["hR1", "hR2"])
+def test_search_p1_on_zero_relay_column(column):
+    # a zero hRj leaves user i no zero-forcing beam, so no p1 is feasible
+    assert search_p1(replace(EX, **{column: (0.0, 0.0)}), 0.5, 101) is None
+
+
 def test_sweep_on_zero_relay_column():
     # hR2 = 0 leaves user 1 no zero-forcing beam: the strategies' cells are
     # NaN (written empty) rather than an error, and since no grid cell
