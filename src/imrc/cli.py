@@ -75,8 +75,10 @@ def parse_db_range(text: str) -> tuple[float, ...]:
     lo, hi, step = (float(x) for x in parts)
     if not (0.0 < step < math.inf and -math.inf < lo <= hi < math.inf):
         raise ValueError(f"range must be finite, ascending, step > 0: {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return tuple(lo + k * step for k in range(count))
+    span = (hi - lo) / step + 1e-9
+    if not math.isfinite(span):
+        raise ValueError(f"range has too many points: {text!r}")
+    return tuple(lo + k * step for k in range(math.floor(span) + 1))
 
 
 def _fmt(value) -> str:
@@ -130,13 +132,14 @@ def _alloc(config: argparse.Namespace) -> PowerAllocation:
 
 def cmd_validate(config: argparse.Namespace) -> int:
     setup = _setup(config)
+    alloc = _alloc(config)
     for name in ("h11", "h12", "h21", "h22", "g1R", "g2R", "hR1", "hR2",
                  "P", "PR"):
         print(f"{name} = {getattr(setup, name)}")
     for name in ("g1R", "g2R", "hR1", "hR2"):
         print(f"||{name}||^2 = {_fmt(getattr(setup, name + '_norm2'))}")
     print(f"det(H) = {_fmt(setup.relay_det())}")
-    report = feasibility(setup, _alloc(config))
+    report = feasibility(setup, alloc)
     print(f"zero-forcing feasible: user1={report.exact1} user2={report.exact2}")
     print(f"low-power expansion:   user1={report.linear1} user2={report.linear2}")
     print("channel ok")

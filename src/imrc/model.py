@@ -125,7 +125,7 @@ class PowerAllocation:
             raise ValueError(f"rho1 must lie in [0, 1], got {self.rho1}")
         if self.n1 not in (-1, 1) or self.n2 not in (-1, 1):
             raise ValueError("branch signs n1, n2 must be -1 or +1")
-        if self.p1 < 0.0 or self.p2 < 0.0:
+        if not (self.p1 >= 0.0 and self.p2 >= 0.0):  # NaN fails too
             raise ValueError("new-message powers must be nonnegative")
 
     @property

@@ -35,21 +35,22 @@ signal and own power and the other user's least power. A_i never falls as
 its signal or p_i grows, never rises as p_j grows, M never falls as a
 power grows (alpha >= 0), and IEEE + - * / and min round monotonically,
 so the bound is at least every cell's rounded value; it is 0 for a block
-without a feasible cell. Only blocks whose bound reaches their rho1's
-incumbent are evaluated, so a skipped block cannot hold a maximum, and a
-tie is still evaluated: argmax keeps each block's first row-major maximum
-and the least cell index wins among blocks. The zoom stage advances the
-windows of all rho1 together, round by round, in fixed-size chunks,
-each window sampled by np.linspace. A window's cells from a round of
-half-width h on lie in its hull, within h + h/10 + ... < h (1 + 1/9) of
-its center. f_ii is monotone in p_i, so the kernel at the hull's ends
-bounds every cell's signal (+inf where the hull reaches P) and gives a
-bound U as for a block. Before a round of more than two windows, a
-window is dropped when U < max(best), as it cannot win the argmax, or
-U <= its own best, as only a strictly better cell replaces that. det(H) = 0 is
-stored exactly, so f_ii then has no rho1 or sign term: windows with one
-start and a hull feasible for both users tie throughout, and only the
-first, which the argmax keeps on a tie, is zoomed.
+without a feasible cell. Each rho1's top-bound block is evaluated first,
+and then only the blocks whose bound reaches the value it found, so a
+skipped block cannot hold a maximum, and a tie is still evaluated:
+argmax keeps each block's first row-major maximum and the least cell
+index wins among blocks, whatever the order. The zoom stage advances the
+windows of all rho1 together, one evaluation per round, each window
+sampled by np.linspace. A window's cells from a round of half-width h on
+lie in its hull, within h + h/10 + ... < h (1 + 1/9) of its center. f_ii
+is monotone in p_i, so the kernel at the hull's ends bounds every cell's
+signal (+inf where the hull reaches P) and gives a bound U as for a
+block. Before a round of more than two windows, a window is dropped when
+U < max(best), as it cannot win the argmax, or U <= its own best, as
+only a strictly better cell replaces that. det(H) = 0 is stored exactly,
+so f_ii then has no rho1 or sign term: windows with one start and a hull
+feasible for both users tie throughout, and only the first, which the
+argmax keeps on a tie, is zoomed.
 """
 
 from __future__ import annotations
@@ -81,13 +82,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform search grid: n_p points per power axis on [0, P] (the last
-    one dropped when include_boundary is false) and n_rho interior points
-    k/(n_rho + 1) on (0, 1)."""
+    """Uniform search grid: n_p points per power axis on [0, P], both ends
+    included, and n_rho interior points k/(n_rho + 1) on (0, 1)."""
 
     n_p: int = 101
     n_rho: int = 99
-    include_boundary: bool = True
 
     def __post_init__(self):
         if self.n_p < 2:
@@ -96,8 +95,7 @@ class GridSpec:
             raise ValueError(f"n_rho must be >= 1, got {self.n_rho}")
 
     def p_values(self, P: float) -> np.ndarray:
-        values = np.linspace(0.0, float(P), self.n_p)
-        return values if self.include_boundary else values[:-1]
+        return np.linspace(0.0, float(P), self.n_p)
 
     def rho_values(self) -> np.ndarray:
         return np.arange(1, self.n_rho + 1, dtype=float) / (self.n_rho + 1.0)
@@ -151,14 +149,12 @@ class SweepTable:
 _SIGNS = np.array([-1, 1])  # branch signs in key order: -1 sorts first
 
 # Zoom refinement: each round re-grids a window of +/- half around the
-# current best with _ZOOM_POINTS samples per axis. Windows are evaluated
-# _ZOOM_CHUNK at a time, so every temporary holds about 8k cells
-# (18 x 21 x 21 = 7,938). Bigger chunks cut call overhead but grow peak
-# RSS: 146 windows (64k cells) added 1.5 MB over a 600-row sweep.
+# current best with _ZOOM_POINTS samples per axis. A round evaluates all
+# its windows at once: at most one per rho1, so 99 x 21 x 21 = 43,659
+# cells on the default grid.
 _ZOOM_ROUNDS = 3
 _ZOOM_POINTS = 21
 _ZOOM_SHRINK = (_ZOOM_POINTS - 1) // 2  # a window's half-width over spacing
-_ZOOM_CHUNK = 18
 
 # The coarse grid is bounded in _BLOCK x _BLOCK blocks of cells and its
 # surviving blocks are evaluated _COARSE_CHUNK at a time (8,192 cells).
@@ -264,9 +260,10 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
     """Best cell of the (n1, n2) block for every rho1 on the grid pv x pv
     (pv ascending): the linear value (0 when nothing is feasible), the
     first row-major argmax, and how many _BLOCK x _BLOCK blocks were
-    evaluated, all shaped (rho1,). A block is evaluated only while its
-    bound reaches its rho1's incumbent (see the module docstring for why
-    that and branch_sign's block find the best of all cells)."""
+    evaluated, all shaped (rho1,). A block is evaluated only when its
+    bound reaches the value of its rho1's top-bound block (see the module
+    docstring for why that and branch_sign's block find the best of all
+    cells)."""
     n, b, n_rho = len(pv), _BLOCK, len(rhos)
     bound, pp, (sig1, ok1, sig2, ok2) = _block_bounds(setup, rhos, pv, n1,
                                                       n2)
@@ -299,24 +296,17 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
         evaluated[seg] += size
 
     # each rho1's top-bound block gives its incumbent (a rho1 with no
-    # feasible cell gets none, and no candidates); then every block whose
-    # bound still reaches it, _COARSE_CHUNK at a time by bound over
-    # incumbent, so that weak incumbents rise first, each chunk pruning more
+    # feasible cell gets none, and no candidates); then every other block
+    # whose bound reaches it, _COARSE_CHUNK at a time in (rho1, block) order
     k = np.flatnonzero(bound.max(axis=1) > 0.0)
     block = bound.argmax(axis=1)[k]
     merge(k, block)
     bound[k, block] = 0.0
     reach = np.where(value > 0.0, value, np.inf)[:, None]
     k, block = np.divmod(np.flatnonzero(bound >= reach), bound.shape[1])
-    bound = bound[k, block]  # only the candidates' bounds stay in memory
-    order = np.argsort(value[k] / bound, kind="stable")
-    k, block, bound = k[order], block[order], bound[order]
-    while len(k):
-        now = np.argsort(k[:_COARSE_CHUNK], kind="stable")
-        merge(k[now], block[now])
-        k, block, bound = (x[_COARSE_CHUNK:] for x in (k, block, bound))
-        keep = bound >= value[k]
-        k, block, bound = k[keep], block[keep], bound[keep]
+    for start in range(0, len(k), _COARSE_CHUNK):
+        end = start + _COARSE_CHUNK
+        merge(k[start:end], block[start:end])
     return value, arg, evaluated
 
 
@@ -378,21 +368,21 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: np.ndarray,
                                      axis=0, return_index=True)
                 keep[np.delete(twins, first)] = False  # the later twins
             live = live[keep]
+        if not len(live):
+            break
         runs += len(live)
-        for start in range(0, len(live), _ZOOM_CHUNK):
-            w = live[start:start + _ZOOM_CHUNK]
-            p1w = _window_rows(setup.P, c1[w], half1)
-            p2w = _window_rows(setup.P, c2[w], half2)
-            obj = _objective(setup, rho1[w, None, None], n1[w, None, None],
-                             n2[w, None, None], p1w, p2w).reshape(len(w), -1)
-            row = np.arange(len(w))
-            at = obj.argmax(axis=1)  # first maximum, row-major
-            top = obj[row, at]
-            i, j = np.divmod(at, _ZOOM_POINTS)
-            c1[w], c2[w] = p1w[row, i], p2w[row, j]
-            gain = top > best[w]
-            won = w[gain]
-            best[won], best1[won], best2[won] = top[gain], c1[won], c2[won]
+        p1w = _window_rows(setup.P, c1[live], half1)
+        p2w = _window_rows(setup.P, c2[live], half2)
+        obj = _objective(setup, rho1[live, None, None], n1[live, None, None],
+                         n2[live, None, None], p1w, p2w).reshape(len(live), -1)
+        row = np.arange(len(live))
+        at = obj.argmax(axis=1)  # first maximum, row-major
+        top = obj[row, at]
+        i, j = np.divmod(at, _ZOOM_POINTS)
+        c1[live], c2[live] = p1w[row, i], p2w[row, j]
+        gain = top > best[live]
+        won = live[gain]
+        best[won], best1[won], best2[won] = top[gain], c1[won], c2[won]
         half1 /= _ZOOM_SHRINK
         half2 /= _ZOOM_SHRINK
     return best, best1, best2, runs
@@ -417,7 +407,7 @@ def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
         return None
     value, rho1 = value[k], rhos[k]
     c1, c2 = pv[arg[k] // len(pv)], pv[arg[k] % len(pv)]
-    step = float(pv[1] - pv[0]) if len(pv) > 1 else 0.0
+    step = float(pv[1] - pv[0])
     if refine and step > 0.0:
         value, c1, c2, _ = _zoom(setup, rho1, np.full(len(k), n1),
                                  np.full(len(k), n2), value, c1, c2, step,

@@ -102,7 +102,7 @@ def test_parse_db_range():
     assert values[0] == -30.0 and values[-1] == 20.0
     assert parse_db_range("0:1:0.5") == (0.0, 0.5, 1.0)
     for bad in ("5:1:1", "1:2", "0:1:0", "a:b:c", "-inf:0:1", "0:inf:1",
-                "0:1:inf", "nan:0:1"):
+                "0:1:inf", "nan:0:1", "-1e308:1e308:1", "0:1e308:1e-300"):
         with pytest.raises(ValueError):
             parse_db_range(bad)
 
@@ -182,9 +182,10 @@ def test_nonfinite_budget_is_usage_error(capsys, flag):
     assert out == ""
 
 
-@pytest.mark.parametrize("text", ["-inf:0:1", "0:inf:1"])
+@pytest.mark.parametrize("text", ["-inf:0:1", "0:inf:1", "0:1e308:1e-300"])
 def test_nonfinite_db_range_is_usage_error(capsys, text):
-    # an infinite bound made math.floor raise OverflowError, a traceback
+    # an infinite bound, or finite bounds whose point count overflows to
+    # inf, made math.floor raise OverflowError, a traceback
     code, out, err = run(capsys, "sweep", f"--p-db-range={text}")
     assert (code, out) == (1, "")
     assert "--p-db-range" in err
@@ -214,6 +215,19 @@ def test_bad_rho_is_usage_error(capsys):
     assert code == 1
     code, _, _ = run(capsys, "phat", "--rho", "1.5")
     assert code == 1
+    # validate printed the channel's 15 lines before refusing the split
+    code, out, err = run(capsys, "validate", "--rho", "1.5")
+    assert (code, out) == (1, "")
+    assert "rho1 must lie in [0, 1]" in err
+
+
+@pytest.mark.parametrize("command", ["rates", "beam", "validate"])
+def test_nan_power_is_usage_error(capsys, command):
+    # NaN passed the p < 0 check and reached the zero-forcing radicand,
+    # which reported an infeasible beam (exit 2)
+    code, out, err = run(capsys, command, "--p1", "nan")
+    assert (code, out) == (1, "")
+    assert "nonnegative" in err
 
 
 def test_infeasible_instance_is_exit_2(capsys):

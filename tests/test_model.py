@@ -88,6 +88,9 @@ def test_allocation_validation():
         PowerAllocation(p1=0.0, p2=0.0, rho1=0.5, n1=0)
     with pytest.raises(ValueError):
         PowerAllocation(p1=0.0, p2=0.0, rho1=0.5, n2=2)
+    for p1, p2 in ((math.nan, 0.0), (0.0, math.nan)):  # fails p < 0 too
+        with pytest.raises(ValueError, match="nonnegative"):
+            PowerAllocation(p1=p1, p2=p2, rho1=0.5)
 
 
 def test_allocation_rho2():

@@ -65,10 +65,10 @@ def brute_force(setup, grid):
     return best_val, best_key
 
 
-def _brute_force_case(seed, det_zero, relay_ratio, include_boundary=True):
+def _brute_force_case(seed, det_zero, relay_ratio):
     setup = random_setup(np.random.default_rng(seed), P=0.5,
                          PR=0.5 * relay_ratio, det_zero=det_zero)
-    return setup, GridSpec(n_p=7, n_rho=3, include_boundary=include_boundary)
+    return setup, GridSpec(n_p=7, n_rho=3)
 
 
 def _huge_budget_case(P):
@@ -92,8 +92,6 @@ PARALLEL_UPLINKS = replace(EX, g2R=(0.20170854271356783, 0.40341708542713567),
     pytest.param(lambda: _brute_force_case(13, False, 0.0), id="pr-zero"),
     pytest.param(lambda: _brute_force_case(14, True, 1.0), id="det-zero"),
     pytest.param(lambda: _brute_force_case(15, True, 0.01), id="det-zero-scarce"),
-    pytest.param(lambda: _brute_force_case(16, False, 1.0, False),
-                 id="interior-only"),
     # A1 A2 and alpha p1 p2 overflow a double from budgets near 1e154; the
     # optimum (rho1 0.4, p ~ (0.875, 0.9) P, n = (+1, -1)) has the MAC sum
     # cap binding, so the scaled objective and the scalar cap both count
@@ -154,14 +152,15 @@ def test_objective_matches_scheme_rate_point(seed):
 
 def _sign_case(seed):
     """A random channel over 5 relay budgets, det(H) = 0 in 1 of 3 and
-    h21 = 0 in 1 of 4, on a 41 x 9 grid with and without p_i = P."""
+    h21 = 0 in 1 of 4, on a 41 x 9 or a 40 x 9 grid: 6 blocks of 8 with
+    the last padded, or 5 unpadded."""
     rng = np.random.default_rng(1300 + seed)
     P = float(10.0 ** rng.uniform(-3.0, 3.0))
     ratio = (1.0, 100.0, 0.25, 0.0, 0.01)[seed % 5]
     setup = random_setup(rng, P=P, PR=ratio * P, det_zero=seed % 3 == 0)
     if seed % 4 == 1:
         setup = replace(setup, h21=0.0)
-    grid = GridSpec(n_p=41, n_rho=9, include_boundary=seed % 2 == 0)
+    grid = GridSpec(n_p=41 if seed % 2 == 0 else 40, n_rho=9)
     return setup, grid.p_values(P), grid.rho_values()
 
 
@@ -290,7 +289,7 @@ def test_coarse_keeps_first_row_among_tied_rows(seed):
     P = float(10.0 ** rng.uniform(-2.0, 1.0))
     setup = replace(random_setup(rng, P=P, PR=(1.0, 100.0)[seed % 2] * P),
                     g1R=(0.0, 0.0), h12=0.0)
-    grid = GridSpec(n_p=101, n_rho=9, include_boundary=seed < 2)
+    grid = GridSpec(n_p=101 if seed < 2 else 100, n_rho=9)
     pv, rhos = grid.p_values(P), grid.rho_values()
     n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
     value, arg, _ = _coarse(setup, rhos, pv, n1, n2)
@@ -469,10 +468,11 @@ def test_grid_search_zero_budget():
 
 
 def test_grid_search_no_feasible_point():
-    setup = replace(EX, PR=0.0)
+    # p_i = P is always on the grid and always feasible, so only a zero
+    # relay column, which leaves a user no beam, admits no grid point
+    setup = replace(EX, hR2=(0.0, 0.0))
     with pytest.raises(NoFeasiblePoint):
-        grid_search_sum_rate(setup, GridSpec(n_p=5, n_rho=3,
-                                             include_boundary=False))
+        grid_search_sum_rate(setup, GridSpec(n_p=5, n_rho=3))
 
 
 def test_grid_refinement_never_decreases():
@@ -494,11 +494,9 @@ def test_grid_spec_validation():
         GridSpec(n_p=1)
     with pytest.raises(ValueError):
         GridSpec(n_rho=0)
-    spec = GridSpec(n_p=5, n_rho=4, include_boundary=False)
-    assert spec.p_values(1.0).tolist() == [0.0, 0.25, 0.5, 0.75]
+    spec = GridSpec(n_p=5, n_rho=4)
+    assert spec.p_values(1.0).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert spec.rho_values().tolist() == [0.2, 0.4, 0.6, 0.8]
-    assert GridSpec(n_p=5, n_rho=4).p_values(1.0).tolist() == \
-        [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_bisect_synthetic_crossing():
