@@ -29,7 +29,8 @@ from .lowpower import (best_sign_powers, full_region, linearized_rates,
                        taylor_coeffs)
 from .model import (ChannelSetup, PowerAllocation, feasibility,
                     resolve_channel, validate)
-from .rates import block_penalty, ic_rates, mac_rates, scheme_rate_point
+from .rates import (block_penalty, check_budget, ic_rates, mac_rates,
+                    scheme_rate_point)
 from .search import (GridSpec, SweepPolicy, bisect_intersection, search_p1,
                      sweep_P)
 
@@ -133,6 +134,8 @@ def _alloc(config: argparse.Namespace) -> PowerAllocation:
 def cmd_validate(config: argparse.Namespace) -> int:
     setup = _setup(config)
     alloc = _alloc(config)
+    for user in (1, 2):  # refused as rates refuses it, before any output
+        check_budget(setup, user, alloc.user(user)[0])
     for name in ("h11", "h12", "h21", "h22", "g1R", "g2R", "hR1", "hR2",
                  "P", "PR"):
         print(f"{name} = {getattr(setup, name)}")

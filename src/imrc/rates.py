@@ -177,13 +177,18 @@ def mac_sum_expanded(setup: ChannelSetup, p1: float, p2: float) -> float:
     return math.log2(value)
 
 
+def check_budget(setup: ChannelSetup, user: int, p_i: float) -> None:
+    """Raise ValueError where user i's power p_i exceeds the budget P."""
+    if p_i > setup.P:
+        raise ValueError(f"p{user} = {p_i} exceeds the power budget P = {setup.P}")
+
+
 def _signal(setup: ChannelSetup, alloc: PowerAllocation, user: int) -> float:
     """The repeated message's received power at user i, from model's
     per-user kernel: f_ii^2 (P - p_i) below the budget, the relay-only
     value at p_i = P. Raises where zero forcing fails."""
     p_i, rho_i, n_i = alloc.user(user)
-    if p_i > setup.P:
-        raise ValueError(f"p{user} = {p_i} exceeds the power budget P = {setup.P}")
+    check_budget(setup, user, p_i)
     if p_i == setup.P:
         return boundary_signal(setup, user, rho_i)
     remaining = setup.P - p_i

@@ -35,22 +35,36 @@ signal and own power and the other user's least power. A_i never falls as
 its signal or p_i grows, never rises as p_j grows, M never falls as a
 power grows (alpha >= 0), and IEEE + - * / and min round monotonically,
 so the bound is at least every cell's rounded value; it is 0 for a block
-without a feasible cell. Each rho1's top-bound block is evaluated first,
-and then only the blocks whose bound reaches the value it found, so a
-skipped block cannot hold a maximum, and a tie is still evaluated:
-argmax keeps each block's first row-major maximum and the least cell
-index wins among blocks, whatever the order. The zoom stage advances the
-windows of all rho1 together, one evaluation per round, each window
-sampled by np.linspace. A window's cells from a round of half-width h on
-lie in its hull, within h + h/10 + ... < h (1 + 1/9) of its center. f_ii
-is monotone in p_i, so the kernel at the hull's ends bounds every cell's
-signal (+inf where the hull reaches P) and gives a bound U as for a
-block. Before a round of more than two windows, a window is dropped when
-U < max(best), as it cannot win the argmax, or U <= its own best, as
-only a strictly better cell replaces that. det(H) = 0 is stored exactly,
-so f_ii then has no rho1 or sign term: windows with one start and a hull
-feasible for both users tie throughout, and only the first, which the
-argmax keeps on a tie, is zoomed.
+without a feasible cell. Each user's per-block signal maximum and
+feasibility come from three strided pairwise steps over the (rho1, p)
+tables. Each rho1's top-bound block is evaluated first, and then only
+the blocks whose bound reaches an incumbent, which is one of two:
+- unrefined (grid_search_sum_rate, SweepPolicy(refine=False)), only the
+  first argmax over all rho1 is read, so the incumbent is the largest
+  first-pass value over all rho1 (inf when none is feasible). The block
+  that holds the overall first argmax, or a tie with it, has a bound of
+  at least that value and is evaluated; other rows may keep less than
+  their best, and np.argmax over rows still takes the least rho1;
+- refined, each rho1's best cell starts a zoom, so each rho1 keeps its
+  own first-pass value as its incumbent and finds its own best.
+Either way a skipped block cannot hold a maximum that is read, and a tie
+is still evaluated: argmax keeps each block's first row-major maximum
+and the least cell index wins among blocks, whatever the order. Blocks
+are evaluated on the innermost axis of an (8, 8, block) array, so each
+ufunc loop runs over many blocks rather than 8 cells.
+
+The zoom stage advances the windows of all rho1 together, one evaluation
+per round, each window sampled by np.linspace. A window's cells from a
+round of half-width h on lie in its hull, within h + h/10 + ... <
+h (1 + 1/9) of its center. f_ii is monotone in p_i, so the kernel at the
+hull's ends bounds every cell's signal (+inf where the hull reaches P)
+and gives a bound U as for a block. Before a round of more than two
+windows, a window is dropped when U < max(best), as it cannot win the
+argmax, or U <= its own best, as only a strictly better cell replaces
+that. det(H) = 0 is stored exactly, so f_ii then has no rho1 or sign
+term: windows with one start and a hull feasible for both users tie
+throughout, and only the first, which the argmax keeps on a tie, is
+zoomed.
 """
 
 from __future__ import annotations
@@ -234,12 +248,20 @@ def _objective(setup: ChannelSetup, rho1, n1, n2, p1: np.ndarray,
     return _value(setup, sig1, sig2, rows, cols, rows, cols, ok1 & ok2)
 
 
+def _per_block(op, x: np.ndarray) -> np.ndarray:
+    """op over each run of _BLOCK along x's second axis, as log2(_BLOCK)
+    strided pairwise steps: numpy reduces an 8-long axis slowly."""
+    for _ in range(_BLOCK.bit_length() - 1):
+        x = op(x[:, 0::2], x[:, 1::2])
+    return x
+
+
 def _block_bounds(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
                   n1: int, n2: int) -> tuple:
     """Every _BLOCK x _BLOCK block's bound, shaped (rho1, block row, block
     column) and 0 where no cell is feasible, with pv (ascending) padded to
     whole blocks and each user's _signal over (rho1, padded p)."""
-    n, b, n_rho = len(pv), _BLOCK, len(rhos)
+    n, b = len(pv), _BLOCK
     blocks = -(-n // b)
     pp = np.concatenate([pv, np.full(blocks * b - n, pv[-1])])
     sig1, ok1 = _signal(setup, 1, rhos[:, None], n1, pp)
@@ -247,44 +269,45 @@ def _block_bounds(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
     ok1[:, n:] = ok2[:, n:] = False
     lo, hi = pp[::b], pp[b - 1::b]  # each block's least and largest power
     # an infeasible row's signal is finite, so counting it only loosens
-    s1, s2 = (s.reshape(n_rho, blocks, b).max(axis=2) for s in (sig1, sig2))
-    live1, live2 = (ok.reshape(n_rho, blocks, b).any(axis=2)
-                    for ok in (ok1, ok2))
+    s1, s2 = (_per_block(np.maximum, s) for s in (sig1, sig2))
+    live1, live2 = (_per_block(np.logical_or, ok) for ok in (ok1, ok2))
     bound = _value(setup, s1[:, :, None], s2[:, None, :], hi[:, None], hi,
                    lo[:, None], lo, live1[:, :, None] & live2[:, None, :])
     return bound, pp, (sig1, ok1, sig2, ok2)
 
 
-def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
-            n1: int, n2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
+            n2: int, overall: bool = False) -> tuple:
     """Best cell of the (n1, n2) block for every rho1 on the grid pv x pv
     (pv ascending): the linear value (0 when nothing is feasible), the
     first row-major argmax, and how many _BLOCK x _BLOCK blocks were
     evaluated, all shaped (rho1,). A block is evaluated only when its
-    bound reaches the value of its rho1's top-bound block (see the module
-    docstring for why that and branch_sign's block find the best of all
-    cells)."""
+    bound reaches the value of its rho1's top-bound block or, when
+    overall, the largest such value over all rho1; then only the first
+    argmax over (rho1, cell) is sure to be found, and the other rows'
+    values may fall short of their best (see the module docstring for why
+    either, and branch_sign's block, is exact). Blocks are evaluated on
+    the innermost axis, so each ufunc loop runs over many blocks."""
     n, b, n_rho = len(pv), _BLOCK, len(rhos)
     bound, pp, (sig1, ok1, sig2, ok2) = _block_bounds(setup, rhos, pv, n1,
                                                       n2)
     blocks, bound = bound.shape[1], bound.reshape(n_rho, -1)
-    ramp = np.arange(b)
+    ramp = np.arange(b)[:, None]  # rows and columns are (cell, block)
     value, arg = np.zeros(n_rho), np.zeros(n_rho, dtype=np.intp)
     evaluated = np.zeros(n_rho, dtype=np.intp)
 
     def merge(k, block):  # evaluate blocks, k ascending, into value, arg
-        row0, col0 = np.divmod(block, blocks)
-        rows, cols = row0[:, None] * b + ramp, col0[:, None] * b + ramp
-        base = k[:, None] * len(pp)  # rho1's row in the (rho1, p) tables
+        rows, cols = (x * b + ramp for x in np.divmod(block, blocks))
+        base = k * len(pp)  # rho1's row in the (rho1, p) tables
         at_rows, at_cols = base + rows, base + cols
-        p1, p2 = pp[rows][:, :, None], pp[cols][:, None, :]
-        ok = ok1.take(at_rows)[:, :, None] & ok2.take(at_cols)[:, None, :]
-        v = _value(setup, sig1.take(at_rows)[:, :, None],
-                   sig2.take(at_cols)[:, None, :], p1, p2, p1, p2, ok)
-        v = v.reshape(len(k), b * b)
-        at = v.argmax(axis=1)  # the first maximum, row-major in a block
+        p1, p2 = pp[rows][:, None], pp[cols][None]
+        ok = ok1.take(at_rows)[:, None] & ok2.take(at_cols)[None]
+        v = _value(setup, sig1.take(at_rows)[:, None],
+                   sig2.take(at_cols)[None], p1, p2, p1, p2, ok)
+        v = v.reshape(b * b, len(k))
+        at = v.argmax(axis=0)  # the first maximum, row-major in a block
         idx = np.arange(len(k))
-        top, cell = v[idx, at], rows[idx, at // b] * n + cols[idx, at % b]
+        top, cell = v[at, idx], rows[at // b, idx] * n + cols[at % b, idx]
         # per rho1: the best value, then the least cell index reaching it
         start = np.flatnonzero(np.diff(k, prepend=-1))
         seg, size = k[start], np.diff(start, append=len(k))
@@ -297,12 +320,15 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
 
     # each rho1's top-bound block gives its incumbent (a rho1 with no
     # feasible cell gets none, and no candidates); then every other block
-    # whose bound reaches it, _COARSE_CHUNK at a time in (rho1, block) order
+    # whose bound reaches the incumbent, or when overall the largest one
+    # (inf when nothing is feasible), _COARSE_CHUNK at a time in (rho1,
+    # block) order
     k = np.flatnonzero(bound.max(axis=1) > 0.0)
     block = bound.argmax(axis=1)[k]
     merge(k, block)
     bound[k, block] = 0.0
-    reach = np.where(value > 0.0, value, np.inf)[:, None]
+    incumbent = value.max() if overall else value[:, None]
+    reach = np.where(incumbent > 0.0, incumbent, np.inf)
     k, block = np.divmod(np.flatnonzero(bound >= reach), bound.shape[1])
     for start in range(0, len(k), _COARSE_CHUNK):
         end = start + _COARSE_CHUNK
@@ -401,7 +427,7 @@ def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
         return None  # a zero relay column hRj leaves user i no beam
     pv = grid.p_values(setup.P)
     rhos = grid.rho_values()
-    value, arg, _ = _coarse(setup, rhos, pv, n1, n2)
+    value, arg, _ = _coarse(setup, rhos, pv, n1, n2, overall=not refine)
     k = np.flatnonzero(value > 0.0)
     if not len(k):
         return None

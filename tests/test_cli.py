@@ -230,6 +230,17 @@ def test_nan_power_is_usage_error(capsys, command):
     assert "nonnegative" in err
 
 
+@pytest.mark.parametrize("flag", ["--p1", "--p2"])
+@pytest.mark.parametrize("power", ["5", "inf"])
+def test_validate_refuses_power_above_budget(capsys, flag, power):
+    # p_i >= P passed as the always-feasible boundary, so validate printed
+    # "channel ok" and exited 0 where rates refuses the allocation
+    code, out, err = run(capsys, "validate", flag, power)
+    assert (code, out) == (1, "")
+    assert err == run(capsys, "rates", flag, power)[2]
+    assert f"p{flag[-1]} = {float(power)} exceeds the power budget" in err
+
+
 def test_infeasible_instance_is_exit_2(capsys):
     code, _, err = run(capsys, "phat", "--rho", "0.001")
     assert code == 2

@@ -278,6 +278,12 @@ def test_coarse_prune_matches_full_grid(seed, n_p):
         full = _objective(setup, rho1, n1, n2, pv, pv).ravel()
         assert value[k] == full.max()
         assert value[k] == 0.0 or arg[k] == full.argmax()
+    # pruned against one overall incumbent, the first argmax over (rho1,
+    # cell) is the same
+    top, at, _ = _coarse(setup, rhos, pv, n1, n2, overall=True)
+    k = top.argmax()
+    assert (top[k], k, at[k]) == (value.max(), value.argmax(),
+                                  arg[value.argmax()])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -312,6 +318,95 @@ def test_coarse_prunes_most_blocks(P):
     live = (_block_bounds(setup, rhos, pv, n1, n2)[0] > 0.0).sum()
     _, _, evaluated = _coarse(setup, rhos, pv, n1, n2)
     assert evaluated.sum() <= 0.2 * live
+
+
+@pytest.mark.parametrize("P", [0.1, 1.0])
+def test_overall_incumbent_evaluates_fewer_blocks(P):
+    # a count, not a timing: pruning against the best first-pass value
+    # over all rho1 skips at least what each rho1's own value skips
+    # (-10 dB: 465 per split, 421 overall; 0 dB: 208 and 177)
+    setup = replace(EX, P=P, PR=P)
+    pv, rhos = GridSpec().p_values(P), GridSpec().rho_values()
+    n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
+    per_split = _coarse(setup, rhos, pv, n1, n2)[2].sum()
+    overall = _coarse(setup, rhos, pv, n1, n2, overall=True)[2].sum()
+    assert overall <= per_split
+
+
+def _first_argmax(setup, grid):
+    """(rho1, p1, p2, n1, n2) of the first maximum of _objective over the
+    full grid and all four sign pairs, in that key order."""
+    pv, rhos = grid.p_values(setup.P), grid.rho_values()
+    full = _all_sign_blocks(setup, pv, rhos).transpose(0, 3, 4, 1, 2)
+    k, i, j, s1, s2 = np.unravel_index(full.argmax(), full.shape)
+    return rhos[k], pv[i], pv[j], _SIGNS[s1], _SIGNS[s2]
+
+
+# uplinks so weak that min(A1 A2, M) = M, the MAC sum cap, at the optimum
+# of all but the first rho1 on a 17 x 5 grid: M does not depend on rho1, so
+# those rows tie bit for bit. The second row's first-pass block misses its
+# optimum, whose block bound is exactly the optimum's value.
+TIED_AT_SUM_CAP = ChannelSetup(
+    h11=-0.48, h12=-1.1, h21=-1.35, h22=0.37, g1R=(0.0007, 0.0013),
+    g2R=(0.0012, -0.0015), hR1=(-0.9, -1.4), hR2=(0.46, 0.73), P=16.8,
+    PR=16.8)
+OVERALL_GRIDS = (GridSpec(n_p=41, n_rho=9), GridSpec(n_p=40, n_rho=9),
+                 GridSpec(n_p=17, n_rho=5))
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param(lambda seed=seed: _sign_case(seed)[0], id=f"random-{seed}")
+      for seed in range(20)),
+    pytest.param(lambda: _huge_budget_case(1e160)[0], id="huge-1e160"),
+    pytest.param(lambda: TIED_AT_SUM_CAP, id="rows-tied-at-sum-cap"),
+])
+def test_overall_incumbent_finds_first_argmax(case):
+    # the unrefined search prunes every rho1's blocks against the best
+    # first-pass value over all rho1, so only the overall argmax is sure
+    # to be found: it must be the first maximum of the full grid (the
+    # random channels cover det(H) = 0, PR/P in {0, 1/100, 1/4, 1, 100}
+    # and optima at p_i = P)
+    setup = case()
+    for grid in OVERALL_GRIDS:
+        alloc = _search(setup, grid, refine=False)
+        assert ((alloc.rho1, alloc.p1, alloc.p2, alloc.n1, alloc.n2)
+                == _first_argmax(setup, grid))
+
+
+def test_overall_incumbent_cases_are_reached():
+    # the cases above hold what they claim to hold: optima at p_i = P, and
+    # rows tied at the sum cap where the smallest rho1 wins
+    grid = GridSpec(n_p=41, n_rho=9)
+    setups = [_sign_case(seed)[0] for seed in range(20)]
+    allocs = [_search(setup, grid, refine=False) for setup in setups]
+    assert sum(setup.P in (alloc.p1, alloc.p2)
+               for setup, alloc in zip(setups, allocs)) >= 5
+    grid = OVERALL_GRIDS[2]
+    pv, rhos = grid.p_values(TIED_AT_SUM_CAP.P), grid.rho_values()
+    full = _all_sign_blocks(TIED_AT_SUM_CAP, pv, rhos).reshape(len(rhos), -1)
+    tied = np.flatnonzero(full.max(axis=1) == full.max())
+    assert len(tied) > 1
+    alloc = _search(TIED_AT_SUM_CAP, grid, refine=False)
+    assert alloc.rho1 == rhos[tied[0]]
+    assert scheme_rate_point(TIED_AT_SUM_CAP, alloc).truncated
+
+
+class _BelowBudget(GridSpec):
+    """A grid without the p_i = P column, which is always feasible."""
+
+    def p_values(self, P):
+        return super().p_values(P)[:-1]
+
+
+def test_overall_incumbent_without_feasible_cell():
+    # PR = 0 leaves no zero forcing below p_i = P: the first pass finds no
+    # incumbent, the reach is inf rather than 0, and no block is evaluated
+    setup = replace(EX, PR=0.0)
+    grid = _BelowBudget(n_p=41, n_rho=9)
+    assert _search(setup, grid, refine=False) is None
+    value, _, evaluated = _coarse(setup, grid.rho_values(),
+                                  grid.p_values(setup.P), 1, 1, overall=True)
+    assert not value.any() and not evaluated.any()
 
 
 def _window_case(seed):
