@@ -169,8 +169,12 @@ def validate(setup: ChannelSetup) -> ChannelSetup:
 # the relay alone carries it, with power rho_i PR det(H)^2 / ||hRj||^2.
 # The functions use only + - * /, abs, comparisons and the square of the
 # scalar gain h_ij, so Python floats stay floats and numpy arrays broadcast.
-# Callers take the square root (math.sqrt or np.sqrt, both correctly
-# rounded) and pick the boundary case themselves.
+# Each array result is built in place by augmented assignment on the first
+# array a binary operation creates, so an argument is never written; a
+# float's x *= y rebinds it. Only the operands of + and * swap sides, which
+# is exact in IEEE arithmetic, so results equal the plain expressions bit
+# for bit. Callers take the square root (math.sqrt or np.sqrt, both
+# correctly rounded) and pick the boundary case themselves.
 
 def _user(setup: ChannelSetup, user: int) -> tuple:
     """(h_ii, h_ij, ||hRj||^2, orient, hRi, hRj) of `user`, j the other
@@ -192,9 +196,12 @@ def zf_radicand(setup: ChannelSetup, user: int, rho_i, remaining):
     and whether it counts as nonnegative (within RADICAND_RTOL of its
     positive part). remaining = P gives the low-power expansion's S_i^2."""
     _, h_cross, norm2, *_ = _user(setup, user)
-    scale = norm2 * (rho_i * setup.PR / remaining)
-    rad = scale - h_cross ** 2
-    return rad, rad >= -RADICAND_RTOL * abs(scale)
+    rad = rho_i * setup.PR / remaining
+    rad *= norm2  # the radicand's positive part
+    tolerance = abs(rad)
+    tolerance *= -RADICAND_RTOL
+    rad -= h_cross ** 2
+    return rad, rad >= tolerance
 
 
 def zf_root(setup: ChannelSetup, user: int, rho_i: float,
@@ -211,8 +218,10 @@ def zf_root(setup: ChannelSetup, user: int, rho_i: float,
 def own_gain(setup: ChannelSetup, user: int, sign, root):
     """f_ii for branch sign n_i and root = sqrt(rad_i)."""
     h_own, h_cross, norm2, orient, *_ = _user(setup, user)
-    return (h_own - h_cross * setup.hR_dot / norm2
-            + orient * sign * setup.hR_det * root / norm2)
+    gain = orient * sign * setup.hR_det * root
+    gain /= norm2
+    gain += h_own - h_cross * setup.hR_dot / norm2
+    return gain
 
 
 def branch_sign(setup: ChannelSetup, user: int) -> int:
@@ -230,8 +239,13 @@ def branch_sign(setup: ChannelSetup, user: int) -> int:
 
 def own_signal(setup: ChannelSetup, user: int, sign, root, remaining):
     """f_ii^2 (P - p_i): received power of the repeated message, p_i < P."""
-    f_own = own_gain(setup, user, sign, root)
-    return f_own * f_own * remaining
+    power = own_gain(setup, user, sign, root)
+    power *= power
+    try:
+        power *= remaining
+    except ValueError:  # remaining broadcasts f_ii to a larger array
+        power = power * remaining
+    return power
 
 
 def boundary_signal(setup: ChannelSetup, user: int, rho_i):

@@ -35,18 +35,27 @@ signal and own power and the other user's least power. A_i never falls as
 its signal or p_i grows, never rises as p_j grows, M never falls as a
 power grows (alpha >= 0), and IEEE + - * / and min round monotonically,
 so the bound is at least every cell's rounded value; it is 0 for a block
-without a feasible cell. Each user's per-block signal maximum and
-feasibility come from three strided pairwise steps over the (rho1, p)
-tables. Each rho1's top-bound block is evaluated first, and then only
-the blocks whose bound reaches an incumbent, which is one of two:
-- unrefined (grid_search_sum_rate, SweepPolicy(refine=False)), only the
-  first argmax over all rho1 is read, so the incumbent is the largest
-  first-pass value over all rho1 (inf when none is feasible). The block
-  that holds the overall first argmax, or a tie with it, has a bound of
-  at least that value and is evaluated; other rows may keep less than
-  their best, and np.argmax over rows still takes the least rho1;
-- refined, each rho1's best cell starts a zoom, so each rho1 keeps its
-  own first-pass value as its incumbent and finds its own best.
+without a feasible cell. A group of G x G blocks is bounded the same way
+from its blocks' largest signals and powers and least powers, so its
+bound is at least each of its blocks' bounds. Each user's per-block and
+per-group signal maximum and feasibility come from strided pairwise steps
+over the (rho1, p) tables, padded to whole groups with infeasible cells.
+All groups are bounded first; the top-bound block of each rho1's
+top-bound group is evaluated, and then, only in the groups whose bound
+reaches an incumbent, the blocks whose bound reaches it too. There are two
+incumbents:
+- unrefined (grid_search_sum_rate, SweepPolicy(refine=False)), G = 4.
+  Only the first argmax over all rho1 is read, so the incumbent is the
+  largest first-pass value over all rho1 (inf when none is feasible), a
+  cell's value and so at most the maximum. A block that holds the
+  maximum, and its group, have bounds of at least the maximum, so that
+  block is evaluated; other rows may keep less than their best, and
+  np.argmax over rows still takes the least rho1;
+- refined, G = 1, so a group is a block. Each rho1's best cell starts a
+  zoom, so each rho1 keeps its own first-pass value as its incumbent and
+  finds its own best. That value must come from its own top-bound block:
+  the top block of a larger group is a weaker incumbent, and more blocks
+  pass it (G = 4 evaluates 1.5 times as many on the sweep benchmark).
 Either way a skipped block cannot hold a maximum that is read, and a tie
 is still evaluated: argmax keeps each block's first row-major maximum
 and the least cell index wins among blocks, whatever the order. Blocks
@@ -170,9 +179,11 @@ _ZOOM_ROUNDS = 3
 _ZOOM_POINTS = 21
 _ZOOM_SHRINK = (_ZOOM_POINTS - 1) // 2  # a window's half-width over spacing
 
-# The coarse grid is bounded in _BLOCK x _BLOCK blocks of cells and its
+# The coarse grid is bounded in _BLOCK x _BLOCK blocks of cells, in the
+# unrefined search first in _GROUP x _GROUP groups of blocks, and its
 # surviving blocks are evaluated _COARSE_CHUNK at a time (8,192 cells).
 _BLOCK = 8
+_GROUP = 4
 _COARSE_CHUNK = 128
 
 
@@ -181,15 +192,19 @@ def _signal(setup: ChannelSetup, user: int, rho1, sign, p
     """User i's received power and zero-forcing feasibility, broadcast over
     rho1, the branch sign and p_i: model's per-user kernel, as in
     scheme_rate_point, with the boundary value (always feasible) at p_i = P.
-    Raises DegenerateRelayChannel where hRj = 0, as zf_radicand does."""
+    Raises DegenerateRelayChannel where hRj = 0, as zf_radicand does.
+    The radicand's array becomes the root, and the results are built in
+    place, so a (rho1, p) table costs a few arrays of its size."""
     rho_i = rho1 if user == 1 else 1.0 - rho1
     boundary = p >= setup.P
     remaining = np.where(boundary, 1.0, setup.P - p)
     rad, feasible = zf_radicand(setup, user, rho_i, remaining)
-    root = np.sqrt(np.maximum(rad, 0.0))
-    sig = np.where(boundary, boundary_signal(setup, user, rho_i),
-                   own_signal(setup, user, sign, root, remaining))
-    return sig, boundary | feasible
+    root = np.asarray(rad)  # a new array (numpy gives 0-d results as scalars)
+    np.sqrt(np.maximum(root, 0.0, out=root), out=root)
+    sig = np.asarray(own_signal(setup, user, sign, root, remaining))
+    np.copyto(sig, boundary_signal(setup, user, rho_i), where=boundary)
+    feasible |= boundary
+    return sig, feasible
 
 
 def _exponent(setup: ChannelSetup) -> int:
@@ -248,32 +263,40 @@ def _objective(setup: ChannelSetup, rho1, n1, n2, p1: np.ndarray,
     return _value(setup, sig1, sig2, rows, cols, rows, cols, ok1 & ok2)
 
 
-def _per_block(op, x: np.ndarray) -> np.ndarray:
-    """op over each run of _BLOCK along x's second axis, as log2(_BLOCK)
-    strided pairwise steps: numpy reduces an 8-long axis slowly."""
-    for _ in range(_BLOCK.bit_length() - 1):
-        x = op(x[:, 0::2], x[:, 1::2])
-    return x
-
-
-def _block_bounds(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray,
-                  n1: int, n2: int) -> tuple:
-    """Every _BLOCK x _BLOCK block's bound, shaped (rho1, block row, block
-    column) and 0 where no cell is feasible, with pv (ascending) padded to
-    whole blocks and each user's _signal over (rho1, padded p)."""
-    n, b = len(pv), _BLOCK
-    blocks = -(-n // b)
-    pp = np.concatenate([pv, np.full(blocks * b - n, pv[-1])])
+def _cells(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
+           n2: int, size: int) -> tuple:
+    """The finest level, one unit per cell: each user's _signal and
+    feasibility over (rho1, padded p), and the padded p as both the least
+    and the largest power. pv (ascending) is padded with its last value to
+    a whole number of runs of size cells, infeasible past pv."""
+    pp = np.concatenate([pv, np.full(-len(pv) % size, pv[-1])])
     sig1, ok1 = _signal(setup, 1, rhos[:, None], n1, pp)
     sig2, ok2 = _signal(setup, 2, rhos[:, None], n2, pp)
-    ok1[:, n:] = ok2[:, n:] = False
-    lo, hi = pp[::b], pp[b - 1::b]  # each block's least and largest power
-    # an infeasible row's signal is finite, so counting it only loosens
-    s1, s2 = (_per_block(np.maximum, s) for s in (sig1, sig2))
-    live1, live2 = (_per_block(np.logical_or, ok) for ok in (ok1, ok2))
-    bound = _value(setup, s1[:, :, None], s2[:, None, :], hi[:, None], hi,
-                   lo[:, None], lo, live1[:, :, None] & live2[:, None, :])
-    return bound, pp, (sig1, ok1, sig2, ok2)
+    ok1[:, len(pv):] = ok2[:, len(pv):] = False
+    return sig1, sig2, ok1, ok2, pp, pp
+
+
+def _coarser(level: tuple, size: int) -> tuple:
+    """The level whose units are runs of size (a power of two) units of
+    level along p: each user's largest signal and whether any cell is
+    feasible, shaped (rho1, unit), and each unit's least and largest power.
+    log2(size) strided pairwise steps: numpy reduces a short axis slowly.
+    An infeasible cell's signal is finite, so counting it only loosens."""
+    s1, s2, live1, live2, lo, hi = level
+    for _ in range(size.bit_length() - 1):
+        s1, s2 = (np.maximum(x[:, 0::2], x[:, 1::2]) for x in (s1, s2))
+        live1, live2 = (x[:, 0::2] | x[:, 1::2] for x in (live1, live2))
+        lo, hi = lo[0::2], hi[1::2]
+    return s1, s2, live1, live2, lo, hi
+
+
+def _bound(setup: ChannelSetup, level: tuple, k, rows, cols) -> np.ndarray:
+    """The bound of the square of units (rows, cols) of a level at rho1
+    index k, broadcast: _value at each user's largest signal and power and
+    the other user's least power, 0 where a user has no feasible cell."""
+    s1, s2, live1, live2, lo, hi = level
+    return _value(setup, s1[k, rows], s2[k, cols], hi[rows], hi[cols],
+                  lo[rows], lo[cols], live1[k, rows] & live2[k, cols])
 
 
 def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
@@ -281,23 +304,41 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
     """Best cell of the (n1, n2) block for every rho1 on the grid pv x pv
     (pv ascending): the linear value (0 when nothing is feasible), the
     first row-major argmax, and how many _BLOCK x _BLOCK blocks were
-    evaluated, all shaped (rho1,). A block is evaluated only when its
-    bound reaches the value of its rho1's top-bound block or, when
-    overall, the largest such value over all rho1; then only the first
-    argmax over (rho1, cell) is sure to be found, and the other rows'
-    values may fall short of their best (see the module docstring for why
-    either, and branch_sign's block, is exact). Blocks are evaluated on
-    the innermost axis, so each ufunc loop runs over many blocks."""
+    evaluated, all shaped (rho1,). Groups of size x size blocks are bounded
+    first: size = _GROUP when overall, else 1, as each rho1's incumbent
+    must then be its own top-bound block. Blocks are bounded only in the
+    groups whose bound reaches an incumbent, and evaluated when their
+    bound reaches it too. The incumbent is the value of the top-bound
+    block of its rho1's top-bound group or, when overall, the largest such
+    value over all rho1; then only the first argmax over (rho1, cell) is
+    sure to be found, and the other rows' values may fall short of their
+    best (see the module docstring for why either, and branch_sign's
+    block, is exact). Blocks are evaluated on the innermost axis, so each
+    ufunc loop runs over many blocks."""
     n, b, n_rho = len(pv), _BLOCK, len(rhos)
-    bound, pp, (sig1, ok1, sig2, ok2) = _block_bounds(setup, rhos, pv, n1,
-                                                      n2)
-    blocks, bound = bound.shape[1], bound.reshape(n_rho, -1)
+    size = _GROUP if overall else 1
+    cells = _cells(setup, rhos, pv, n1, n2, size * b)
+    sig1, sig2, ok1, ok2, pp, _ = cells
+    blocks = _coarser(cells, b)
+    groups = _coarser(blocks, size)
+    nb, ng = len(blocks[4]), len(groups[4])
+    unit = np.arange(ng)[:, None]
+    gbound = _bound(setup, groups, slice(None), unit, unit.T).reshape(n_rho, -1)
     ramp = np.arange(b)[:, None]  # rows and columns are (cell, block)
     value, arg = np.zeros(n_rho), np.zeros(n_rho, dtype=np.intp)
     evaluated = np.zeros(n_rho, dtype=np.intp)
 
+    def members(k, g):  # bounds and indices of the blocks of groups g of k
+        if size == 1:  # the group bound is the block bound
+            return gbound[k, g][:, None], g[:, None]
+        rows, cols = (x[:, None, None] * size for x in np.divmod(g, ng))
+        rows, cols = rows + np.arange(size)[:, None], cols + np.arange(size)
+        bound = _bound(setup, blocks, k[:, None, None], rows, cols)
+        shape = len(k), size * size
+        return bound.reshape(shape), (rows * nb + cols).reshape(shape)
+
     def merge(k, block):  # evaluate blocks, k ascending, into value, arg
-        rows, cols = (x * b + ramp for x in np.divmod(block, blocks))
+        rows, cols = (x * b + ramp for x in np.divmod(block, nb))
         base = k * len(pp)  # rho1's row in the (rho1, p) tables
         at_rows, at_cols = base + rows, base + cols
         p1, p2 = pp[rows][:, None], pp[cols][None]
@@ -310,26 +351,30 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
         top, cell = v[at, idx], rows[at // b, idx] * n + cols[at % b, idx]
         # per rho1: the best value, then the least cell index reaching it
         start = np.flatnonzero(np.diff(k, prepend=-1))
-        seg, size = k[start], np.diff(start, append=len(k))
+        seg, count = k[start], np.diff(start, append=len(k))
         best = np.maximum.reduceat(top, start)
         first = np.minimum.reduceat(
-            np.where(top == np.repeat(best, size), cell, n * n), start)
+            np.where(top == np.repeat(best, count), cell, n * n), start)
         win = (best > value[seg]) | ((best == value[seg]) & (first < arg[seg]))
         value[seg[win]], arg[seg[win]] = best[win], first[win]
-        evaluated[seg] += size
+        evaluated[seg] += count
 
-    # each rho1's top-bound block gives its incumbent (a rho1 with no
-    # feasible cell gets none, and no candidates); then every other block
-    # whose bound reaches the incumbent, or when overall the largest one
-    # (inf when nothing is feasible), _COARSE_CHUNK at a time in (rho1,
-    # block) order
-    k = np.flatnonzero(bound.max(axis=1) > 0.0)
-    block = bound.argmax(axis=1)[k]
-    merge(k, block)
-    bound[k, block] = 0.0
-    incumbent = value.max() if overall else value[:, None]
-    reach = np.where(incumbent > 0.0, incumbent, np.inf)
-    k, block = np.divmod(np.flatnonzero(bound >= reach), bound.shape[1])
+    # first pass: the top-bound block of each rho1's top-bound group (a
+    # rho1 with no feasible cell gets none); then, in every group whose
+    # bound reaches the incumbent (inf when nothing is feasible), every
+    # other block whose bound reaches it, _COARSE_CHUNK at a time in
+    # (rho1, group, block) order
+    k = np.flatnonzero(gbound.max(axis=1) > 0.0)
+    bound, block = members(k, gbound.argmax(axis=1)[k])
+    done = np.full(n_rho, -1)
+    done[k] = block[np.arange(len(k)), bound.argmax(axis=1)]
+    merge(k, done[k])
+    incumbent = np.full(n_rho, value.max()) if overall else value
+    reach = np.where(incumbent > 0.0, incumbent, np.inf)[:, None]
+    k, g = np.divmod(np.flatnonzero(gbound >= reach), ng * ng)
+    bound, block = members(k, g)
+    i, j = np.nonzero((bound >= reach[k]) & (block != done[k, None]))
+    k, block = k[i], block[i, j]
     for start in range(0, len(k), _COARSE_CHUNK):
         end = start + _COARSE_CHUNK
         merge(k[start:end], block[start:end])

@@ -19,7 +19,8 @@ from imrc import (
     resolve_channel,
     validate,
 )
-from imrc.model import own_gain, zf_radicand
+from imrc.model import boundary_signal, own_gain, own_signal, zf_radicand
+from imrc.search import _signal
 
 from helpers import random_setup
 
@@ -127,6 +128,78 @@ def test_radicands_at_example_point():
     # 0.5 * 0.1 * 1.25 / 0.1 - 0.25
     rad, feasible = zf_radicand(ch, 2, 0.5, ch.P)
     assert rad == pytest.approx(0.375, rel=1e-15) and feasible
+
+
+def _scalar_signal(setup, user, rho1, sign, p):
+    """search._signal at one cell, from model's kernel on Python floats."""
+    rho_i = rho1 if user == 1 else 1.0 - rho1
+    if p >= setup.P:
+        return boundary_signal(setup, user, rho_i), True
+    rad, feasible = zf_radicand(setup, user, rho_i, setup.P - p)
+    return (own_signal(setup, user, sign, math.sqrt(max(rad, 0.0)),
+                       setup.P - p), feasible)
+
+
+def _assert_kernel_matches_scalars(array_fn, scalar_fn, *args):
+    """array_fn on arrays that broadcast equals scalar_fn on each
+    element's Python numbers, bit for bit. The arrays are read-only, so an
+    augmented assignment into one raises, and they must be unchanged."""
+    arrays = [np.array(a) for a in args]
+    before = [a.copy() for a in arrays]
+    for a in arrays:
+        a.flags.writeable = False
+    out = array_fn(*arrays)
+    out = out if isinstance(out, tuple) else (out,)
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    assert np.broadcast_shapes(shape, *(np.shape(x) for x in out)) == shape
+    for idx in np.ndindex(shape):
+        want = scalar_fn(*(np.broadcast_to(a, shape)[idx].item()
+                           for a in arrays))
+        want = want if isinstance(want, tuple) else (want,)
+        for got, exp in zip(out, want):
+            got = np.broadcast_to(got, shape)[idx]
+            assert np.array(got).tobytes() == np.array(exp, got.dtype).tobytes()
+    assert all((a == b).all() for a, b in zip(arrays, before))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_on_arrays_matches_scalars(seed):
+    # the array kernel builds its results in place; it must equal the
+    # scalar kernel element by element, bit for bit, and never write an
+    # argument, whichever argument is the largest, on 0-d arrays, with
+    # det(H) = 0 and at p_i = P
+    rng = np.random.default_rng(2600 + seed)
+    P = float(10.0 ** rng.uniform(-3.0, 3.0))
+    setup = random_setup(rng, P=P, PR=(1.0, 100.0, 0.01, 0.0)[seed % 4] * P,
+                         det_zero=seed % 2 == 1)
+    assert (setup.hR_det == 0.0) == (seed % 2 == 1)
+    rho = rng.uniform(0.0, 1.0, 3)
+    remaining = rng.uniform(0.0, 1.0, (4, 1, 1)) * P + 1e-3 * P
+    p = np.concatenate([rng.uniform(0.0, P, 4), [0.0, P]])  # p_i = P too
+    sign = np.array([-1, 1])
+    root = rng.uniform(0.0, 3.0, (2, 3))
+    for user in (1, 2):
+        def check(fn, scalar_fn, *args):
+            _assert_kernel_matches_scalars(
+                lambda *a: fn(setup, user, *a),
+                lambda *a: scalar_fn(setup, user, *a), *args)
+
+        check(zf_radicand, zf_radicand, rho[:, None], remaining[0, 0, 0])
+        check(zf_radicand, zf_radicand, rho[:, None], remaining)  # remaining
+        check(zf_radicand, zf_radicand, rho[1], remaining[2, 0, 0])  # 0-d
+        check(own_gain, own_gain, sign[:, None, None], root[0])  # sign
+        check(own_gain, own_gain, sign, root[:, :, None])  # root
+        check(own_gain, own_gain, sign[0], root[1, 2])  # 0-d
+        for largest in range(3):
+            args = [sign[:, None], root[:, 1:], remaining[:2, :, 0]]
+            args[largest] = args[largest][..., None, None]
+            check(own_signal, own_signal, *args)
+        check(own_signal, own_signal, sign[1], root[0, 0], remaining[1, 0, 0])
+        check(_signal, _scalar_signal, rho[:, None, None], sign[:, None], p)
+        check(_signal, _scalar_signal, rho, sign[:, None, None, None],
+              p[:, None])
+        check(_signal, _scalar_signal, rho[0], sign[1], p[:, None, None])
+        check(_signal, _scalar_signal, rho[2], sign[0], p[-1])  # 0-d, P
 
 
 def test_parallel_relay_columns_store_zero_det():

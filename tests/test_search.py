@@ -34,9 +34,10 @@ from imrc import (
 
 import imrc.search as search_module
 from imrc.model import branch_sign
-from imrc.search import (_BLOCK, _SIGNS, _block_bounds, _coarse, _exponent,
-                         _fixed_split_rate, _objective, _search, _signal,
-                         _sum_rate_or_nan, _window_bound, _zoom, search_p1)
+from imrc.search import (_BLOCK, _GROUP, _SIGNS, _bound, _cells, _coarse,
+                         _coarser, _exponent, _fixed_split_rate, _objective,
+                         _search, _signal, _sum_rate_or_nan, _window_bound,
+                         _zoom, search_p1)
 
 from helpers import linearizable_setup, random_setup, reference_zoom
 
@@ -224,6 +225,18 @@ def _grid_case(setup, grid):
     return setup, grid.p_values(setup.P), grid.rho_values()
 
 
+def _level_bounds(setup, pv, rhos, n1, n2):
+    """The dense bounds of the block level and then the group level, each
+    shaped (rho1, unit row, unit column) with its number of units a side,
+    on pv padded as the unrefined coarse stage pads it."""
+    level = _cells(setup, rhos, pv, n1, n2, _GROUP * _BLOCK)
+    for size in (_BLOCK, _GROUP):
+        level = _coarser(level, size)
+        unit = np.arange(len(level[4]))
+        bound = _bound(setup, level, slice(None), unit[:, None], unit[None])
+        yield bound, len(level[4])
+
+
 @pytest.mark.parametrize("case", [
     *(pytest.param(lambda seed=seed: _sign_case(seed), id=f"random-{seed}")
       for seed in range(20)),
@@ -233,22 +246,28 @@ def _grid_case(setup, grid):
                  id="huge-1e250"),
     pytest.param(lambda: _grid_case(PARALLEL_UPLINKS, GridSpec(41, 9)),
                  id="parallel-uplinks"),
+    # 26 blocks of 8 in 7 groups of 4, the last group half padding
+    pytest.param(lambda: _grid_case(_workload_channel(2), GridSpec(201, 9)),
+                 id="partial-group"),
 ])
 def test_block_bound_is_sound(case):
-    # the coarse stage skips a block whose bound is below an incumbent, so
-    # the bound must be at least every cell's value in its block, bit for
-    # bit, and 0 exactly where no cell of the block is feasible
+    # the coarse stage skips a group or a block whose bound is below an
+    # incumbent, so each bound must be at least every cell's value in its
+    # group or block, bit for bit, and 0 exactly where no cell of it is
+    # feasible; padding cells count as infeasible
     setup, pv, rhos = case()
     n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
-    bound = _block_bounds(setup, rhos, pv, n1, n2)[0]
-    side = bound.shape[1] * _BLOCK
+    side = -(-len(pv) // (_GROUP * _BLOCK)) * _GROUP * _BLOCK
     cells = np.zeros((len(rhos), side, side))
     cells[:, :len(pv), :len(pv)] = _objective(setup, rhos[:, None, None], n1,
                                               n2, pv, pv)
-    top = cells.reshape(len(rhos), side // _BLOCK, _BLOCK, side // _BLOCK,
-                        _BLOCK).max(axis=(2, 4))
-    assert (bound >= top).all()
-    assert ((bound == 0.0) == (top == 0.0)).all()
+    for bound, units in _level_bounds(setup, pv, rhos, n1, n2):
+        width = side // units
+        top = cells.reshape(len(rhos), units, width, units, width).max(
+            axis=(2, 4))
+        assert bound.shape == top.shape
+        assert (bound >= top).all()
+        assert ((bound == 0.0) == (top == 0.0)).all()
 
 
 def _workload_channel(seed):
@@ -315,7 +334,7 @@ def test_coarse_prunes_most_blocks(P):
     setup = replace(EX, P=P, PR=P)
     pv, rhos = GridSpec().p_values(P), GridSpec().rho_values()
     n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
-    live = (_block_bounds(setup, rhos, pv, n1, n2)[0] > 0.0).sum()
+    live = (next(_level_bounds(setup, pv, rhos, n1, n2))[0] > 0.0).sum()
     _, _, evaluated = _coarse(setup, rhos, pv, n1, n2)
     assert evaluated.sum() <= 0.2 * live
 
