@@ -40,27 +40,30 @@ from its blocks' largest signals and powers and least powers, so its
 bound is at least each of its blocks' bounds. Each user's per-block and
 per-group signal maximum and feasibility come from strided pairwise steps
 over the (rho1, p) tables, padded to whole groups with infeasible cells.
-All groups are bounded first; the top-bound block of each rho1's
-top-bound group is evaluated, and then, only in the groups whose bound
-reaches an incumbent, the blocks whose bound reaches it too. There are two
-incumbents:
+All groups are bounded first. The best cell of the top-bound block of
+each rho1's top-bound group sets an incumbent; then, in the groups whose
+bound reaches the incumbent, every block whose bound reaches it is
+evaluated and counted, the first-pass block again when it does. A cell
+is a unit of the finest level, whose least and largest power are both
+its p, so its bound is its own value, bit for bit: cells are evaluated
+by the same bound as blocks and groups. There are two incumbents:
 - unrefined (grid_search_sum_rate, SweepPolicy(refine=False)), G = 4.
   Only the first argmax over all rho1 is read, so the incumbent is the
   largest first-pass value over all rho1 (inf when none is feasible), a
   cell's value and so at most the maximum. A block that holds the
   maximum, and its group, have bounds of at least the maximum, so that
-  block is evaluated; other rows may keep less than their best, and
-  np.argmax over rows still takes the least rho1;
+  block is evaluated; other rows may keep less than their best, or
+  nothing, and np.argmax over rows still takes the least rho1;
 - refined, G = 1, so a group is a block. Each rho1's best cell starts a
   zoom, so each rho1 keeps its own first-pass value as its incumbent and
   finds its own best. That value must come from its own top-bound block:
   the top block of a larger group is a weaker incumbent, and more blocks
   pass it (G = 4 evaluates 1.5 times as many on the sweep benchmark).
 Either way a skipped block cannot hold a maximum that is read, and a tie
-is still evaluated: argmax keeps each block's first row-major maximum
-and the least cell index wins among blocks, whatever the order. Blocks
-are evaluated on the innermost axis of an (8, 8, block) array, so each
-ufunc loop runs over many blocks rather than 8 cells.
+is still evaluated: each block keeps its first row-major maximum, and one
+reduction per rho1 then takes the best value and the least cell index
+reaching it. Units are evaluated on the innermost axis of a (side, side,
+unit) array, so each ufunc loop runs over many units rather than 8 cells.
 
 The zoom stage advances the windows of all rho1 together, one evaluation
 per round, each window sampled by np.linspace. A window's cells from a
@@ -181,7 +184,9 @@ _ZOOM_SHRINK = (_ZOOM_POINTS - 1) // 2  # a window's half-width over spacing
 
 # The coarse grid is bounded in _BLOCK x _BLOCK blocks of cells, in the
 # unrefined search first in _GROUP x _GROUP groups of blocks, and its
-# surviving blocks are evaluated _COARSE_CHUNK at a time (8,192 cells).
+# surviving blocks are evaluated _COARSE_CHUNK at a time (8,192 cells):
+# evaluating them all at once took perfbench's sweep peak RSS from 39.1 to
+# 48.7-49.0 MB.
 _BLOCK = 8
 _GROUP = 4
 _COARSE_CHUNK = 128
@@ -267,7 +272,8 @@ def _cells(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
            n2: int, size: int) -> tuple:
     """The finest level, one unit per cell: each user's _signal and
     feasibility over (rho1, padded p), and the padded p as both the least
-    and the largest power. pv (ascending) is padded with its last value to
+    and the largest power, so that _bound on a cell is _value at the cell,
+    its value bit for bit. pv (ascending) is padded with its last value to
     a whole number of runs of size cells, infeasible past pv."""
     pp = np.concatenate([pv, np.full(-len(pv) % size, pv[-1])])
     sig1, ok1 = _signal(setup, 1, rhos[:, None], n1, pp)
@@ -292,93 +298,94 @@ def _coarser(level: tuple, size: int) -> tuple:
 
 def _bound(setup: ChannelSetup, level: tuple, k, rows, cols) -> np.ndarray:
     """The bound of the square of units (rows, cols) of a level at rho1
-    index k, broadcast: _value at each user's largest signal and power and
-    the other user's least power, 0 where a user has no feasible cell."""
+    indices k, all three broadcast: _value at each user's largest signal
+    and power and the other user's least power, 0 where a user has no
+    feasible cell. On _cells a unit is one cell, and its bound is its
+    value. Each table is read by flat take: on a 128-block chunk of cells
+    that gathers about twice as fast as s1[k, rows]."""
     s1, s2, live1, live2, lo, hi = level
-    return _value(setup, s1[k, rows], s2[k, cols], hi[rows], hi[cols],
-                  lo[rows], lo[cols], live1[k, rows] & live2[k, cols])
+    at1, at2 = k * len(lo) + rows, k * len(lo) + cols
+    return _value(setup, s1.take(at1), s2.take(at2), hi[rows], hi[cols],
+                  lo[rows], lo[cols], live1.take(at1) & live2.take(at2))
 
 
 def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
             n2: int, overall: bool = False) -> tuple:
     """Best cell of the (n1, n2) block for every rho1 on the grid pv x pv
-    (pv ascending): the linear value (0 when nothing is feasible), the
+    (pv ascending): the linear value (0 when no block was evaluated), the
     first row-major argmax, and how many _BLOCK x _BLOCK blocks were
     evaluated, all shaped (rho1,). Groups of size x size blocks are bounded
     first: size = _GROUP when overall, else 1, as each rho1's incumbent
-    must then be its own top-bound block. Blocks are bounded only in the
-    groups whose bound reaches an incumbent, and evaluated when their
-    bound reaches it too. The incumbent is the value of the top-bound
-    block of its rho1's top-bound group or, when overall, the largest such
-    value over all rho1; then only the first argmax over (rho1, cell) is
-    sure to be found, and the other rows' values may fall short of their
-    best (see the module docstring for why either, and branch_sign's
-    block, is exact). Blocks are evaluated on the innermost axis, so each
-    ufunc loop runs over many blocks."""
+    must then be its own top-bound block. The incumbent is the best cell
+    of the top-bound block of its rho1's top-bound group or, when overall,
+    the largest such value over all rho1; then only the first argmax over
+    (rho1, cell) is sure to be found, and the other rows' values may fall
+    short of their best (see the module docstring for why either, and
+    branch_sign's block, is exact). evaluated counts the blocks whose
+    bound reaches the incumbent; the first-pass block is evaluated again
+    among them when its bound reaches it, always unless overall. Cells
+    are bounded as units of one cell, which is their value bit for bit."""
     n, b, n_rho = len(pv), _BLOCK, len(rhos)
     size = _GROUP if overall else 1
     cells = _cells(setup, rhos, pv, n1, n2, size * b)
-    sig1, sig2, ok1, ok2, pp, _ = cells
     blocks = _coarser(cells, b)
     groups = _coarser(blocks, size)
     nb, ng = len(blocks[4]), len(groups[4])
-    unit = np.arange(ng)[:, None]
-    gbound = _bound(setup, groups, slice(None), unit, unit.T).reshape(n_rho, -1)
-    ramp = np.arange(b)[:, None]  # rows and columns are (cell, block)
-    value, arg = np.zeros(n_rho), np.zeros(n_rho, dtype=np.intp)
-    evaluated = np.zeros(n_rho, dtype=np.intp)
+
+    def inside(level, side, k, outer, across):
+        # the bounds of the side x side units of level inside the units
+        # outer (row-major, across a side) of the level above at rho1 k,
+        # shaped (unit inside, outer) so that each ufunc loop runs over
+        # many units, and each unit's row-major index in level
+        rows, cols = (x * side for x in np.divmod(outer, across))
+        rows = rows + np.arange(side)[:, None, None]
+        cols = cols + np.arange(side)[:, None]
+        bound = _bound(setup, level, k, rows, cols).reshape(side * side, -1)
+        return bound, (rows * across * side + cols).reshape(side * side, -1)
+
+    # every group, as the units of the one square that is the whole grid
+    gbound = inside(groups, ng, np.arange(n_rho), np.zeros(n_rho, np.intp),
+                    1)[0].T
 
     def members(k, g):  # bounds and indices of the blocks of groups g of k
-        if size == 1:  # the group bound is the block bound
-            return gbound[k, g][:, None], g[:, None]
-        rows, cols = (x[:, None, None] * size for x in np.divmod(g, ng))
-        rows, cols = rows + np.arange(size)[:, None], cols + np.arange(size)
-        bound = _bound(setup, blocks, k[:, None, None], rows, cols)
-        shape = len(k), size * size
-        return bound.reshape(shape), (rows * nb + cols).reshape(shape)
+        if size == 1:  # the group bound is the block bound; bounding the
+            # block again made the refined _search 1-8% slower (30
+            # interleaved rounds in one process, three channel sets)
+            return gbound[k, g][None], g[None]
+        return inside(blocks, size, k, g, ng)
 
-    def merge(k, block):  # evaluate blocks, k ascending, into value, arg
-        rows, cols = (x * b + ramp for x in np.divmod(block, nb))
-        base = k * len(pp)  # rho1's row in the (rho1, p) tables
-        at_rows, at_cols = base + rows, base + cols
-        p1, p2 = pp[rows][:, None], pp[cols][None]
-        ok = ok1.take(at_rows)[:, None] & ok2.take(at_cols)[None]
-        v = _value(setup, sig1.take(at_rows)[:, None],
-                   sig2.take(at_cols)[None], p1, p2, p1, p2, ok)
-        v = v.reshape(b * b, len(k))
-        at = v.argmax(axis=0)  # the first maximum, row-major in a block
-        idx = np.arange(len(k))
-        top, cell = v[at, idx], rows[at // b, idx] * n + cols[at % b, idx]
-        # per rho1: the best value, then the least cell index reaching it
-        start = np.flatnonzero(np.diff(k, prepend=-1))
-        seg, count = k[start], np.diff(start, append=len(k))
-        best = np.maximum.reduceat(top, start)
-        first = np.minimum.reduceat(
-            np.where(top == np.repeat(best, count), cell, n * n), start)
-        win = (best > value[seg]) | ((best == value[seg]) & (first < arg[seg]))
-        value[seg[win]], arg[seg[win]] = best[win], first[win]
-        evaluated[seg] += count
-
-    # first pass: the top-bound block of each rho1's top-bound group (a
-    # rho1 with no feasible cell gets none); then, in every group whose
-    # bound reaches the incumbent (inf when nothing is feasible), every
-    # other block whose bound reaches it, _COARSE_CHUNK at a time in
-    # (rho1, group, block) order
+    # first pass: the best cell of the top-bound block of each rho1's
+    # top-bound group (none for a rho1 with no feasible cell) sets the
+    # incumbent, inf when nothing is feasible
     k = np.flatnonzero(gbound.max(axis=1) > 0.0)
     bound, block = members(k, gbound.argmax(axis=1)[k])
-    done = np.full(n_rho, -1)
-    done[k] = block[np.arange(len(k)), bound.argmax(axis=1)]
-    merge(k, done[k])
-    incumbent = np.full(n_rho, value.max()) if overall else value
-    reach = np.where(incumbent > 0.0, incumbent, np.inf)[:, None]
-    k, g = np.divmod(np.flatnonzero(gbound >= reach), ng * ng)
+    top = block[bound.argmax(axis=0), np.arange(len(k))]
+    incumbent = np.zeros(n_rho)
+    incumbent[k] = inside(cells, b, k, top, nb)[0].max(axis=0)
+    reach = np.where(incumbent > 0.0,
+                     incumbent.max() if overall else incumbent, np.inf)
+    # main pass, in (rho1, group, block) order: every block whose bound
+    # reaches the incumbent, in a group whose bound reaches it
+    k, g = np.divmod(np.flatnonzero(gbound >= reach[:, None]), ng * ng)
     bound, block = members(k, g)
-    i, j = np.nonzero((bound >= reach[k]) & (block != done[k, None]))
-    k, block = k[i], block[i, j]
+    i, j = np.nonzero((bound >= reach[k]).T)
+    k, block = k[i], block[j, i]
+    best, cell = np.empty(len(k)), np.empty(len(k), dtype=np.intp)
     for start in range(0, len(k), _COARSE_CHUNK):
         end = start + _COARSE_CHUNK
-        merge(k[start:end], block[start:end])
-    return value, arg, evaluated
+        v, at = inside(cells, b, k[start:end], block[start:end], nb)
+        first = v.argmax(axis=0)  # the first maximum, row-major in a block
+        idx = np.arange(len(first))
+        best[start:end], cell[start:end] = v[first, idx], at[first, idx]
+    # per rho1: the best value, then the least cell index reaching it
+    head = np.flatnonzero(np.diff(k, prepend=-1))
+    side = len(cells[4])  # padded cells a side
+    value, arg = np.zeros(n_rho), np.zeros(n_rho, dtype=np.intp)
+    value[k[head]] = np.maximum.reduceat(best, head)
+    arg[k[head]] = np.minimum.reduceat(
+        np.where(best == value[k], cell, side * side), head)
+    row, col = np.divmod(arg, side)  # padded to n x n cell indices
+    return value, row * n + col, np.bincount(k, minlength=n_rho)
 
 
 def _window_rows(P: float, c: np.ndarray, half: float) -> np.ndarray:
@@ -573,8 +580,9 @@ def _sum_rate_or_nan(setup: ChannelSetup, alloc: PowerAllocation) -> float:
 
 def _fixed_split_rate(setup: ChannelSetup, p: float) -> float:
     """Exact scheme sum rate at p1 = p2 = p with rho1 = 1/2, maximized over
-    the four sign pairs ((+1,+1) kept on ties); NaN when zero-forcing is
-    infeasible at that split."""
+    the four sign pairs; NaN when zero-forcing is infeasible at that split.
+    branch_sign's pair alone is not enough: where the MAC sum cap
+    truncates, rescaling the rates can leave another pair 1 ulp higher."""
     best = float("nan")
     for n1, n2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         alloc = PowerAllocation(p1=p, p2=p, rho1=0.5, n1=n1, n2=n2)

@@ -233,7 +233,8 @@ def _level_bounds(setup, pv, rhos, n1, n2):
     for size in (_BLOCK, _GROUP):
         level = _coarser(level, size)
         unit = np.arange(len(level[4]))
-        bound = _bound(setup, level, slice(None), unit[:, None], unit[None])
+        bound = _bound(setup, level, np.arange(len(rhos))[:, None, None],
+                       unit[:, None], unit[None])
         yield bound, len(level[4])
 
 
@@ -305,11 +306,16 @@ def test_coarse_prune_matches_full_grid(seed, n_p):
                                   arg[value.argmax()])
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_coarse_keeps_first_row_among_tied_rows(seed):
+@pytest.mark.parametrize("seed, overall", [
+    *(pytest.param(seed, False, id=f"{seed}") for seed in range(4)),
+    *(pytest.param(seed, True, id=f"{seed}-overall") for seed in range(4)),
+])
+def test_coarse_keeps_first_row_among_tied_rows(seed, overall):
     # g1R = 0 and h12 = 0: user 1's term is 1 at every p1 and nothing else
     # depends on p1, so all rows of a rho1 tie bit for bit, across block
-    # boundaries; the first row, p1 = 0, must win
+    # boundaries; the first row, p1 = 0, must win, for every rho1 or, when
+    # pruned against one overall incumbent, for the first argmax over
+    # (rho1, cell)
     rng = np.random.default_rng(1800 + seed)
     P = float(10.0 ** rng.uniform(-2.0, 1.0))
     setup = replace(random_setup(rng, P=P, PR=(1.0, 100.0)[seed % 2] * P),
@@ -317,13 +323,67 @@ def test_coarse_keeps_first_row_among_tied_rows(seed):
     grid = GridSpec(n_p=101 if seed < 2 else 100, n_rho=9)
     pv, rhos = grid.p_values(P), grid.rho_values()
     n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
-    value, arg, _ = _coarse(setup, rhos, pv, n1, n2)
+    value, arg, _ = _coarse(setup, rhos, pv, n1, n2, overall)
     assert (value > 0.0).any()
+    full = _objective(setup, rhos[:, None, None], n1, n2, pv, pv)
+    assert (full == full[:, :1]).all()
+    full = full.reshape(len(rhos), -1)
+    if overall:
+        k = value.argmax()
+        assert (k, arg[k]) == np.unravel_index(full.argmax(), full.shape)
+        assert arg[k] < len(pv)
+        return
+    for k in range(len(rhos)):
+        assert value[k] == full[k].max()
+        assert value[k] == 0.0 or arg[k] == full[k].argmax() < len(pv)
+
+
+def _expected_evaluated(setup, pv, rhos, overall):
+    """What _coarse counts, from the dense bounds: per rho1, the blocks
+    whose bound reaches the incumbent, the best cell of the top-bound
+    block of the rho1's top-bound group (of one block unless overall) or,
+    when overall, the largest such value over all rho1."""
+    n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
+    (blocks, nb), (groups, ng) = _level_bounds(setup, pv, rhos, n1, n2)
+    size = _GROUP if overall else 1
+    first = np.zeros(len(rhos))
     for k, rho1 in enumerate(rhos):
-        full = _objective(setup, rho1, n1, n2, pv, pv)
-        assert (full == full[:1]).all()
-        assert value[k] == full.max()
-        assert value[k] == 0.0 or arg[k] == full.argmax() < len(pv)
+        if not blocks[k].any():
+            continue
+        if overall:
+            gr, gc = np.multiply(divmod(groups[k].argmax(), ng), size)
+        else:
+            gr, gc = divmod(blocks[k].argmax(), nb)
+        square = blocks[k, gr:gr + size, gc:gc + size]
+        br, bc = np.add(divmod(square.argmax(), size), (gr, gc)) * _BLOCK
+        cells = np.zeros((nb * _BLOCK,) * 2)
+        cells[:len(pv), :len(pv)] = _objective(setup, rho1, n1, n2, pv, pv)
+        first[k] = cells[br:br + _BLOCK, bc:bc + _BLOCK].max()
+    incumbent = np.full(len(rhos), first.max()) if overall else first
+    reach = np.where(incumbent > 0.0, incumbent, np.inf)
+    return (blocks >= reach[:, None, None]).sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("overall", [False, True])
+@pytest.mark.parametrize("case", [
+    *(pytest.param(lambda seed=seed: (_workload_channel(seed),
+                                      GridSpec(n_p=101, n_rho=99)),
+                   id=f"workload-{seed}") for seed in range(8)),
+    pytest.param(lambda: (_workload_channel(2), GridSpec(201, 9)),
+                 id="partial-group"),
+    pytest.param(lambda: (TIED_AT_SUM_CAP, GridSpec(n_p=17, n_rho=5)),
+                 id="rows-tied-at-sum-cap"),
+    pytest.param(lambda: (replace(EX, PR=0.0), _BelowBudget(n_p=41, n_rho=9)),
+                 id="nothing-feasible"),
+])
+def test_coarse_counts_blocks_reaching_the_incumbent(case, overall):
+    # evaluated counts each block once when its bound reaches the
+    # incumbent, the first-pass block included only then
+    setup, grid = case()
+    pv, rhos = grid.p_values(setup.P), grid.rho_values()
+    _, _, evaluated = _coarse(setup, rhos, pv, branch_sign(setup, 1),
+                              branch_sign(setup, 2), overall)
+    assert (evaluated == _expected_evaluated(setup, pv, rhos, overall)).all()
 
 
 @pytest.mark.parametrize("P", [0.1, 1.0])
@@ -343,7 +403,7 @@ def test_coarse_prunes_most_blocks(P):
 def test_overall_incumbent_evaluates_fewer_blocks(P):
     # a count, not a timing: pruning against the best first-pass value
     # over all rho1 skips at least what each rho1's own value skips
-    # (-10 dB: 465 per split, 421 overall; 0 dB: 208 and 177)
+    # (-10 dB: 465 per split, 406 overall; 0 dB: 208 and 158)
     setup = replace(EX, P=P, PR=P)
     pv, rhos = GridSpec().p_values(P), GridSpec().rho_values()
     n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
@@ -743,6 +803,30 @@ def test_sweep_on_zero_relay_column():
     assert math.isnan(_sum_rate_or_nan(setup, closed))
     with pytest.raises(NoFeasiblePoint):
         sweep_P(setup, [0.1], SweepPolicy(grid=GridSpec(n_p=11, n_rho=3)))
+
+
+# at p = sqrt(P) with rho1 = 1/2 the MAC sum cap truncates, and rescaling
+# the rates leaves (+1, -1) 1 ulp above branch_sign's pair (-1, -1)
+ULP_ABOVE_BRANCH_SIGN = ChannelSetup(
+    h11=1.3396318452274005, h12=0.7367650244655668, h21=-1.411306000466496,
+    h22=0.9376370786307795, g1R=(0.7865662358045253, 0.440854456288456),
+    g2R=(-0.9941594200342581, -1.2642519732203983),
+    hR1=(-0.5410682670988747, -1.1361644079247775),
+    hR2=(0.6140745651519917, 1.447913058845769), P=21.34568665933849,
+    PR=2134.568665933849)
+
+
+def test_fixed_split_rate_takes_best_of_four_sign_pairs():
+    setup = ULP_ABOVE_BRANCH_SIGN
+    p = math.sqrt(setup.P)
+    assert (branch_sign(setup, 1), branch_sign(setup, 2)) == (-1, -1)
+    points = {signs: scheme_rate_point(setup, PowerAllocation(
+        p1=p, p2=p, rho1=0.5, n1=signs[0], n2=signs[1]))
+        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))}
+    assert points[-1, -1].truncated and points[1, -1].truncated
+    assert points[-1, -1].sum_rate == 4.542828007521951
+    assert points[1, -1].sum_rate == 4.542828007521952
+    assert _fixed_split_rate(setup, p) == 4.542828007521952
 
 
 def test_sweep_rejects_unsorted_budgets():
