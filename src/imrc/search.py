@@ -8,8 +8,10 @@ the references the analytical results are checked against.
 One sign block per rho1 suffices: model.branch_sign gives each user the
 n_i with the larger |f_ii| at every cell, bit for bit, and A_i and
 min(A1 A2, M) below never fall as |f_ii| grows, so that block is the
-cellwise maximum of the four. The signs are resolved at the chosen cell
-alone, over all four pairs, so exact ties still go to the smallest (n1, n2).
+cellwise maximum of the four. That one block serves the coarse stage, the
+zoom and figure 4's search_p1; only the chosen cell of a grid search is
+resolved over all four pairs, so exact ties still go to the smallest
+(n1, n2).
 
 One broadcast objective serves every search. It evaluates model's per-user
 kernel -- the radicand with its feasibility tolerance, f_ii and the
@@ -398,8 +400,9 @@ def _window_rows(P: float, c: np.ndarray, half: float) -> np.ndarray:
 
 def _window_bound(setup: ChannelSetup, rho1, n1, n2, c1, c2, half1: float,
                   half2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each window's bound on the cells of its hull, c_i +/- half_i (1 + 1/9)
-    in [0, P], and whether both users are feasible on the whole hull."""
+    """Each window's bound on the (n1, n2) block's cells of its hull,
+    c_i +/- half_i (1 + 1/9) in [0, P], and whether both users are feasible
+    on the whole hull."""
     reach = 1.0 + 1.0 / (_ZOOM_SHRINK - 1)  # > 1 + 1/10 + 1/100 + ...
     reach1, reach2 = half1 * reach, half2 * reach
     lo1, hi1 = np.maximum(0.0, c1 - reach1), np.minimum(setup.P, c1 + reach1)
@@ -419,26 +422,24 @@ def _window_bound(setup: ChannelSetup, rho1, n1, n2, c1, c2, half1: float,
     return _value(setup, sig[0], sig[1], hi1, hi2, lo1, lo2, live), whole
 
 
-def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: np.ndarray,
-          n2: np.ndarray, value: np.ndarray, c1: np.ndarray, c2: np.ndarray,
-          half1: float, half2: float
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Sharpen each window's coarse best cell (value at c1, c2) by a
-    deterministic zoom: re-grid +/- half per axis around the current
-    center (_window_rows), move the center to the argmax, shrink the
-    half-widths to the new spacing, repeat; a zero half-width pins that
-    axis. Only a strictly better cell replaces the best. A window is not
-    zoomed while its value is 0 or it cannot change the first argmax of
-    best (module docstring). Returns best, p1, p2 and the window-rounds."""
+def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: int, n2: int,
+          value: np.ndarray, c1: np.ndarray, c2: np.ndarray, half1: float,
+          half2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Sharpen each window's best cell (value at c1, c2) in the (n1, n2)
+    sign block by a deterministic zoom: re-grid +/- half per axis around
+    the current center (_window_rows), move the center to the argmax,
+    shrink the half-widths to the new spacing, repeat; a zero half-width
+    pins that axis. Only a strictly better cell replaces the best. A window
+    is not zoomed while its value is 0 or it cannot change the first argmax
+    of best (module docstring). Returns best, p1, p2 and the window-rounds."""
     best, best1, best2 = value.copy(), c1.copy(), c2.copy()
     c1, c2 = c1.copy(), c2.copy()
     live = np.flatnonzero(value > 0.0)
     runs = 0
     for round_ in range(_ZOOM_ROUNDS):
         if len(live) > 2:  # two windows zoom faster than they are bounded
-            bound, whole = _window_bound(setup, rho1[live], n1[live],
-                                         n2[live], c1[live], c2[live], half1,
-                                         half2)
+            bound, whole = _window_bound(setup, rho1[live], n1, n2,
+                                         c1[live], c2[live], half1, half2)
             keep = (bound >= best.max()) & (bound > best[live])
             if round_ == 0 and setup.hR_det == 0.0:
                 twins = np.flatnonzero(whole)
@@ -451,8 +452,8 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: np.ndarray,
         runs += len(live)
         p1w = _window_rows(setup.P, c1[live], half1)
         p2w = _window_rows(setup.P, c2[live], half2)
-        obj = _objective(setup, rho1[live, None, None], n1[live, None, None],
-                         n2[live, None, None], p1w, p2w).reshape(len(live), -1)
+        obj = _objective(setup, rho1[live, None, None], n1, n2, p1w,
+                         p2w).reshape(len(live), -1)
         row = np.arange(len(live))
         at = obj.argmax(axis=1)  # first maximum, row-major
         top = obj[row, at]
@@ -487,8 +488,7 @@ def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
     c1, c2 = pv[arg[k] // len(pv)], pv[arg[k] % len(pv)]
     step = float(pv[1] - pv[0])
     if refine and step > 0.0:
-        value, c1, c2, _ = _zoom(setup, rho1, np.full(len(k), n1),
-                                 np.full(len(k), n2), value, c1, c2, step,
+        value, c1, c2, _ = _zoom(setup, rho1, n1, n2, value, c1, c2, step,
                                  step)
     t = int(np.argmax(value))  # one cell per rho1: the first is smallest
     rho, p1, p2 = float(rho1[t]), float(c1[t]), float(c2[t])
@@ -517,22 +517,20 @@ def grid_search_sum_rate(setup: ChannelSetup,
 
 def search_p1(setup: ChannelSetup, rho1: float, n_p: int) -> float | None:
     """Best new-message power p1 of user 1 with p2 = 0 and n2 = +1: the
-    exact sum rate on np.linspace(0, P, n_p), zoomed around the argmax,
-    maximized over n1 with +1 kept on ties. None when no p1 is feasible,
-    or when a zero relay column hRj leaves a user no beam."""
+    exact sum rate of branch_sign's n1 on np.linspace(0, P, n_p), zoomed
+    around the argmax. None when no p1 is feasible, or when a zero relay
+    column hRj leaves a user no beam."""
     pv = np.linspace(0.0, setup.P, n_p)
-    n1 = _SIGNS[::-1]
     try:
-        column = _objective(setup, rho1, n1[:, None, None], 1, pv,
-                            np.zeros(1))[:, :, 0]
+        n1 = branch_sign(setup, 1)
+        column = _objective(setup, rho1, n1, 1, pv, np.zeros(1))[:, 0]
     except DegenerateRelayChannel:
         return None
-    at = column.argmax(axis=1)
-    step = float(pv[1] - pv[0])
-    value, c1, _, _ = _zoom(setup, np.full(2, rho1), n1,
-                            np.ones(2, dtype=int), column[np.arange(2), at],
-                            pv[at], np.zeros(2), step, 0.0)
-    return float(c1[value.argmax()]) if value.any() else None
+    at = column.argmax()
+    value, c1, _, _ = _zoom(setup, np.full(1, rho1), n1, 1, column[at:at + 1],
+                            pv[at:at + 1], np.zeros(1), float(pv[1] - pv[0]),
+                            0.0)
+    return float(c1[0]) if value[0] > 0.0 else None
 
 
 def bisect_intersection(curve_pair, interval, tol: float = 1e-12) -> float:

@@ -83,10 +83,10 @@ def swap_users(setup):
 def reference_zoom(setup, rho1, n1, n2, value, c1, c2, half1, half2,
                    rounds=3, points=21):
     """search._zoom without pruning: every window with a positive value,
-    every round, one window at a time on np.linspace grids. Each round
-    re-grids +/- half around the center, clamped to [0, P], moves the
-    center to the first row-major argmax, keeps it when strictly better,
-    and divides the half-widths by 10. Returns the same tuple as _zoom:
+    every round, one window at a time on np.linspace grids, all in the
+    (n1, n2) sign block. Each round re-grids +/- half around the center,
+    clamped to [0, P], moves the center to the first row-major argmax,
+    keeps it when strictly better, and divides the half-widths by 10. Returns the same tuple as _zoom:
     best value, p1 and p2 per window, and the window-rounds run."""
     best = np.array(value, dtype=float)
     best1, best2 = np.array(c1, dtype=float), np.array(c2, dtype=float)
@@ -96,7 +96,7 @@ def reference_zoom(setup, rho1, n1, n2, value, c1, c2, half1, half2,
         for _ in range(rounds):
             p1 = np.linspace(max(0.0, a - h1), min(setup.P, a + h1), points)
             p2 = np.linspace(max(0.0, b - h2), min(setup.P, b + h2), points)
-            obj = _objective(setup, rho1[w], n1[w], n2[w], p1, p2)
+            obj = _objective(setup, rho1[w], n1, n2, p1, p2)
             i, j = divmod(int(obj.argmax()), points)
             a, b = p1[i], p2[j]
             if obj[i, j] > best[w]:
@@ -104,6 +104,27 @@ def reference_zoom(setup, rho1, n1, n2, value, c1, c2, half1, half2,
             runs += 1
             h1, h2 = h1 / 10.0, h2 / 10.0
     return best, best1, best2, runs
+
+
+def reference_search_p1(setup, rho1, n_p):
+    """search.search_p1 over both signs n1: each sign's column on the same
+    np.linspace grid, each zoomed from its first argmax by reference_zoom,
+    the best kept with +1 first on ties; None when neither is feasible or
+    a relay column is zero."""
+    pv = np.linspace(0.0, setup.P, n_p)
+    best, best_p1 = 0.0, None
+    for n1 in (1, -1):
+        try:
+            column = _objective(setup, rho1, n1, 1, pv, np.zeros(1))[:, 0]
+        except DegenerateRelayChannel:
+            return None
+        at = int(column.argmax())
+        value, c1, _, _ = reference_zoom(setup, np.array([rho1]), n1, 1,
+                                         [column[at]], [pv[at]], [0.0],
+                                         float(pv[1] - pv[0]), 0.0)
+        if value[0] > best:
+            best, best_p1 = value[0], float(c1[0])
+    return best_p1
 
 
 def _reference_expansion(setup, rho1, user, sign):

@@ -1,10 +1,13 @@
 """Grid search, bisection, convex hull, and the budget sweep."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imrc import (
     ChannelSetup,
@@ -39,7 +42,8 @@ from imrc.search import (_BLOCK, _GROUP, _SIGNS, _bound, _cells, _coarse,
                          _search, _signal, _sum_rate_or_nan, _window_bound,
                          _zoom, search_p1)
 
-from helpers import linearizable_setup, random_setup, reference_zoom
+from helpers import (linearizable_setup, random_setup, reference_search_p1,
+                     reference_zoom)
 
 EX = example_channel()
 
@@ -149,6 +153,40 @@ def test_objective_matches_scheme_rate_point(seed):
         else:
             assert math.log2(value) + exponent == pytest.approx(
                 scheme_rate_point(setup, alloc).sum_rate, rel=1e-12)
+
+
+_POWER_SHARE = st.one_of(st.just(1.0), st.floats(0.0, 1.0))  # p_i = P often
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       P=st.one_of(st.floats(-3.0, 2.0).map(lambda x: 10.0 ** x),
+                   st.sampled_from([1e160, 1e250])),
+       ratio=st.sampled_from([0.0, 0.01, 0.25, 1.0, 100.0]),
+       det_zero=st.booleans(),
+       rho1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       share1=_POWER_SHARE, share2=_POWER_SHARE,
+       n1=st.sampled_from([-1, 1]), n2=st.sampled_from([-1, 1]))
+def test_objective_matches_scheme_rate_point_off_grid(seed, P, ratio,
+                                                      det_zero, rho1, share1,
+                                                      share2, n1, n2):
+    # the same agreement anywhere, not only at grid cells: log2 of the
+    # linear value plus e carries the rate, and log2 v ~ -e cancels at tiny
+    # rates, so the tolerance has a term absolute in bits that grows with e
+    setup = random_setup(np.random.default_rng(seed), P=P, PR=ratio * P,
+                         det_zero=det_zero)
+    alloc = PowerAllocation(p1=share1 * P, p2=share2 * P, rho1=rho1, n1=n1,
+                            n2=n2)
+    value = float(_objective(setup, rho1, n1, n2, np.array([alloc.p1]),
+                             np.array([alloc.p2]))[0, 0])
+    if value == 0.0:
+        with pytest.raises(InfeasibleRadicand):
+            scheme_rate_point(setup, alloc)
+        return
+    exponent = _exponent(setup)
+    rate = scheme_rate_point(setup, alloc).sum_rate
+    assert (abs(math.log2(value) + exponent - rate)
+            <= 1e-12 * rate + 2.0 ** -50 * exponent)
 
 
 def _sign_case(seed):
@@ -499,8 +537,7 @@ def _window_case(seed):
     c1, c2 = rng.uniform(0.0, setup.P, (2, 64))
     c1[:16], c2[8:24] = setup.P, setup.P
     rho1 = rng.uniform(0.0, 1.0, 64)
-    n1, n2 = rng.choice([-1, 1], (2, 64))
-    return setup, rng, rho1, n1, n2, c1, c2
+    return setup, rng, rho1, c1, c2
 
 
 def _hull_points(rng, lo, hi):
@@ -517,9 +554,11 @@ def test_window_bound_is_sound(seed):
     # bound must be at least _objective at every point of the window's
     # hull, c +/- h (1 + 1/9) in [0, P], 0 only where no point is feasible,
     # and a hull reported wholly feasible must have no infeasible point;
-    # half-widths h from 1e-4 P to P, and h = 0 pinning p2 as in search_p1
-    setup, rng, rho1, n1, n2, c1, c2 = _window_case(seed)
-    for half1, half2 in ((1e-4, 1e-3), (0.05, 0.0), (0.3, 0.2), (1.0, 1.0)):
+    # half-widths h from 1e-4 P to P, and h = 0 pinning p2 as in search_p1,
+    # all 64 windows in each of the four sign blocks
+    setup, rng, rho1, c1, c2 = _window_case(seed)
+    halves = ((1e-4, 1e-3), (0.05, 0.0), (0.3, 0.2), (1.0, 1.0))
+    for n1, n2, (half1, half2) in itertools.product((-1, 1), (-1, 1), halves):
         half1, half2 = half1 * setup.P, half2 * setup.P
         bound, whole = _window_bound(setup, rho1, n1, n2, c1, c2, half1,
                                      half2)
@@ -528,8 +567,7 @@ def test_window_bound_is_sound(seed):
                           np.minimum(setup.P, c1 + reach1))
         p2 = _hull_points(rng, np.maximum(0.0, c2 - reach2),
                           np.minimum(setup.P, c2 + reach2))
-        obj = _objective(setup, rho1[:, None, None], n1[:, None, None],
-                         n2[:, None, None], p1, p2)
+        obj = _objective(setup, rho1[:, None, None], n1, n2, p1, p2)
         top = obj.max(axis=(1, 2))
         assert (bound >= top).all()
         assert (top[bound == 0.0] == 0.0).all()
@@ -576,6 +614,42 @@ def test_pruned_zoom_matches_reference(case, monkeypatch):
     pruned = run()
     monkeypatch.setattr(search_module, "_zoom", reference_zoom)
     assert run() == pruned
+
+
+def _p1_case(case):
+    """Channels for search_p1 against both signs: 30 random ones (P from
+    1e-3 to 1e2, PR/P in {0, 1/100, 1/4, 1, 100}, det(H) = 0 in 1 of 3),
+    _zoom_case(4), whose sign columns peak apart, and three with det(H) != 0
+    and a tie or an edge: a_1 = h11 - h12 (hR1 . hR2)/||hR2||^2 = 0, so
+    the two signs tie bit for bit; h12 = 0; and PR = 0."""
+    if case == "zoom4":
+        return _zoom_case(4)
+    if isinstance(case, int):
+        rng = np.random.default_rng(2500 + case)
+        P = float(10.0 ** rng.uniform(-3.0, 2.0))
+        ratio = (0.0, 0.01, 0.25, 1.0, 100.0)[case % 5]
+        return random_setup(rng, P=P, PR=ratio * P, det_zero=case % 3 == 0)
+    setup = _zoom_case(5)
+    if case == "a1=0":
+        offset = setup.h12 * setup.hR_dot / setup.hR2_norm2
+        return replace(setup, h11=offset)  # a_1 = offset - offset = 0
+    return replace(setup, **{"h12=0": {"h12": 0.0}, "PR=0": {"PR": 0.0}}[case])
+
+
+@pytest.mark.parametrize("case", [*range(30), "zoom4", "a1=0", "h12=0",
+                                  "PR=0"])
+def test_search_p1_matches_both_sign_search(case):
+    # searching branch_sign's column alone gives, bit for bit, the p1 of
+    # zooming both columns and keeping the better one (+1 first on ties):
+    # the columns are equal where the signs tie, and elsewhere the other
+    # column is never above it; only a zoom from the other column landing
+    # where this one's does not could differ, and these cases pin that it
+    # does not
+    setup = _p1_case(case)
+    assert setup.hR_det != 0.0 or case in range(0, 30, 3)
+    for rho1, n_p in itertools.product((0.2, 0.5, 0.8), (101, 401)):
+        assert (search_p1(setup, rho1, n_p)
+                == reference_search_p1(setup, rho1, n_p))
 
 
 @pytest.mark.parametrize("P", [0.1, 1.0])
@@ -788,8 +862,11 @@ def test_sweep_relay_budget_policy():
 
 @pytest.mark.parametrize("column", ["hR1", "hR2"])
 def test_search_p1_on_zero_relay_column(column):
-    # a zero hRj leaves user i no zero-forcing beam, so no p1 is feasible
-    assert search_p1(replace(EX, **{column: (0.0, 0.0)}), 0.5, 101) is None
+    # a zero hRj leaves user i no zero-forcing beam, so no p1 is feasible,
+    # with branch_sign's n1 as with both
+    setup = replace(EX, **{column: (0.0, 0.0)})
+    assert search_p1(setup, 0.5, 101) is None
+    assert reference_search_p1(setup, 0.5, 101) is None
 
 
 def test_sweep_on_zero_relay_column():

@@ -9,13 +9,13 @@ dumps checks that a change to the search leaves every result unchanged:
 The set: 150 random channels (P = 10^U(-3, 2), PR/P cycling through 1, 100,
 1/4, 0 and 1/100, det(H) = 0 in 1 of 3), each searched with and without the
 zoom on the 101x99, 201x99 and 37x11 grids, by grid_search_sum_rate on the
-default grid and by search_p1 at rho1 = 0.5 on 2001 points; then the paper
-example's sweep rows from -30 to 20 dB with PR = P and PR = 100 P; then
-edge channels searched the same way on the 2x1, 3x2, 17x5, 65x7 and 129x5
-grids (one to 17 blocks of 8, padded to whole blocks and groups): one
-channel at P in {0, 5e-324, 1e-300, 1e160, 1e250} x PR/P in {0, 1/100, 1,
-100}, and at P = PR = 1 with a zero hR2, with parallel relay columns, and
-with g1R = 0 and h12 = 0 (every p1 ties).
+default grid and by search_p1 at rho1 in {0.2, 0.5, 0.8} on 101 and 2001
+points; then the paper example's sweep rows from -30 to 20 dB with PR = P
+and PR = 100 P; then edge channels searched the same way on the 2x1, 3x2,
+17x5, 65x7 and 129x5 grids (one to 17 blocks of 8, padded to whole blocks
+and groups): one channel at P in {0, 5e-324, 1e-300, 1e160, 1e250} x PR/P
+in {0, 1/100, 1, 100}, and at P = PR = 1 with a zero hR2, with parallel
+relay columns, and with g1R = 0 and h12 = 0 (every p1 ties).
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ RELAY_RATIOS = (1.0, 100.0, 0.25, 0.0, 0.01)
 EDGE_GRIDS = ((2, 1), (3, 2), (17, 5), (65, 7), (129, 5))
 EDGE_BUDGETS = (0.0, 5e-324, 1e-300, 1e160, 1e250)
 EDGE_RATIOS = (0.0, 0.01, 1.0, 100.0)
+P1_SPLITS = (0.2, 0.5, 0.8)
+P1_POINTS = (101, 2001)
 
 
 def _channel(imrc, rng: np.random.Generator, k: int):
@@ -83,7 +85,8 @@ def _edge_channels(imrc):
 
 def _search_lines(imrc, label: str, setup, grids):
     """Every search of one channel: _search with and without the zoom on
-    each grid, grid_search_sum_rate on the default grid, and search_p1."""
+    each grid, grid_search_sum_rate on the default grid, and search_p1 at
+    each split and number of points."""
     from imrc.search import _search, search_p1
 
     for n_p, n_rho in grids:
@@ -98,8 +101,11 @@ def _search_lines(imrc, label: str, setup, grids):
         return f"{_alloc(result.allocation)} sum_rate={result.sum_rate!r}"
 
     print(f"{label} grid_search_sum_rate: {_attempt(oracle, imrc.ImrcError)}")
-    line = _attempt(lambda: repr(search_p1(setup, 0.5, 2001)), imrc.ImrcError)
-    print(f"{label} search_p1: {line}")
+    for rho1 in P1_SPLITS:
+        for n_p in P1_POINTS:
+            line = _attempt(lambda: repr(search_p1(setup, rho1, n_p)),
+                            imrc.ImrcError)
+            print(f"{label} search_p1 rho1={rho1} n_p={n_p}: {line}")
 
 
 def main(argv=None) -> int:
