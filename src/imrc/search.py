@@ -30,25 +30,31 @@ infeasible cell never wins. A1 and M are scaled by the power of two 2^-e
 with 2^e > 1 + ||g1R||^2 P, which keeps A1 A2 finite at budgets where it
 would overflow; a power of two does not round, so no comparison changes.
 
-The coarse stage computes the MAC sum cap once per grid and each user's
-signal power and feasibility once per grid and rho1, and bounds each 8 x 8
-block of cells with the cells' own operations at the block's largest
-signal and own power and the other user's least power. A_i never falls as
-its signal or p_i grows, never rises as p_j grows, M never falls as a
-power grows (alpha >= 0), and IEEE + - * / and min round monotonically,
-so the bound is at least every cell's rounded value; it is 0 for a block
-without a feasible cell. A group of G x G blocks is bounded the same way
-from its blocks' largest signals and powers and least powers, so its
-bound is at least each of its blocks' bounds. Each user's per-block and
-per-group signal maximum and feasibility come from strided pairwise steps
-over the (rho1, p) tables, padded to whole groups with infeasible cells.
-All groups are bounded first. The best cell of the top-bound block of
-each rho1's top-bound group sets an incumbent; then, in the groups whose
-bound reaches the incumbent, every block whose bound reaches it is
-evaluated and counted, the first-pass block again when it does. A cell
-is a unit of the finest level, whose least and largest power are both
-its p, so its bound is its own value, bit for bit: cells are evaluated
-by the same bound as blocks and groups. There are two incumbents:
+The coarse stage builds no (rho1, p) table. It bounds each 8 x 8 block
+of cells, and each G x G group of blocks, by the cells' own operations
+(_value) at the unit's largest signal and own power and the other user's
+least power. A_i never falls as its signal or p_i grows, never rises as
+p_j grows, M never falls as a power grows (alpha >= 0), and IEEE + - * /
+and min round monotonically, so the bound is at least every cell's
+rounded value once the signal is at least every cell's rounded signal;
+it is 0 for a unit without a feasible cell. That signal is _peak's
+closed form. With r = P - p_i, K = rho_i PR ||hRj||^2, c = h_ij^2 and
+f_ii = a_i + n_i b_i sqrt(rad_i), rad_i = K / r - c, the signal f_ii^2 r
+is at most g(r) = (|a_i| sqrt(r) + |b_i| sqrt(K - c r))^2, with equality
+for branch_sign's n_i, and g(0) is the boundary power at p_i = P.
+Expanded, g = (a_i^2 - b_i^2 c) r + b_i^2 K + 2 |a_i b_i| sqrt(r (K - c r)),
+a linear term plus a geometric mean of two linear terms, so g is concave
+and its maximum over an interval is g at r* = K a_i^2 / (c (a_i^2 +
+b_i^2 c)) clipped to it (its top when c = 0): one evaluation per unit.
+_peak's docstring derives the slack that keeps it above every rounded
+cell. Feasibility never falls as p_i grows, so a unit is live exactly when
+the kernel finds its largest power feasible. All groups are bounded
+first. The best cell of the top-bound block of each rho1's top-bound
+group sets an incumbent; then, in the groups whose bound reaches the
+incumbent, every block whose bound reaches it is evaluated and counted,
+the first-pass block again when it does. A block's cells are evaluated by
+_objective's kernel on its 8 + 8 powers, so each cell's value is the one a
+full grid gives, bit for bit. There are two incumbents:
 - unrefined (grid_search_sum_rate, SweepPolicy(refine=False)), G = 4.
   Only the first argmax over all rho1 is read, so the incumbent is the
   largest first-pass value over all rho1 (inf when none is feasible), a
@@ -64,14 +70,13 @@ by the same bound as blocks and groups. There are two incumbents:
 Either way a skipped block cannot hold a maximum that is read, and a tie
 is still evaluated: each block keeps its first row-major maximum, and one
 reduction per rho1 then takes the best value and the least cell index
-reaching it. Units are evaluated on the innermost axis of a (side, side,
-unit) array, so each ufunc loop runs over many units rather than 8 cells.
+reaching it. Units and blocks lie on the innermost axis of a (side, side,
+unit) array, so each ufunc loop runs over many of them rather than 8.
 
 The zoom stage advances the windows of all rho1 together, one evaluation
 per round, each window sampled by np.linspace. A window's cells from a
 round of half-width h on lie in its hull, within h + h/10 + ... <
-h (1 + 1/9) of its center. f_ii is monotone in p_i, so the kernel at the
-hull's ends bounds every cell's signal (+inf where the hull reaches P)
+h (1 + 1/9) of its center. _peak over the hull bounds every cell's signal
 and gives a bound U as for a block. Before a round of more than two
 windows, a window is dropped when U < max(best), as it cannot win the
 argmax, or U <= its own best, as only a strictly better cell replaces
@@ -91,8 +96,9 @@ import numpy as np
 from .errors import (DegenerateRelayChannel, InfeasibleRadicand,
                      NoFeasiblePoint, NoFeasibleRho, NoSignChange)
 from .lowpower import sum_rate_allocation
-from .model import (ChannelSetup, PowerAllocation, boundary_signal,
-                    branch_sign, own_signal, validate, zf_radicand)
+from .model import (RADICAND_RTOL, ChannelSetup, PowerAllocation,
+                    boundary_signal, branch_sign, own_gain, own_signal,
+                    validate, zf_radicand)
 from .rates import mac_sum_argument, scheme_rate_point
 
 __all__ = [
@@ -270,41 +276,63 @@ def _objective(setup: ChannelSetup, rho1, n1, n2, p1: np.ndarray,
     return _value(setup, sig1, sig2, rows, cols, rows, cols, ok1 & ok2)
 
 
-def _cells(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
-           n2: int, size: int) -> tuple:
-    """The finest level, one unit per cell: each user's _signal and
-    feasibility over (rho1, padded p), and the padded p as both the least
-    and the largest power, so that _bound on a cell is _value at the cell,
-    its value bit for bit. pv (ascending) is padded with its last value to
-    a whole number of runs of size cells, infeasible past pv."""
-    pp = np.concatenate([pv, np.full(-len(pv) % size, pv[-1])])
-    sig1, ok1 = _signal(setup, 1, rhos[:, None], n1, pp)
-    sig2, ok2 = _signal(setup, 2, rhos[:, None], n2, pp)
-    ok1[:, len(pv):] = ok2[:, len(pv):] = False
-    return sig1, sig2, ok1, ok2, pp, pp
+def _peak(setup: ChannelSetup, user: int, rho1, lo, hi
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """At least user i's largest _signal, of either sign, over p_i in
+    [lo, hi], and whether any p_i there is feasible, broadcast over rho1 and
+    the intervals: g at r* clipped to [P - hi, P - lo] (module docstring),
+    and the kernel's feasibility at hi.
+    Slack: a feasible cell has c r <= K (1 + RADICAND_RTOL + 2^-50) (the
+    radicand tolerance, and the rounding of K / r), its radicand rounds
+    at most 2^-50 K / r above K / r - c, and its signal takes about a
+    dozen more roundings of at most 2^-53, as g does. So K enters as
+    K (1 + 2 RADICAND_RTOL), and g is multiplied by 1 + RADICAND_RTOL
+    (about 2^-40). g(s r, s K) = s g(r, K), and g is evaluated at
+    s = 2^-e with s P in [1/2, 1) (at most 2^1000), where nothing
+    underflows. Only a subnormal result rounds by an absolute 2^-1075: g's
+    last step, the cell's last product and the three steps of the boundary
+    power, scaled by up to (1 + |det(H)|) / ||hRj||^2, which the added
+    2^-1074 (2 + (1 + |det(H)|) / ||hRj||^2) covers."""
+    rho_i, c, norm2 = ((rho1, setup.h12 ** 2, setup.hR2_norm2) if user == 1
+                       else (1.0 - rho1, setup.h21 ** 2, setup.hR1_norm2))
+    top, rest = hi >= setup.P, setup.P - hi
+    live = zf_radicand(setup, user, rho_i, np.where(top, 1.0, rest))[1] | top
+    s = math.ldexp(1.0, min(1000, -math.frexp(setup.P)[1]))  # exact
+    a, b = abs(own_gain(setup, user, 1, 0.0)), abs(setup.hR_det) / norm2
+    K = rho_i * setup.PR * (s * norm2 * (1.0 + 2.0 * RADICAND_RTOL))
+    r = (setup.P - lo) * s  # r* when c = 0, as g then rises with r
+    if c > 0.0:  # r* clipped to [P - hi, P - lo]
+        w = a * a / (a * a + b * b * c) if a * a > 0.0 else 0.0
+        r = np.minimum(np.maximum(K * w / c, rest * s), r)
+    g = K - c * r  # a new array of the result's shape
+    np.sqrt(np.maximum(g, 0.0, out=g), out=g)
+    scale = math.sqrt((1.0 + RADICAND_RTOL) / s)  # g's factor, on a and b
+    g *= b * scale
+    g += a * scale * np.sqrt(r)
+    return g * g + math.ldexp(2.0 + b + 1.0 / norm2, -1074), live
 
 
-def _coarser(level: tuple, size: int) -> tuple:
-    """The level whose units are runs of size (a power of two) units of
-    level along p: each user's largest signal and whether any cell is
-    feasible, shaped (rho1, unit), and each unit's least and largest power.
-    log2(size) strided pairwise steps: numpy reduces a short axis slowly.
-    An infeasible cell's signal is finite, so counting it only loosens."""
-    s1, s2, live1, live2, lo, hi = level
-    for _ in range(size.bit_length() - 1):
-        s1, s2 = (np.maximum(x[:, 0::2], x[:, 1::2]) for x in (s1, s2))
-        live1, live2 = (x[:, 0::2] | x[:, 1::2] for x in (live1, live2))
-        lo, hi = lo[0::2], hi[1::2]
-    return s1, s2, live1, live2, lo, hi
+def _level(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, side: int,
+           width: int) -> tuple:
+    """The units of width x width cells of the grid pv x pv (pv ascending)
+    padded to side cells a side: each user's _peak and feasibility over
+    (rho1, unit), and each unit's least and largest p. A unit wholly past
+    pv holds no cell and is not live."""
+    start = np.arange(0, side, width)
+    lo = pv[np.minimum(start, len(pv) - 1)]
+    hi = pv[np.minimum(start + width, len(pv)) - 1]
+    (s1, live1), (s2, live2) = (_peak(setup, user, rhos[:, None], lo, hi)
+                                for user in (1, 2))
+    real = start < len(pv)
+    return s1, s2, live1 & real, live2 & real, lo, hi
 
 
 def _bound(setup: ChannelSetup, level: tuple, k, rows, cols) -> np.ndarray:
-    """The bound of the square of units (rows, cols) of a level at rho1
-    indices k, all three broadcast: _value at each user's largest signal
-    and power and the other user's least power, 0 where a user has no
-    feasible cell. On _cells a unit is one cell, and its bound is its
-    value. Each table is read by flat take: on a 128-block chunk of cells
-    that gathers about twice as fast as s1[k, rows]."""
+    """The bound of the square of units (rows, cols) of a level (_level)
+    at rho1 indices k (an integer array), all three broadcast: _value at
+    each user's _peak and largest power and the other user's least power,
+    0 where a user has no feasible cell, so at least every cell's value in
+    the square. Each table is read by flat take."""
     s1, s2, live1, live2, lo, hi = level
     at1, at2 = k * len(lo) + rows, k * len(lo) + cols
     return _value(setup, s1.take(at1), s2.take(at2), hi[rows], hi[cols],
@@ -325,14 +353,16 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
     short of their best (see the module docstring for why either, and
     branch_sign's block, is exact). evaluated counts the blocks whose
     bound reaches the incumbent; the first-pass block is evaluated again
-    among them when its bound reaches it, always unless overall. Cells
-    are bounded as units of one cell, which is their value bit for bit."""
+    among them when its bound reaches it, always unless overall. Groups
+    and blocks are bounded from _level; a block's cells are evaluated by
+    _objective's kernel, bit for bit as on a full grid."""
     n, b, n_rho = len(pv), _BLOCK, len(rhos)
     size = _GROUP if overall else 1
-    cells = _cells(setup, rhos, pv, n1, n2, size * b)
-    blocks = _coarser(cells, b)
-    groups = _coarser(blocks, size)
-    nb, ng = len(blocks[4]), len(groups[4])
+    span = -(-n // (size * b)) * size * b  # cells a side, in whole groups
+    nb, ng = span // b, span // (size * b)
+    blocks = _level(setup, rhos, pv, span, b)
+    groups = _level(setup, rhos, pv, span, size * b) if overall else blocks
+    pp = np.concatenate([pv, np.full(span - n, np.nan)])  # NaN: infeasible
 
     def inside(level, side, k, outer, across):
         # the bounds of the side x side units of level inside the units
@@ -356,6 +386,28 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
             return gbound[k, g][None], g[None]
         return inside(blocks, size, k, g, ng)
 
+    def evaluate(k, block):
+        # each block's best cell at rho1 k, its first row-major maximum,
+        # and that cell's row-major index in the padded grid: _objective's
+        # two steps, each user's _signal for b chunks of blocks at once (as
+        # many values as a chunk has cells), then _value a chunk at a time,
+        # blocks innermost on (row, column, block) arrays
+        row, col = np.divmod(block, nb)
+        best, first = np.empty(len(k)), np.empty(len(k), dtype=np.intp)
+        for start in range(0, len(k), b * _COARSE_CHUNK):
+            c = slice(start, start + b * _COARSE_CHUNK)
+            p1 = pp[row[c] * b + np.arange(b)[:, None, None]]
+            p2 = pp[col[c] * b + np.arange(b)[:, None]]
+            sig1, ok1 = _signal(setup, 1, rhos[k[c]], n1, p1)
+            sig2, ok2 = _signal(setup, 2, rhos[k[c]], n2, p2)
+            for at in range(0, p2.shape[1], _COARSE_CHUNK):
+                d = np.s_[..., at:at + _COARSE_CHUNK]
+                v = _value(setup, sig1[d], sig2[d], p1[d], p2[d], p1[d], p2[d],
+                           ok1[d] & ok2[d]).reshape(b * b, -1)
+                out = slice(start + at, start + at + _COARSE_CHUNK)
+                first[out], best[out] = v.argmax(axis=0), v.max(axis=0)
+        return best, (row * b + first // b) * span + col * b + first % b
+
     # first pass: the best cell of the top-bound block of each rho1's
     # top-bound group (none for a rho1 with no feasible cell) sets the
     # incumbent, inf when nothing is feasible
@@ -363,7 +415,7 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
     bound, block = members(k, gbound.argmax(axis=1)[k])
     top = block[bound.argmax(axis=0), np.arange(len(k))]
     incumbent = np.zeros(n_rho)
-    incumbent[k] = inside(cells, b, k, top, nb)[0].max(axis=0)
+    incumbent[k] = evaluate(k, top)[0]
     reach = np.where(incumbent > 0.0,
                      incumbent.max() if overall else incumbent, np.inf)
     # main pass, in (rho1, group, block) order: every block whose bound
@@ -372,21 +424,14 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
     bound, block = members(k, g)
     i, j = np.nonzero((bound >= reach[k]).T)
     k, block = k[i], block[j, i]
-    best, cell = np.empty(len(k)), np.empty(len(k), dtype=np.intp)
-    for start in range(0, len(k), _COARSE_CHUNK):
-        end = start + _COARSE_CHUNK
-        v, at = inside(cells, b, k[start:end], block[start:end], nb)
-        first = v.argmax(axis=0)  # the first maximum, row-major in a block
-        idx = np.arange(len(first))
-        best[start:end], cell[start:end] = v[first, idx], at[first, idx]
+    best, cell = evaluate(k, block)
     # per rho1: the best value, then the least cell index reaching it
     head = np.flatnonzero(np.diff(k, prepend=-1))
-    side = len(cells[4])  # padded cells a side
     value, arg = np.zeros(n_rho), np.zeros(n_rho, dtype=np.intp)
     value[k[head]] = np.maximum.reduceat(best, head)
     arg[k[head]] = np.minimum.reduceat(
-        np.where(best == value[k], cell, side * side), head)
-    row, col = np.divmod(arg, side)  # padded to n x n cell indices
+        np.where(best == value[k], cell, span * span), head)
+    row, col = np.divmod(arg, span)  # padded to n x n cell indices
     return value, row * n + col, np.bincount(k, minlength=n_rho)
 
 
@@ -398,28 +443,21 @@ def _window_rows(P: float, c: np.ndarray, half: float) -> np.ndarray:
                        _ZOOM_POINTS, axis=1)
 
 
-def _window_bound(setup: ChannelSetup, rho1, n1, n2, c1, c2, half1: float,
+def _window_bound(setup: ChannelSetup, rho1, c1, c2, half1: float,
                   half2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each window's bound on the (n1, n2) block's cells of its hull,
-    c_i +/- half_i (1 + 1/9) in [0, P], and whether both users are feasible
-    on the whole hull."""
+    """Each window's bound on the cells of its hull, c_i +/- half_i
+    (1 + 1/9) in [0, P], in either sign block, and whether both users are
+    feasible on the whole hull (at its least powers)."""
     reach = 1.0 + 1.0 / (_ZOOM_SHRINK - 1)  # > 1 + 1/10 + 1/100 + ...
     reach1, reach2 = half1 * reach, half2 * reach
     lo1, hi1 = np.maximum(0.0, c1 - reach1), np.minimum(setup.P, c1 + reach1)
     lo2, hi2 = np.maximum(0.0, c2 - reach2), np.minimum(setup.P, c2 + reach2)
-    sig, whole, live = [], True, True
-    for user, lo, hi, sign in ((1, lo1, hi1, n1), (2, lo2, hi2, n2)):
-        p = np.stack([lo, hi])
-        # at p_i = P take f_ii as at p_i = 0: finite, then replaced by +inf
-        remaining = np.where(p >= setup.P, setup.P or 1.0, setup.P - p)
-        rad, ok = zf_radicand(setup, user, rho1 if user == 1 else 1.0 - rho1,
-                              remaining)
-        root = np.sqrt(np.maximum(rad, 0.0))  # f_ii at both ends, P - lo
-        top = own_signal(setup, user, sign, root, remaining[0]).max(axis=0)
-        sig.append(np.where(hi >= setup.P, np.inf, top))
-        ok |= p >= setup.P  # feasibility never falls as p_i grows
-        whole, live = whole & ok[0], live & ok[1]
-    return _value(setup, sig[0], sig[1], hi1, hi2, lo1, lo2, live), whole
+    sig1, live1 = _peak(setup, 1, rho1, lo1, hi1)
+    sig2, live2 = _peak(setup, 2, rho1, lo2, hi2)
+    # feasibility never falls as p_i grows: check the least powers
+    whole = (_signal(setup, 1, rho1, 1, lo1)[1]
+             & _signal(setup, 2, rho1, 1, lo2)[1])
+    return _value(setup, sig1, sig2, hi1, hi2, lo1, lo2, live1 & live2), whole
 
 
 def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: int, n2: int,
@@ -438,8 +476,8 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: int, n2: int,
     runs = 0
     for round_ in range(_ZOOM_ROUNDS):
         if len(live) > 2:  # two windows zoom faster than they are bounded
-            bound, whole = _window_bound(setup, rho1[live], n1, n2,
-                                         c1[live], c2[live], half1, half2)
+            bound, whole = _window_bound(setup, rho1[live], c1[live],
+                                         c2[live], half1, half2)
             keep = (bound >= best.max()) & (bound > best[live])
             if round_ == 0 and setup.hR_det == 0.0:
                 twins = np.flatnonzero(whole)

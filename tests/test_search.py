@@ -36,9 +36,9 @@ from imrc import (
 )
 
 import imrc.search as search_module
-from imrc.model import branch_sign
-from imrc.search import (_BLOCK, _GROUP, _SIGNS, _bound, _cells, _coarse,
-                         _coarser, _exponent, _fixed_split_rate, _objective,
+from imrc.model import RADICAND_RTOL, branch_sign
+from imrc.search import (_BLOCK, _GROUP, _SIGNS, _bound, _coarse, _level,
+                         _exponent, _fixed_split_rate, _objective, _peak,
                          _search, _signal, _sum_rate_or_nan, _window_bound,
                          _zoom, search_p1)
 
@@ -263,17 +263,17 @@ def _grid_case(setup, grid):
     return setup, grid.p_values(setup.P), grid.rho_values()
 
 
-def _level_bounds(setup, pv, rhos, n1, n2):
+def _level_bounds(setup, pv, rhos):
     """The dense bounds of the block level and then the group level, each
     shaped (rho1, unit row, unit column) with its number of units a side,
     on pv padded as the unrefined coarse stage pads it."""
-    level = _cells(setup, rhos, pv, n1, n2, _GROUP * _BLOCK)
-    for size in (_BLOCK, _GROUP):
-        level = _coarser(level, size)
-        unit = np.arange(len(level[4]))
+    side = -(-len(pv) // (_GROUP * _BLOCK)) * _GROUP * _BLOCK
+    for width in (_BLOCK, _GROUP * _BLOCK):
+        level = _level(setup, rhos, pv, side, width)
+        unit = np.arange(side // width)
         bound = _bound(setup, level, np.arange(len(rhos))[:, None, None],
                        unit[:, None], unit[None])
-        yield bound, len(level[4])
+        yield bound, side // width
 
 
 @pytest.mark.parametrize("case", [
@@ -300,7 +300,7 @@ def test_block_bound_is_sound(case):
     cells = np.zeros((len(rhos), side, side))
     cells[:, :len(pv), :len(pv)] = _objective(setup, rhos[:, None, None], n1,
                                               n2, pv, pv)
-    for bound, units in _level_bounds(setup, pv, rhos, n1, n2):
+    for bound, units in _level_bounds(setup, pv, rhos):
         width = side // units
         top = cells.reshape(len(rhos), units, width, units, width).max(
             axis=(2, 4))
@@ -382,7 +382,7 @@ def _expected_evaluated(setup, pv, rhos, overall):
     block of the rho1's top-bound group (of one block unless overall) or,
     when overall, the largest such value over all rho1."""
     n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
-    (blocks, nb), (groups, ng) = _level_bounds(setup, pv, rhos, n1, n2)
+    (blocks, nb), (groups, ng) = _level_bounds(setup, pv, rhos)
     size = _GROUP if overall else 1
     first = np.zeros(len(rhos))
     for k, rho1 in enumerate(rhos):
@@ -432,7 +432,7 @@ def test_coarse_prunes_most_blocks(P):
     setup = replace(EX, P=P, PR=P)
     pv, rhos = GridSpec().p_values(P), GridSpec().rho_values()
     n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
-    live = (next(_level_bounds(setup, pv, rhos, n1, n2))[0] > 0.0).sum()
+    live = (next(_level_bounds(setup, pv, rhos))[0] > 0.0).sum()
     _, _, evaluated = _coarse(setup, rhos, pv, n1, n2)
     assert evaluated.sum() <= 0.2 * live
 
@@ -526,6 +526,66 @@ def test_overall_incumbent_without_feasible_cell():
     assert not value.any() and not evaluated.any()
 
 
+PEAK_BUDGETS = (5e-324, 1e-300, 1e-3, 1.0, 30.0, 1e160, 1e250)
+
+
+def _peak_points(setup, user, rho1):
+    """Powers p_i where a user's signal is tested: the grid powers of 101
+    and 201 points, and the edge points, where they lie in [0, P]: the
+    radicand's edge P - K/c with both float neighbours and three powers
+    past it that the radicand tolerance admits (K = rho_i PR ||hRj||^2,
+    c = h_ij^2; none when c = 0)."""
+    rho_i, cross, norm2 = ((rho1, setup.h12, setup.hR2_norm2) if user == 1
+                           else (1.0 - rho1, setup.h21, setup.hR1_norm2))
+    grid = np.concatenate([np.linspace(0.0, setup.P, 101),
+                           np.linspace(0.0, setup.P, 201)])
+    edge = np.zeros(0)
+    if cross != 0.0:
+        reach = rho_i * setup.PR * norm2 / cross ** 2
+        past = reach * (1.0 + RADICAND_RTOL * np.array([0.25, 0.5, 0.9]))
+        edge = setup.P - np.array([reach, *past])
+        edge = np.concatenate([np.nextafter(edge[0], [-np.inf, np.inf]), edge])
+        edge = edge[(edge >= 0.0) & (edge <= setup.P)]
+    return grid, edge
+
+
+@pytest.mark.parametrize("P", PEAK_BUDGETS)
+def test_peak_is_sound(P):
+    # the coarse stage and the zoom skip a unit whose bound is below an
+    # incumbent, so _peak must be at least _signal, of either sign, at
+    # every feasible p_i in [lo, hi], and feasible exactly when some p_i
+    # there is; random channels with PR/P in {0, 1/100, 1/4, 1, 100}, each
+    # also with h12 = h21 = 0 (c = 0) and with h11, h22 and hR1 100 times
+    # stronger (subnormal signals err most there), and one with det(H) = 0,
+    # at rho1 in {0.01, 0.5, 0.99} and a random one, on 24 intervals whose
+    # ends are random powers, 0, P and the edge points, each sampled by a
+    # dense linspace and at the grid and edge points it holds
+    rng = np.random.default_rng(2900 + PEAK_BUDGETS.index(P))
+    for ratio in (0.0, 0.01, 0.25, 1.0, 100.0):
+        setup = random_setup(rng, P=P, PR=ratio * P)
+        strong = replace(setup, h11=100.0 * setup.h11, h22=100.0 * setup.h22,
+                         hR1=tuple(100.0 * x for x in setup.hR1))
+        for case in (setup, replace(setup, h12=0.0, h21=0.0), strong,
+                     random_setup(rng, P=P, PR=ratio * P, det_zero=True)):
+            for user, rho1 in itertools.product(
+                    (1, 2), (0.01, 0.5, 0.99, float(rng.uniform()))):
+                grid, edge = _peak_points(case, user, rho1)
+                ends = np.concatenate([rng.uniform(0.0, P, 8), edge, [0.0, P]])
+                lo, hi = np.sort(rng.choice(ends, (2, 24)), axis=0)
+                bound, live = _peak(case, user, rho1, lo, hi)
+                points = np.concatenate([grid, edge])
+                inside = (points >= lo[:, None]) & (points <= hi[:, None])
+                dense = np.linspace(lo, hi, 257, axis=1)
+                for sign in (-1, 1):
+                    sig, ok = _signal(case, user, rho1, sign, dense)
+                    assert (np.where(ok, sig, 0.0) <= bound[:, None]).all()
+                    feasible = ok.any(axis=1)
+                    sig, ok = _signal(case, user, rho1, sign, points)
+                    ok = ok & inside
+                    assert (np.where(ok, sig, 0.0) <= bound[:, None]).all()
+                    assert (live == (feasible | ok.any(axis=1))).all()
+
+
 def _window_case(seed):
     """_sign_case's channels (both signs, det(H) = 0, h21 = 0, PR/P in
     {0, 1/100, 1/4, 1, 100}) and the 1e160 budget, with 64 random windows:
@@ -560,8 +620,7 @@ def test_window_bound_is_sound(seed):
     halves = ((1e-4, 1e-3), (0.05, 0.0), (0.3, 0.2), (1.0, 1.0))
     for n1, n2, (half1, half2) in itertools.product((-1, 1), (-1, 1), halves):
         half1, half2 = half1 * setup.P, half2 * setup.P
-        bound, whole = _window_bound(setup, rho1, n1, n2, c1, c2, half1,
-                                     half2)
+        bound, whole = _window_bound(setup, rho1, c1, c2, half1, half2)
         reach1, reach2 = half1 * (1.0 + 1.0 / 9.0), half2 * (1.0 + 1.0 / 9.0)
         p1 = _hull_points(rng, np.maximum(0.0, c1 - reach1),
                           np.minimum(setup.P, c1 + reach1))

@@ -15,7 +15,9 @@ and PR = 100 P; then edge channels searched the same way on the 2x1, 3x2,
 17x5, 65x7 and 129x5 grids (one to 17 blocks of 8, padded to whole blocks
 and groups): one channel at P in {0, 5e-324, 1e-300, 1e160, 1e250} x PR/P
 in {0, 1/100, 1, 100}, and at P = PR = 1 with a zero hR2, with parallel
-relay columns, and with g1R = 0 and h12 = 0 (every p1 ties).
+relay columns, and with g1R = 0 and h12 = 0 (every p1 ties); and at P = 1,
+PR = 1/4 with hR2 = (1, 0), where user 1's radicand is exactly 0 at
+rho1 = p1 = 1/2, a cell of the 17x5, 65x7 and 129x5 grids.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ def _edge_channels(imrc):
     yield "zero-hR2", replace(base, hR2=(0.0, 0.0))
     yield "parallel-relay", replace(base, hR2=(-0.65, -1.3))
     yield "g1R=0 h12=0", replace(base, g1R=(0.0, 0.0), h12=0.0)
+    yield "zero-radicand", replace(base, hR2=(1.0, 0.0), PR=0.25)
 
 
 def _search_lines(imrc, label: str, setup, grids):
