@@ -13,11 +13,16 @@ zoom and figure 4's search_p1; only the chosen cell of a grid search is
 resolved over all four pairs, so exact ties still go to the smallest
 (n1, n2).
 
-One broadcast objective serves every search. It evaluates model's per-user
-kernel -- the radicand with its feasibility tolerance, f_ii and the
-boundary power, the same functions scheme_rate_point calls on scalars --
-over whole arrays of rho1 (and sign) blocks, never materializing beam
-vectors. It compares cells in the linear domain: user i's term is
+One box routine, _best, serves every search stage. Each stage asks the
+same of a box of cells p1 x p2 at one (rho1, n1, n2): its best value and
+the first cell, row-major, that gives it. The boxes are the coarse
+stage's 8 x 8 blocks, the zoom's 21 x 21 windows, figure 4's p1 column
+and the four sign pairs of a grid search's chosen cell, each a 1 x 1 box.
+_best evaluates model's per-user kernel -- the radicand with its
+feasibility tolerance, f_ii and the boundary power, the same functions
+scheme_rate_point calls on scalars -- over many boxes at once, boxes on
+the innermost axis, never materializing beam vectors. It compares cells
+in the linear domain: user i's term is
 A_i = 1 + min(||g_iR||^2 p_i, SINR_i), or 0 where zero forcing fails, and
 a cell's value is min(A1 A2, M) with M the MAC sum cap's argument
 alpha p1 p2 + ||g1R||^2 p1 + ||g2R||^2 p2 + 1 (rates.mac_sum_argument).
@@ -53,8 +58,8 @@ first. The best cell of the top-bound block of each rho1's top-bound
 group sets an incumbent; then, in the groups whose bound reaches the
 incumbent, every block whose bound reaches it is evaluated and counted,
 the first-pass block again when it does. A block's cells are evaluated by
-_objective's kernel on its 8 + 8 powers, so each cell's value is the one a
-full grid gives, bit for bit. There are two incumbents:
+_best on its 8 + 8 powers, so each cell's value is the one a full grid
+gives, bit for bit. There are two incumbents:
 - unrefined (grid_search_sum_rate, SweepPolicy(refine=False)), G = 4.
   Only the first argmax over all rho1 is read, so the incumbent is the
   largest first-pass value over all rho1 (inf when none is feasible), a
@@ -191,13 +196,13 @@ _ZOOM_POINTS = 21
 _ZOOM_SHRINK = (_ZOOM_POINTS - 1) // 2  # a window's half-width over spacing
 
 # The coarse grid is bounded in _BLOCK x _BLOCK blocks of cells, in the
-# unrefined search first in _GROUP x _GROUP groups of blocks, and its
-# surviving blocks are evaluated _COARSE_CHUNK at a time (8,192 cells):
-# evaluating them all at once took perfbench's sweep peak RSS from 39.1 to
-# 48.7-49.0 MB.
+# unrefined search first in _GROUP x _GROUP groups of blocks. _best runs
+# _value on _CHUNK boxes at a time (8,192 cells of blocks, 56,448 of zoom
+# windows): evaluating every surviving block at once took perfbench's
+# sweep peak RSS from 39.1 to 48.7-49.0 MB.
 _BLOCK = 8
 _GROUP = 4
-_COARSE_CHUNK = 128
+_CHUNK = 128
 
 
 def _signal(setup: ChannelSetup, user: int, rho1, sign, p
@@ -262,18 +267,30 @@ def _value(setup: ChannelSetup, sig1, sig2, hi1, hi2, lo1, lo2,
     return total
 
 
-def _objective(setup: ChannelSetup, rho1, n1, n2, p1: np.ndarray,
-               p2: np.ndarray) -> np.ndarray:
-    """Linear-domain scheme sum rate on the outer grid p1 (rows) x p2
-    (columns): _value at each cell, 0 where zero forcing fails for either
-    user. Leading axes of p1 and p2 broadcast against rho1, n1 and n2, one
-    block per index. log2 of a value plus _exponent(setup) agrees with
-    scheme_rate_point up to rounding: sum-cap truncation preserves the
-    sum, so the rate is simply min(R1 + R2, Rsum_mac)."""
-    rows, cols = p1[..., :, None], p2[..., None, :]
-    sig1, ok1 = _signal(setup, 1, rho1, n1, rows)
-    sig2, ok2 = _signal(setup, 2, rho1, n2, cols)
-    return _value(setup, sig1, sig2, rows, cols, rows, cols, ok1 & ok2)
+def _best(setup: ChannelSetup, rho1, n1, n2, p1: np.ndarray,
+          p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each box's best linear-domain scheme sum rate and its first
+    row-major argmax. Box w holds the cells p1[:, w] (rows) x p2[:, w]
+    (columns) at rho1, n1 and n2, each a scalar or one value per box. A
+    cell's value is _value, 0 where zero forcing fails for either user, so
+    a box without a feasible cell gives value 0 at cell 0. log2 of a value
+    plus _exponent(setup) agrees with scheme_rate_point up to rounding:
+    sum-cap truncation preserves the sum, so the rate is simply
+    min(R1 + R2, Rsum_mac). Each user's _signal covers all boxes at once;
+    _value runs _CHUNK boxes at a time, boxes innermost on (row, column,
+    box) arrays."""
+    sig1, ok1 = _signal(setup, 1, rho1, n1, p1)
+    sig2, ok2 = _signal(setup, 2, rho1, n2, p2)
+    best = np.empty(p1.shape[1])
+    first = np.empty(p1.shape[1], dtype=np.intp)
+    for at in range(0, len(best), _CHUNK):
+        c = slice(at, at + _CHUNK)
+        rows = p1[:, None, c]
+        v = _value(setup, sig1[:, None, c], sig2[:, c], rows, p2[:, c], rows,
+                   p2[:, c], ok1[:, None, c] & ok2[:, c])
+        v = v.reshape(-1, v.shape[-1])
+        first[c], best[c] = v.argmax(axis=0), v.max(axis=0)
+    return best, first
 
 
 def _peak(setup: ChannelSetup, user: int, rho1, lo, hi
@@ -355,7 +372,7 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
     bound reaches the incumbent; the first-pass block is evaluated again
     among them when its bound reaches it, always unless overall. Groups
     and blocks are bounded from _level; a block's cells are evaluated by
-    _objective's kernel, bit for bit as on a full grid."""
+    _best on its 8 + 8 powers, bit for bit as on a full grid."""
     n, b, n_rho = len(pv), _BLOCK, len(rhos)
     size = _GROUP if overall else 1
     span = -(-n // (size * b)) * size * b  # cells a side, in whole groups
@@ -387,25 +404,17 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
         return inside(blocks, size, k, g, ng)
 
     def evaluate(k, block):
-        # each block's best cell at rho1 k, its first row-major maximum,
-        # and that cell's row-major index in the padded grid: _objective's
-        # two steps, each user's _signal for b chunks of blocks at once (as
-        # many values as a chunk has cells), then _value a chunk at a time,
-        # blocks innermost on (row, column, block) arrays
+        # each block's best cell at rho1 k and that cell's row-major index
+        # in the padded grid, b * _CHUNK blocks to a _best call: each
+        # user's signals for b chunks of blocks at once (as many values as
+        # a chunk has cells)
         row, col = np.divmod(block, nb)
         best, first = np.empty(len(k)), np.empty(len(k), dtype=np.intp)
-        for start in range(0, len(k), b * _COARSE_CHUNK):
-            c = slice(start, start + b * _COARSE_CHUNK)
-            p1 = pp[row[c] * b + np.arange(b)[:, None, None]]
-            p2 = pp[col[c] * b + np.arange(b)[:, None]]
-            sig1, ok1 = _signal(setup, 1, rhos[k[c]], n1, p1)
-            sig2, ok2 = _signal(setup, 2, rhos[k[c]], n2, p2)
-            for at in range(0, p2.shape[1], _COARSE_CHUNK):
-                d = np.s_[..., at:at + _COARSE_CHUNK]
-                v = _value(setup, sig1[d], sig2[d], p1[d], p2[d], p1[d], p2[d],
-                           ok1[d] & ok2[d]).reshape(b * b, -1)
-                out = slice(start + at, start + at + _COARSE_CHUNK)
-                first[out], best[out] = v.argmax(axis=0), v.max(axis=0)
+        for start in range(0, len(k), b * _CHUNK):
+            c = slice(start, start + b * _CHUNK)
+            best[c], first[c] = _best(setup, rhos[k[c]], n1, n2,
+                                      pp[row[c] * b + np.arange(b)[:, None]],
+                                      pp[col[c] * b + np.arange(b)[:, None]])
         return best, (row * b + first // b) * span + col * b + first % b
 
     # first pass: the best cell of the top-bound block of each rho1's
@@ -437,10 +446,11 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
 
 def _window_rows(P: float, c: np.ndarray, half: float) -> np.ndarray:
     """_ZOOM_POINTS samples by np.linspace on each window c[w] +/- half,
-    clamped to [0, P]; np.linspace sets the last sample to the window's
-    end exactly, so p = P stays reachable."""
+    clamped to [0, P], shaped (point, window) as _best takes them;
+    np.linspace sets the last sample to the window's end exactly, so
+    p = P stays reachable."""
     return np.linspace(np.maximum(0.0, c - half), np.minimum(P, c + half),
-                       _ZOOM_POINTS, axis=1)
+                       _ZOOM_POINTS)
 
 
 def _window_bound(setup: ChannelSetup, rho1, c1, c2, half1: float,
@@ -465,11 +475,12 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: int, n2: int,
           half2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Sharpen each window's best cell (value at c1, c2) in the (n1, n2)
     sign block by a deterministic zoom: re-grid +/- half per axis around
-    the current center (_window_rows), move the center to the argmax,
-    shrink the half-widths to the new spacing, repeat; a zero half-width
-    pins that axis. Only a strictly better cell replaces the best. A window
-    is not zoomed while its value is 0 or it cannot change the first argmax
-    of best (module docstring). Returns best, p1, p2 and the window-rounds."""
+    the current center (_window_rows), move the center to the window's
+    first argmax by _best, shrink the half-widths to the new spacing,
+    repeat; a zero half-width pins that axis. Only a strictly better cell
+    replaces the best. A window is not zoomed while its value is 0 or it
+    cannot change the first argmax of best (module docstring). Returns
+    best, p1, p2 and the window-rounds."""
     best, best1, best2 = value.copy(), c1.copy(), c2.copy()
     c1, c2 = c1.copy(), c2.copy()
     live = np.flatnonzero(value > 0.0)
@@ -490,13 +501,10 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: int, n2: int,
         runs += len(live)
         p1w = _window_rows(setup.P, c1[live], half1)
         p2w = _window_rows(setup.P, c2[live], half2)
-        obj = _objective(setup, rho1[live, None, None], n1, n2, p1w,
-                         p2w).reshape(len(live), -1)
-        row = np.arange(len(live))
-        at = obj.argmax(axis=1)  # first maximum, row-major
-        top = obj[row, at]
+        top, at = _best(setup, rho1[live], n1, n2, p1w, p2w)
         i, j = np.divmod(at, _ZOOM_POINTS)
-        c1[live], c2[live] = p1w[row, i], p2w[row, j]
+        window = np.arange(len(live))
+        c1[live], c2[live] = p1w[i, window], p2w[j, window]
         gain = top > best[live]
         won = live[gain]
         best[won], best1[won], best2[won] = top[gain], c1[won], c2[won]
@@ -530,11 +538,12 @@ def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
                                  step)
     t = int(np.argmax(value))  # one cell per rho1: the first is smallest
     rho, p1, p2 = float(rho1[t]), float(c1[t]), float(c2[t])
-    cell = _objective(setup, rho, _SIGNS[:, None, None, None],
-                      _SIGNS[:, None, None], np.array([p1]), np.array([p2]))
-    s1, s2 = divmod(int(cell.argmax()), 2)
-    return PowerAllocation(p1=p1, p2=p2, rho1=rho, n1=int(_SIGNS[s1]),
-                           n2=int(_SIGNS[s2]))
+    # the chosen cell's four sign pairs, (-1, -1) first, as 1 x 1 boxes
+    sign1, sign2 = np.repeat(_SIGNS, 2), np.tile(_SIGNS, 2)
+    s = int(_best(setup, rho, sign1, sign2, np.full((1, 4), p1),
+                  np.full((1, 4), p2))[0].argmax())
+    return PowerAllocation(p1=p1, p2=p2, rho1=rho, n1=int(sign1[s]),
+                           n2=int(sign2[s]))
 
 
 def grid_search_sum_rate(setup: ChannelSetup,
@@ -561,13 +570,11 @@ def search_p1(setup: ChannelSetup, rho1: float, n_p: int) -> float | None:
     pv = np.linspace(0.0, setup.P, n_p)
     try:
         n1 = branch_sign(setup, 1)
-        column = _objective(setup, rho1, n1, 1, pv, np.zeros(1))[:, 0]
+        value, at = _best(setup, rho1, n1, 1, pv[:, None], np.zeros((1, 1)))
     except DegenerateRelayChannel:
         return None
-    at = column.argmax()
-    value, c1, _, _ = _zoom(setup, np.full(1, rho1), n1, 1, column[at:at + 1],
-                            pv[at:at + 1], np.zeros(1), float(pv[1] - pv[0]),
-                            0.0)
+    value, c1, _, _ = _zoom(setup, np.full(1, rho1), n1, 1, value, pv[at],
+                            np.zeros(1), float(pv[1] - pv[0]), 0.0)
     return float(c1[0]) if value[0] > 0.0 else None
 
 

@@ -14,7 +14,7 @@ from imrc.errors import (DegenerateAntenna, DegenerateRelayChannel,
                          LinearizationInfeasible, NoFeasibleRho)
 from imrc.model import own_gain, zf_radicand
 from imrc.rates import LN2
-from imrc.search import _objective
+from imrc.search import _signal, _value
 
 
 def _signed(rng, size=None):
@@ -80,6 +80,17 @@ def swap_users(setup):
                         hR1=setup.hR2, hR2=setup.hR1, P=setup.P, PR=setup.PR)
 
 
+def reference_objective(setup, rho1, n1, n2, p1, p2):
+    """The linear-domain scheme sum rate of every cell of the outer grid
+    p1 (rows) x p2 (columns), by search's _signal and _value: leading axes
+    of p1 and p2 broadcast against rho1, n1 and n2, one grid per index.
+    search._best is this grid's best value and first argmax, box by box."""
+    rows, cols = p1[..., :, None], p2[..., None, :]
+    sig1, ok1 = _signal(setup, 1, rho1, n1, rows)
+    sig2, ok2 = _signal(setup, 2, rho1, n2, cols)
+    return _value(setup, sig1, sig2, rows, cols, rows, cols, ok1 & ok2)
+
+
 def reference_zoom(setup, rho1, n1, n2, value, c1, c2, half1, half2,
                    rounds=3, points=21):
     """search._zoom without pruning: every window with a positive value,
@@ -96,7 +107,7 @@ def reference_zoom(setup, rho1, n1, n2, value, c1, c2, half1, half2,
         for _ in range(rounds):
             p1 = np.linspace(max(0.0, a - h1), min(setup.P, a + h1), points)
             p2 = np.linspace(max(0.0, b - h2), min(setup.P, b + h2), points)
-            obj = _objective(setup, rho1[w], n1, n2, p1, p2)
+            obj = reference_objective(setup, rho1[w], n1, n2, p1, p2)
             i, j = divmod(int(obj.argmax()), points)
             a, b = p1[i], p2[j]
             if obj[i, j] > best[w]:
@@ -115,7 +126,8 @@ def reference_search_p1(setup, rho1, n_p):
     best, best_p1 = 0.0, None
     for n1 in (1, -1):
         try:
-            column = _objective(setup, rho1, n1, 1, pv, np.zeros(1))[:, 0]
+            column = reference_objective(setup, rho1, n1, 1, pv,
+                                         np.zeros(1))[:, 0]
         except DegenerateRelayChannel:
             return None
         at = int(column.argmax())

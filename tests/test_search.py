@@ -37,13 +37,13 @@ from imrc import (
 
 import imrc.search as search_module
 from imrc.model import RADICAND_RTOL, branch_sign
-from imrc.search import (_BLOCK, _GROUP, _SIGNS, _bound, _coarse, _level,
-                         _exponent, _fixed_split_rate, _objective, _peak,
-                         _search, _signal, _sum_rate_or_nan, _window_bound,
-                         _zoom, search_p1)
+from imrc.search import (_BLOCK, _GROUP, _SIGNS, _best, _bound, _coarse,
+                         _level, _exponent, _fixed_split_rate, _peak, _search,
+                         _signal, _sum_rate_or_nan, _window_bound, _zoom,
+                         search_p1)
 
-from helpers import (linearizable_setup, random_setup, reference_search_p1,
-                     reference_zoom)
+from helpers import (linearizable_setup, random_setup, reference_objective,
+                     reference_search_p1, reference_zoom)
 
 EX = example_channel()
 
@@ -128,10 +128,11 @@ def test_parallel_relay_columns_tie_by_smallest_key(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_objective_matches_scheme_rate_point(seed):
-    # the grid objective and scheme_rate_point evaluate the same per-user
+    # the box routine and scheme_rate_point evaluate the same per-user
     # kernel, one over arrays in the linear domain and one on scalars in
-    # bits; every cell of a small grid must agree once the linear value is
-    # taken back to bits, 0 exactly where zero forcing refuses the allocation
+    # bits; every cell of a small grid, each a 1 x 1 box with its own rho1
+    # and signs, must agree once the linear value is taken back to bits, 0
+    # exactly where zero forcing refuses the allocation
     rng = np.random.default_rng(900 + seed)
     ratio = (1.0, 100.0, 0.01, 0.0)[seed % 4]
     P = float(10.0 ** rng.uniform(-1.0, 1.0))
@@ -139,8 +140,9 @@ def test_objective_matches_scheme_rate_point(seed):
     pv = GridSpec(n_p=9).p_values(P)            # ends at the p_i = P boundary
     rhos = GridSpec(n_rho=3).rho_values()
     signs = np.array([-1, 1])
-    obj = _objective(setup, rhos[:, None, None, None, None],
-                     signs[:, None, None, None], signs[:, None, None], pv, pv)
+    r, a, b, i, j = np.indices((3, 2, 2, 9, 9)).reshape(5, -1)
+    obj = _best(setup, rhos[r], signs[a], signs[b], pv[None, i],
+                pv[None, j])[0].reshape(3, 2, 2, 9, 9)
     assert obj.shape == (3, 2, 2, 9, 9)
     exponent = _exponent(setup)
     for (r, a, b, i, j), value in np.ndenumerate(obj):
@@ -177,8 +179,8 @@ def test_objective_matches_scheme_rate_point_off_grid(seed, P, ratio,
                          det_zero=det_zero)
     alloc = PowerAllocation(p1=share1 * P, p2=share2 * P, rho1=rho1, n1=n1,
                             n2=n2)
-    value = float(_objective(setup, rho1, n1, n2, np.array([alloc.p1]),
-                             np.array([alloc.p2]))[0, 0])
+    value = float(_best(setup, rho1, n1, n2, np.array([[alloc.p1]]),
+                        np.array([[alloc.p2]]))[0][0])
     if value == 0.0:
         with pytest.raises(InfeasibleRadicand):
             scheme_rate_point(setup, alloc)
@@ -187,6 +189,72 @@ def test_objective_matches_scheme_rate_point_off_grid(seed, P, ratio,
     rate = scheme_rate_point(setup, alloc).sum_rate
     assert (abs(math.log2(value) + exponent - rate)
             <= 1e-12 * rate + 2.0 ** -50 * exponent)
+
+
+BOX_KINDS = ("block", "window", "column", "cell")
+BOX_COUNTS = (1, 127, 128, 129, 257)
+
+
+def _boxes(setup, rng, kind, count):
+    """(rho1, n1, n2, p1, p2) of count boxes of one kind, each with its own
+    rho1: 8 x 8 blocks gathered from a 101-point grid padded with NaN to 13
+    blocks a side, branch_sign's signs; 21 x 21 windows by np.linspace,
+    window count // 2 with p2 pinned (a zero half-width); 2001 x 1 columns
+    at p2 = 0 and n2 = +1; and 1 x 1 cells with per-box signs. Box 0 has
+    every row at p1 = P and p2 rising to P (always feasible there), so its
+    maximum ties across rows; the last box, when count > 1, has
+    rho1 = 1e-12 and p1 <= P/2, so no feasible cell."""
+    P = setup.P
+    rho1 = rng.uniform(0.0, 1.0, count)
+    n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
+    if kind == "block":
+        pv = np.concatenate([np.linspace(0.0, P, 101), np.full(3, np.nan)])
+        row, col = rng.integers(0, 13, (2, count))
+        p1, p2 = (pv[x * _BLOCK + np.arange(_BLOCK)[:, None]]
+                  for x in (row, col))
+    elif kind == "window":
+        (c1, c2), half = rng.uniform(0.0, P, (2, count)), 0.05 * P
+        half2 = np.where(np.arange(count) == count // 2, 0.0, half)
+        p1 = np.linspace(np.maximum(0.0, c1 - half), np.minimum(P, c1 + half),
+                         21)
+        p2 = np.linspace(np.maximum(0.0, c2 - half2),
+                         np.minimum(P, c2 + half2), 21)
+    elif kind == "column":
+        p1, p2 = rng.uniform(0.0, P, (2001, count)), np.zeros((1, count))
+        n2 = 1
+    else:
+        p1, p2 = rng.uniform(0.0, P, (2, 1, count))
+        n1, n2 = _SIGNS[rng.integers(0, 2, (2, count))]
+    p1[:, 0], p2[:, 0] = P, np.linspace(0.0, P, len(p2) + 1)[1:]
+    if count > 1:
+        rho1[-1], p1[:, -1] = 1e-12, np.linspace(0.0, 0.5 * P, len(p1))
+    return rho1, n1, n2, p1, p2
+
+
+@pytest.mark.parametrize("count", BOX_COUNTS)
+@pytest.mark.parametrize("kind", BOX_KINDS)
+def test_best_matches_reference_boxes(kind, count):
+    # every search stage evaluates its cells through _best: each box's
+    # value and first row-major argmax must be its outer grid's, bit for
+    # bit, across chunks of boxes; a box without a feasible cell gives 0
+    # at cell 0, and a tied maximum goes to its first cell
+    seed = BOX_KINDS.index(kind) * len(BOX_COUNTS) + BOX_COUNTS.index(count)
+    rng = np.random.default_rng(5200 + seed)
+    P = float(10.0 ** rng.uniform(-2.0, 1.0))
+    setup = random_setup(rng, P=P, PR=(1.0, 100.0)[seed % 2] * P,
+                         det_zero=seed % 3 == 0)
+    rho1, n1, n2, p1, p2 = _boxes(setup, rng, kind, count)
+    best, first = _best(setup, rho1, n1, n2, p1, p2)
+    assert best.shape == first.shape == (count,)
+    sign1, sign2 = (np.broadcast_to(n, (count,)) for n in (n1, n2))
+    grids = [reference_objective(setup, rho1[w], sign1[w], sign2[w], p1[:, w],
+                                 p2[:, w]).ravel() for w in range(count)]
+    assert np.array_equal(best, [grid.max() for grid in grids])
+    assert np.array_equal(first, [grid.argmax() for grid in grids])
+    tied = grids[0] == grids[0].max()
+    assert best[0] > 0.0 and (tied.sum() > 1 or len(tied) == 1)
+    if count > 1:
+        assert best[-1] == first[-1] == 0
 
 
 def _sign_case(seed):
@@ -204,10 +272,12 @@ def _sign_case(seed):
 
 
 def _all_sign_blocks(setup, pv, rhos):
-    """_objective over every (rho1, n1, n2) block: (rho1, 2, 2, p1, p2)."""
+    """reference_objective over every (rho1, n1, n2) block: (rho1, 2, 2,
+    p1, p2)."""
     signs = np.array([-1, 1])
-    return _objective(setup, rhos[:, None, None, None, None],
-                      signs[:, None, None, None], signs[:, None, None], pv, pv)
+    return reference_objective(setup, rhos[:, None, None, None, None],
+                               signs[:, None, None, None],
+                               signs[:, None, None], pv, pv)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -245,8 +315,9 @@ def test_branch_sign_block_is_cellwise_max(seed):
         setup = replace(setup, h11=setup.h12 * setup.hR_dot / setup.hR2_norm2)
         assert branch_sign(setup, 1) == -1
     full = _all_sign_blocks(setup, pv, rhos)
-    best = _objective(setup, rhos[:, None, None], branch_sign(setup, 1),
-                      branch_sign(setup, 2), pv, pv)
+    best = reference_objective(setup, rhos[:, None, None],
+                               branch_sign(setup, 1), branch_sign(setup, 2),
+                               pv, pv)
     assert (best == full.max(axis=(1, 2))).all()
 
 
@@ -298,8 +369,8 @@ def test_block_bound_is_sound(case):
     n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
     side = -(-len(pv) // (_GROUP * _BLOCK)) * _GROUP * _BLOCK
     cells = np.zeros((len(rhos), side, side))
-    cells[:, :len(pv), :len(pv)] = _objective(setup, rhos[:, None, None], n1,
-                                              n2, pv, pv)
+    cells[:, :len(pv), :len(pv)] = reference_objective(
+        setup, rhos[:, None, None], n1, n2, pv, pv)
     for bound, units in _level_bounds(setup, pv, rhos):
         width = side // units
         top = cells.reshape(len(rhos), units, width, units, width).max(
@@ -333,7 +404,7 @@ def test_coarse_prune_matches_full_grid(seed, n_p):
     n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
     value, arg, _ = _coarse(setup, rhos, pv, n1, n2)
     for k, rho1 in enumerate(rhos):
-        full = _objective(setup, rho1, n1, n2, pv, pv).ravel()
+        full = reference_objective(setup, rho1, n1, n2, pv, pv).ravel()
         assert value[k] == full.max()
         assert value[k] == 0.0 or arg[k] == full.argmax()
     # pruned against one overall incumbent, the first argmax over (rho1,
@@ -363,7 +434,7 @@ def test_coarse_keeps_first_row_among_tied_rows(seed, overall):
     n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
     value, arg, _ = _coarse(setup, rhos, pv, n1, n2, overall)
     assert (value > 0.0).any()
-    full = _objective(setup, rhos[:, None, None], n1, n2, pv, pv)
+    full = reference_objective(setup, rhos[:, None, None], n1, n2, pv, pv)
     assert (full == full[:, :1]).all()
     full = full.reshape(len(rhos), -1)
     if overall:
@@ -395,7 +466,8 @@ def _expected_evaluated(setup, pv, rhos, overall):
         square = blocks[k, gr:gr + size, gc:gc + size]
         br, bc = np.add(divmod(square.argmax(), size), (gr, gc)) * _BLOCK
         cells = np.zeros((nb * _BLOCK,) * 2)
-        cells[:len(pv), :len(pv)] = _objective(setup, rho1, n1, n2, pv, pv)
+        cells[:len(pv), :len(pv)] = reference_objective(setup, rho1, n1, n2,
+                                                        pv, pv)
         first[k] = cells[br:br + _BLOCK, bc:bc + _BLOCK].max()
     incumbent = np.full(len(rhos), first.max()) if overall else first
     reach = np.where(incumbent > 0.0, incumbent, np.inf)
@@ -451,8 +523,8 @@ def test_overall_incumbent_evaluates_fewer_blocks(P):
 
 
 def _first_argmax(setup, grid):
-    """(rho1, p1, p2, n1, n2) of the first maximum of _objective over the
-    full grid and all four sign pairs, in that key order."""
+    """(rho1, p1, p2, n1, n2) of the first maximum of reference_objective
+    over the full grid and all four sign pairs, in that key order."""
     pv, rhos = grid.p_values(setup.P), grid.rho_values()
     full = _all_sign_blocks(setup, pv, rhos).transpose(0, 3, 4, 1, 2)
     k, i, j, s1, s2 = np.unravel_index(full.argmax(), full.shape)
@@ -611,7 +683,7 @@ def _hull_points(rng, lo, hi):
 @pytest.mark.parametrize("seed", [*range(20), "huge"])
 def test_window_bound_is_sound(seed):
     # the zoom drops a window whose bound cannot beat the best, so the
-    # bound must be at least _objective at every point of the window's
+    # bound must be at least the value of every point of the window's
     # hull, c +/- h (1 + 1/9) in [0, P], 0 only where no point is feasible,
     # and a hull reported wholly feasible must have no infeasible point;
     # half-widths h from 1e-4 P to P, and h = 0 pinning p2 as in search_p1,
@@ -626,7 +698,7 @@ def test_window_bound_is_sound(seed):
                           np.minimum(setup.P, c1 + reach1))
         p2 = _hull_points(rng, np.maximum(0.0, c2 - reach2),
                           np.minimum(setup.P, c2 + reach2))
-        obj = _objective(setup, rho1[:, None, None], n1, n2, p1, p2)
+        obj = reference_objective(setup, rho1[:, None, None], n1, n2, p1, p2)
         top = obj.max(axis=(1, 2))
         assert (bound >= top).all()
         assert (top[bound == 0.0] == 0.0).all()
@@ -661,8 +733,8 @@ def test_pruned_zoom_matches_reference(case, monkeypatch):
         assert alloc.p1 == alloc.p2 == setup.P
     if case == 4:
         pv = np.linspace(0.0, setup.P, 101)
-        column = _objective(setup, 0.5, _SIGNS[:, None, None], 1, pv,
-                            np.zeros(1))
+        column = reference_objective(setup, 0.5, _SIGNS[:, None, None], 1,
+                                     pv, np.zeros(1))
         assert column[0].argmax() != column[1].argmax()
 
     def run():

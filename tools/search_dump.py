@@ -8,16 +8,18 @@ dumps checks that a change to the search leaves every result unchanged:
 
 The set: 150 random channels (P = 10^U(-3, 2), PR/P cycling through 1, 100,
 1/4, 0 and 1/100, det(H) = 0 in 1 of 3), each searched with and without the
-zoom on the 101x99, 201x99 and 37x11 grids, by grid_search_sum_rate on the
-default grid and by search_p1 at rho1 in {0.2, 0.5, 0.8} on 101 and 2001
-points; then the paper example's sweep rows from -30 to 20 dB with PR = P
-and PR = 100 P; then edge channels searched the same way on the 2x1, 3x2,
-17x5, 65x7 and 129x5 grids (one to 17 blocks of 8, padded to whole blocks
-and groups): one channel at P in {0, 5e-324, 1e-300, 1e160, 1e250} x PR/P
-in {0, 1/100, 1, 100}, and at P = PR = 1 with a zero hR2, with parallel
-relay columns, and with g1R = 0 and h12 = 0 (every p1 ties); and at P = 1,
-PR = 1/4 with hR2 = (1, 0), where user 1's radicand is exactly 0 at
-rho1 = p1 = 1/2, a cell of the 17x5, 65x7 and 129x5 grids.
+zoom on the 101x99, 201x99, 37x11 and 41x199 grids, by grid_search_sum_rate
+on the default grid and by search_p1 at rho1 in {0.2, 0.5, 0.8} on 101 and
+2001 points; the 41x199 grid zooms up to 199 windows a round, more than
+the search._CHUNK evaluated at a time. Then the paper example's sweep rows
+from -30 to 20 dB with PR = P and PR = 100 P; then edge channels searched
+the same way on the 2x1, 3x2, 17x5, 65x7 and 129x5 grids (one to 17 blocks
+of 8, padded to whole blocks and groups): one channel at P in {0, 5e-324,
+1e-300, 1e160, 1e250} x PR/P in {0, 1/100, 1, 100}, and at P = PR = 1 with
+a zero hR2, with parallel relay columns, and with g1R = 0 and h12 = 0
+(every p1 ties); and at P = 1, PR = 1/4 with hR2 = (1, 0), where user 1's
+radicand is exactly 0 at rho1 = p1 = 1/2, a cell of the 17x5, 65x7 and
+129x5 grids.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 CHANNELS = 150
-GRIDS = ((101, 99), (201, 99), (37, 11))
+GRIDS = ((101, 99), (201, 99), (37, 11), (41, 199))
 RELAY_RATIOS = (1.0, 100.0, 0.25, 0.0, 0.01)
 EDGE_GRIDS = ((2, 1), (3, 2), (17, 5), (65, 7), (129, 5))
 EDGE_BUDGETS = (0.0, 5e-324, 1e-300, 1e160, 1e250)
