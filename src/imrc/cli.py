@@ -79,7 +79,12 @@ def parse_db_range(text: str) -> tuple[float, ...]:
     span = (hi - lo) / step + 1e-9
     if not math.isfinite(span):
         raise ValueError(f"range has too many points: {text!r}")
-    return tuple(lo + k * step for k in range(math.floor(span) + 1))
+    values = tuple(lo + k * step for k in range(math.floor(span) + 1))
+    try:
+        _budgets(values[-1:])
+    except OverflowError:
+        raise ValueError(f"range's top budget overflows: {text!r}") from None
+    return values
 
 
 def _fmt(value) -> str:
@@ -209,6 +214,12 @@ def _budgets(db_values) -> list[float]:
     return [10.0 ** (db / 10.0) for db in db_values]
 
 
+def _over(value: float, scale: float) -> float:
+    """value / scale, NaN where scale is 0: a rate or power normalized by a
+    budget that underflowed to 0 is undefined."""
+    return value / scale if scale else math.nan
+
+
 def _sqrt_cell(value: float | None):
     """The sweep CSV's R_sum_sqrt cell. It is empty below 0 dB, where the
     strategy is undefined. A split that is infeasible at P >= 1 is written
@@ -284,10 +295,10 @@ def figure4_rows(setup_template: ChannelSetup, db_values, PR: float | None,
                                  PR=big_p if PR is None else PR))
         best = search_p1(setup, rho1, n_p)
         try:
-            closed = best_sign_powers(setup, rho1).p1 / big_p
+            closed = _over(best_sign_powers(setup, rho1).p1, big_p)
         except LinearizationInfeasible:  # no zero-forcing margin at rho1
             closed = float("nan")
-        rows.append((db, float("nan") if best is None else best / big_p,
+        rows.append((db, float("nan") if best is None else _over(best, big_p),
                      closed))
     return rows
 
@@ -302,9 +313,11 @@ def figure5_rows(setup_template: ChannelSetup, db_values, PR: float | None,
     for db, row in zip(db_values, table.rows):
         norm = (math.log2(1.0 + setup_template.h11 ** 2 * row.P)
                 + math.log2(1.0 + setup_template.h22 ** 2 * row.P))
-        rows.append((db, row.R_sum_exact / norm, row.R_sum_closed / norm,
-                     row.R_sum_half / norm,
-                     None if row.R_sum_sqrt is None else row.R_sum_sqrt / norm))
+        rows.append((db, _over(row.R_sum_exact, norm),
+                     _over(row.R_sum_closed, norm),
+                     _over(row.R_sum_half, norm),
+                     None if row.R_sum_sqrt is None
+                     else _over(row.R_sum_sqrt, norm)))
     return rows
 
 

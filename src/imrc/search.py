@@ -35,31 +35,33 @@ infeasible cell never wins. A1 and M are scaled by the power of two 2^-e
 with 2^e > 1 + ||g1R||^2 P, which keeps A1 A2 finite at budgets where it
 would overflow; a power of two does not round, so no comparison changes.
 
-The coarse stage builds no (rho1, p) table. It bounds each 8 x 8 block
-of cells, and each G x G group of blocks, by the cells' own operations
-(_value) at the unit's largest signal and own power and the other user's
-least power. A_i never falls as its signal or p_i grows, never rises as
-p_j grows, M never falls as a power grows (alpha >= 0), and IEEE + - * /
-and min round monotonically, so the bound is at least every cell's
-rounded value once the signal is at least every cell's rounded signal;
-it is 0 for a unit without a feasible cell. That signal is _peak's
-closed form. With r = P - p_i, K = rho_i PR ||hRj||^2, c = h_ij^2 and
+One bound routine, _box_bound, serves every stage that prunes: it bounds
+the coarse stage's 8 x 8 blocks of cells and G x G groups of blocks and
+the zoom's window hulls, each a box [lo1, hi1] x [lo2, hi2] at one rho1,
+by the cells' own operations (_value) at each user's largest signal and
+own power and the other user's least power. A_i never falls as its signal
+or p_i grows, never rises as p_j grows, M never falls as a power grows
+(alpha >= 0), and IEEE + - * / and min round monotonically, so the bound
+is at least every cell's rounded value once the signal is at least every
+cell's rounded signal; it is 0 for a box without a feasible cell. That
+signal is _peak's closed form, so no table of signals is built. With
+r = P - p_i, K = rho_i PR ||hRj||^2, c = h_ij^2 and
 f_ii = a_i + n_i b_i sqrt(rad_i), rad_i = K / r - c, the signal f_ii^2 r
 is at most g(r) = (|a_i| sqrt(r) + |b_i| sqrt(K - c r))^2, with equality
 for branch_sign's n_i, and g(0) is the boundary power at p_i = P.
 Expanded, g = (a_i^2 - b_i^2 c) r + b_i^2 K + 2 |a_i b_i| sqrt(r (K - c r)),
 a linear term plus a geometric mean of two linear terms, so g is concave
 and its maximum over an interval is g at r* = K a_i^2 / (c (a_i^2 +
-b_i^2 c)) clipped to it (its top when c = 0): one evaluation per unit.
+b_i^2 c)) clipped to it (its top when c = 0): one evaluation per interval.
 _peak's docstring derives the slack that keeps it above every rounded
-cell. Feasibility never falls as p_i grows, so a unit is live exactly when
-the kernel finds its largest power feasible. All groups are bounded
-first. The best cell of the top-bound block of each rho1's top-bound
-group sets an incumbent; then, in the groups whose bound reaches the
-incumbent, every block whose bound reaches it is evaluated and counted,
-the first-pass block again when it does. A block's cells are evaluated by
-_best on its 8 + 8 powers, so each cell's value is the one a full grid
-gives, bit for bit. There are two incumbents:
+cell. Feasibility never falls as p_i grows, so a user's interval is live
+exactly when the kernel finds its largest power feasible. All groups are
+bounded first. The best cell of the top-bound block of each rho1's
+top-bound group sets an incumbent; then, in the groups whose bound
+reaches the incumbent, every block whose bound reaches it is evaluated
+and counted, the first-pass block again when it does. A block's cells
+are evaluated by _best on its 8 + 8 powers, so each cell's value is the
+one a full grid gives, bit for bit. There are two incumbents:
 - unrefined (grid_search_sum_rate, SweepPolicy(refine=False)), G = 4.
   Only the first argmax over all rho1 is read, so the incumbent is the
   largest first-pass value over all rho1 (inf when none is feasible), a
@@ -81,14 +83,13 @@ unit) array, so each ufunc loop runs over many of them rather than 8.
 The zoom stage advances the windows of all rho1 together, one evaluation
 per round, each window sampled by np.linspace. A window's cells from a
 round of half-width h on lie in its hull, within h + h/10 + ... <
-h (1 + 1/9) of its center. _peak over the hull bounds every cell's signal
-and gives a bound U as for a block. Before a round of more than two
-windows, a window is dropped when U < max(best), as it cannot win the
-argmax, or U <= its own best, as only a strictly better cell replaces
-that. det(H) = 0 is stored exactly, so f_ii then has no rho1 or sign
-term: windows with one start and a hull feasible for both users tie
-throughout, and only the first, which the argmax keeps on a tie, is
-zoomed.
+h (1 + 1/9) of its center (_hull), and _box_bound on that hull gives a
+bound U. Before a round of more than two windows, a window is dropped
+when U < max(best), as it cannot win the argmax, or U <= its own best, as
+only a strictly better cell replaces that. det(H) = 0 is stored exactly,
+so f_ii then has no rho1 or sign term: windows with one start and a hull
+feasible for both users tie throughout, and only the first, which the
+argmax keeps on a tie, is zoomed.
 """
 
 from __future__ import annotations
@@ -329,31 +330,16 @@ def _peak(setup: ChannelSetup, user: int, rho1, lo, hi
     return g * g + math.ldexp(2.0 + b + 1.0 / norm2, -1074), live
 
 
-def _level(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, side: int,
-           width: int) -> tuple:
-    """The units of width x width cells of the grid pv x pv (pv ascending)
-    padded to side cells a side: each user's _peak and feasibility over
-    (rho1, unit), and each unit's least and largest p. A unit wholly past
-    pv holds no cell and is not live."""
-    start = np.arange(0, side, width)
-    lo = pv[np.minimum(start, len(pv) - 1)]
-    hi = pv[np.minimum(start + width, len(pv)) - 1]
-    (s1, live1), (s2, live2) = (_peak(setup, user, rhos[:, None], lo, hi)
-                                for user in (1, 2))
-    real = start < len(pv)
-    return s1, s2, live1 & real, live2 & real, lo, hi
-
-
-def _bound(setup: ChannelSetup, level: tuple, k, rows, cols) -> np.ndarray:
-    """The bound of the square of units (rows, cols) of a level (_level)
-    at rho1 indices k (an integer array), all three broadcast: _value at
-    each user's _peak and largest power and the other user's least power,
-    0 where a user has no feasible cell, so at least every cell's value in
-    the square. Each table is read by flat take."""
-    s1, s2, live1, live2, lo, hi = level
-    at1, at2 = k * len(lo) + rows, k * len(lo) + cols
-    return _value(setup, s1.take(at1), s2.take(at2), hi[rows], hi[cols],
-                  lo[rows], lo[cols], live1.take(at1) & live2.take(at2))
+def _box_bound(setup: ChannelSetup, rho1, lo1, hi1, lo2, hi2) -> np.ndarray:
+    """The bound of every box [lo1, hi1] x [lo2, hi2] at rho1, all six
+    broadcast: _value at each user's _peak and largest power and the other
+    user's least power, 0 where a user has no feasible power in its
+    interval, so at least every cell's value in the box (module
+    docstring). A side with NaN edges holds no cell: _peak finds it not
+    live. Each user's _peak keeps its own arguments' shape."""
+    (s1, live1), (s2, live2) = (_peak(setup, 1, rho1, lo1, hi1),
+                                _peak(setup, 2, rho1, lo2, hi2))
+    return _value(setup, s1, s2, hi1, hi2, lo1, lo2, live1 & live2)
 
 
 def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
@@ -371,25 +357,29 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
     branch_sign's block, is exact). evaluated counts the blocks whose
     bound reaches the incumbent; the first-pass block is evaluated again
     among them when its bound reaches it, always unless overall. Groups
-    and blocks are bounded from _level; a block's cells are evaluated by
-    _best on its 8 + 8 powers, bit for bit as on a full grid."""
+    and blocks are bounded by _box_bound on their edges in the padded grid;
+    a block's cells are evaluated by _best on its 8 + 8 powers, bit for
+    bit as on a full grid."""
     n, b, n_rho = len(pv), _BLOCK, len(rhos)
     size = _GROUP if overall else 1
     span = -(-n // (size * b)) * size * b  # cells a side, in whole groups
     nb, ng = span // b, span // (size * b)
-    blocks = _level(setup, rhos, pv, span, b)
-    groups = _level(setup, rhos, pv, span, size * b) if overall else blocks
     pp = np.concatenate([pv, np.full(span - n, np.nan)])  # NaN: infeasible
+    # each unit's least and largest p, NaN for a unit wholly past pv
+    blocks, groups = ((pp[::w], np.fmax.reduceat(pp, np.arange(0, span, w)))
+                      for w in (b, size * b))
 
     def inside(level, side, k, outer, across):
-        # the bounds of the side x side units of level inside the units
+        # the _box_bound of the side x side units of level inside the units
         # outer (row-major, across a side) of the level above at rho1 k,
         # shaped (unit inside, outer) so that each ufunc loop runs over
         # many units, and each unit's row-major index in level
         rows, cols = (x * side for x in np.divmod(outer, across))
         rows = rows + np.arange(side)[:, None, None]
         cols = cols + np.arange(side)[:, None]
-        bound = _bound(setup, level, k, rows, cols).reshape(side * side, -1)
+        lo, hi = level
+        bound = _box_bound(setup, rhos[k], lo[rows], hi[rows], lo[cols],
+                           hi[cols]).reshape(side * side, -1)
         return bound, (rows * across * side + cols).reshape(side * side, -1)
 
     # every group, as the units of the one square that is the whole grid
@@ -453,21 +443,12 @@ def _window_rows(P: float, c: np.ndarray, half: float) -> np.ndarray:
                        _ZOOM_POINTS)
 
 
-def _window_bound(setup: ChannelSetup, rho1, c1, c2, half1: float,
-                  half2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each window's bound on the cells of its hull, c_i +/- half_i
-    (1 + 1/9) in [0, P], in either sign block, and whether both users are
-    feasible on the whole hull (at its least powers)."""
-    reach = 1.0 + 1.0 / (_ZOOM_SHRINK - 1)  # > 1 + 1/10 + 1/100 + ...
-    reach1, reach2 = half1 * reach, half2 * reach
-    lo1, hi1 = np.maximum(0.0, c1 - reach1), np.minimum(setup.P, c1 + reach1)
-    lo2, hi2 = np.maximum(0.0, c2 - reach2), np.minimum(setup.P, c2 + reach2)
-    sig1, live1 = _peak(setup, 1, rho1, lo1, hi1)
-    sig2, live2 = _peak(setup, 2, rho1, lo2, hi2)
-    # feasibility never falls as p_i grows: check the least powers
-    whole = (_signal(setup, 1, rho1, 1, lo1)[1]
-             & _signal(setup, 2, rho1, 1, lo2)[1])
-    return _value(setup, sig1, sig2, hi1, hi2, lo1, lo2, live1 & live2), whole
+def _hull(P: float, c: np.ndarray, half: float) -> tuple:
+    """The hull of each window c[w] +/- half, c +/- half (1 + 1/9)
+    clipped to [0, P], as its least and largest p: it holds the window's
+    cells from this round on (module docstring)."""
+    reach = half * (1.0 + 1.0 / (_ZOOM_SHRINK - 1))  # > 1 + 1/10 + ...
+    return np.maximum(0.0, c - reach), np.minimum(P, c + reach)
 
 
 def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: int, n2: int,
@@ -487,11 +468,16 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: int, n2: int,
     runs = 0
     for round_ in range(_ZOOM_ROUNDS):
         if len(live) > 2:  # two windows zoom faster than they are bounded
-            bound, whole = _window_bound(setup, rho1[live], c1[live],
-                                         c2[live], half1, half2)
+            lo1, hi1 = _hull(setup.P, c1[live], half1)
+            lo2, hi2 = _hull(setup.P, c2[live], half2)
+            bound = _box_bound(setup, rho1[live], lo1, hi1, lo2, hi2)
             keep = (bound >= best.max()) & (bound > best[live])
             if round_ == 0 and setup.hR_det == 0.0:
-                twins = np.flatnonzero(whole)
+                # feasibility never falls as p_i grows: a hull feasible
+                # for both users at its least powers is wholly feasible
+                rho = rho1[live]
+                twins = np.flatnonzero(_signal(setup, 1, rho, 1, lo1)[1]
+                                       & _signal(setup, 2, rho, 1, lo2)[1])
                 _, first = np.unique(np.stack([c1, c2], axis=1)[live[twins]],
                                      axis=0, return_index=True)
                 keep[np.delete(twins, first)] = False  # the later twins

@@ -191,6 +191,33 @@ def test_nonfinite_db_range_is_usage_error(capsys, text):
     assert "--p-db-range" in err
 
 
+@pytest.mark.parametrize("command", [["sweep"], ["figure", "4"],
+                                     ["figure", "5"]])
+def test_overflowing_db_range_is_usage_error(tmp_path, capsys, command):
+    # 10^(3090/10) overflows a float: the budgets raised OverflowError, a
+    # traceback, where --P=3090dB is refused as a usage error
+    out_path = tmp_path / "f.csv"
+    code, out, err = run(capsys, *command, "--p-db-range=3090:3090:1",
+                         "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "--p-db-range" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("which", ["4", "5"])
+def test_underflowing_budget_writes_empty_figure_cells(tmp_path, capsys,
+                                                       which):
+    # 10^(-3300/10) underflows to P = 0, where figure 4's p1/P and figure
+    # 5's rates over log2(1 + h11^2 P) + log2(1 + h22^2 P) = 0 are
+    # undefined: they raised ZeroDivisionError, and are now empty cells
+    out_path = tmp_path / "f.csv"
+    code, _, err = run(capsys, "figure", which, "--p-db-range=-3300:-3300:1",
+                       "--out", str(out_path))
+    assert (code, err) == (0, "")
+    header, row = out_path.read_text().splitlines()
+    assert row.split(",") == ["-3300"] + [""] * header.count(",")
+
+
 def test_out_of_range_inputs_are_usage_errors(tmp_path, capsys):
     # NegativePower and NonFinite from input validation exit 1 before any
     # output, like every other out-of-range parameter

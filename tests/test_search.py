@@ -37,10 +37,10 @@ from imrc import (
 
 import imrc.search as search_module
 from imrc.model import RADICAND_RTOL, branch_sign
-from imrc.search import (_BLOCK, _GROUP, _SIGNS, _best, _bound, _coarse,
-                         _level, _exponent, _fixed_split_rate, _peak, _search,
-                         _signal, _sum_rate_or_nan, _window_bound, _zoom,
-                         search_p1)
+from imrc.search import (_BLOCK, _GROUP, _SIGNS, _ZOOM_ROUNDS, _ZOOM_SHRINK,
+                         _best, _box_bound, _coarse, _exponent,
+                         _fixed_split_rate, _hull, _peak, _search, _signal,
+                         _sum_rate_or_nan, _window_rows, _zoom, search_p1)
 
 from helpers import (linearizable_setup, random_setup, reference_objective,
                      reference_search_p1, reference_zoom)
@@ -337,13 +337,17 @@ def _grid_case(setup, grid):
 def _level_bounds(setup, pv, rhos):
     """The dense bounds of the block level and then the group level, each
     shaped (rho1, unit row, unit column) with its number of units a side,
-    on pv padded as the unrefined coarse stage pads it."""
+    on pv padded as the unrefined coarse stage pads it: _box_bound on each
+    unit's first and last power in pv, NaN for a unit wholly past pv."""
     side = -(-len(pv) // (_GROUP * _BLOCK)) * _GROUP * _BLOCK
     for width in (_BLOCK, _GROUP * _BLOCK):
-        level = _level(setup, rhos, pv, side, width)
-        unit = np.arange(side // width)
-        bound = _bound(setup, level, np.arange(len(rhos))[:, None, None],
-                       unit[:, None], unit[None])
+        start = np.arange(0, side, width)
+        real = start < len(pv)
+        lo = np.where(real, pv[np.minimum(start, len(pv) - 1)], np.nan)
+        hi = np.where(real, pv[np.minimum(start + width, len(pv)) - 1],
+                      np.nan)
+        bound = _box_bound(setup, rhos[:, None, None], lo[:, None],
+                           hi[:, None], lo, hi)
         yield bound, side // width
 
 
@@ -682,17 +686,22 @@ def _hull_points(rng, lo, hi):
 
 @pytest.mark.parametrize("seed", [*range(20), "huge"])
 def test_window_bound_is_sound(seed):
-    # the zoom drops a window whose bound cannot beat the best, so the
-    # bound must be at least the value of every point of the window's
-    # hull, c +/- h (1 + 1/9) in [0, P], 0 only where no point is feasible,
-    # and a hull reported wholly feasible must have no infeasible point;
+    # the zoom drops a window whose bound cannot beat the best, so
+    # _box_bound on the window's _hull must be at least the value of every
+    # point of the hull, c +/- h (1 + 1/9) in [0, P], 0 only where no point
+    # is feasible, and a hull that the zoom's twin check finds feasible for
+    # both users at its least powers must have no infeasible point;
     # half-widths h from 1e-4 P to P, and h = 0 pinning p2 as in search_p1,
     # all 64 windows in each of the four sign blocks
     setup, rng, rho1, c1, c2 = _window_case(seed)
     halves = ((1e-4, 1e-3), (0.05, 0.0), (0.3, 0.2), (1.0, 1.0))
     for n1, n2, (half1, half2) in itertools.product((-1, 1), (-1, 1), halves):
         half1, half2 = half1 * setup.P, half2 * setup.P
-        bound, whole = _window_bound(setup, rho1, c1, c2, half1, half2)
+        lo1, hi1 = _hull(setup.P, c1, half1)
+        lo2, hi2 = _hull(setup.P, c2, half2)
+        bound = _box_bound(setup, rho1, lo1, hi1, lo2, hi2)
+        whole = (_signal(setup, 1, rho1, 1, lo1)[1]
+                 & _signal(setup, 2, rho1, 1, lo2)[1])
         reach1, reach2 = half1 * (1.0 + 1.0 / 9.0), half2 * (1.0 + 1.0 / 9.0)
         p1 = _hull_points(rng, np.maximum(0.0, c1 - reach1),
                           np.minimum(setup.P, c1 + reach1))
@@ -703,6 +712,29 @@ def test_window_bound_is_sound(seed):
         assert (bound >= top).all()
         assert (top[bound == 0.0] == 0.0).all()
         assert (obj[whole] > 0.0).all()
+
+
+@pytest.mark.parametrize("P", PEAK_BUDGETS)
+def test_zoom_samples_stay_in_hull(P):
+    # the zoom drops a window by _box_bound on its _hull, so every sample
+    # of that round and the later ones must lie in the hull: from random
+    # centers, p = 0 and p = P, each round moves the center to the
+    # window's first or last sample (the farthest it can go; both ends,
+    # and one chosen at random per window) and shrinks the half-width by
+    # _ZOOM_SHRINK; half-widths from 1e-4 P to P, and 0, the pinned axis
+    # of search_p1
+    rng = np.random.default_rng(4200 + PEAK_BUDGETS.index(P))
+    c0 = np.concatenate([[0.0, P], rng.uniform(0.0, P, 30)])
+    last = len(_window_rows(P, c0, 0.0)) - 1
+    for half0 in (0.0, 1e-4 * P, 0.01 * P, 0.3 * P, P):
+        lo, hi = _hull(P, c0, half0)
+        for pick in (np.zeros(len(c0), np.intp), np.full(len(c0), last),
+                     rng.integers(0, 2, len(c0)) * last):
+            c, half = c0, half0
+            for _ in range(_ZOOM_ROUNDS):
+                rows = _window_rows(P, c, half)
+                assert ((rows >= lo) & (rows <= hi)).all()
+                c, half = rows[pick, np.arange(len(c0))], half / _ZOOM_SHRINK
 
 
 def _zoom_case(case):
