@@ -168,13 +168,10 @@ def validate(setup: ChannelSetup) -> ChannelSetup:
 # and the repeated message arrives with power f_ii^2 remaining; at p_i = P
 # the relay alone carries it, with power rho_i PR det(H)^2 / ||hRj||^2.
 # The functions use only + - * /, abs, comparisons and the square of the
-# scalar gain h_ij, so Python floats stay floats and numpy arrays broadcast.
-# Each array result is built in place by augmented assignment on the first
-# array a binary operation creates, so an argument is never written; a
-# float's x *= y rebinds it. Only the operands of + and * swap sides, which
-# is exact in IEEE arithmetic, so results equal the plain expressions bit
-# for bit. Callers take the square root (math.sqrt or np.sqrt, both
-# correctly rounded) and pick the boundary case themselves.
+# scalar gain h_ij, so Python floats stay floats and numpy arrays broadcast;
+# every array result is a new array, which a caller may write into, as
+# search._signal does. Callers take the square root (math.sqrt or np.sqrt,
+# both correctly rounded) and pick the boundary case themselves.
 
 def _user(setup: ChannelSetup, user: int) -> tuple:
     """(h_ii, h_ij, ||hRj||^2, orient, hRi, hRj) of `user`, j the other
@@ -196,12 +193,9 @@ def zf_radicand(setup: ChannelSetup, user: int, rho_i, remaining):
     and whether it counts as nonnegative (within RADICAND_RTOL of its
     positive part). remaining = P gives the low-power expansion's S_i^2."""
     _, h_cross, norm2, *_ = _user(setup, user)
-    rad = rho_i * setup.PR / remaining
-    rad *= norm2  # the radicand's positive part
-    tolerance = abs(rad)
-    tolerance *= -RADICAND_RTOL
-    rad -= h_cross ** 2
-    return rad, rad >= tolerance
+    positive = rho_i * setup.PR / remaining * norm2
+    rad = positive - h_cross ** 2
+    return rad, rad >= -RADICAND_RTOL * abs(positive)
 
 
 def zf_root(setup: ChannelSetup, user: int, rho_i: float,
@@ -218,10 +212,8 @@ def zf_root(setup: ChannelSetup, user: int, rho_i: float,
 def own_gain(setup: ChannelSetup, user: int, sign, root):
     """f_ii for branch sign n_i and root = sqrt(rad_i)."""
     h_own, h_cross, norm2, orient, *_ = _user(setup, user)
-    gain = orient * sign * setup.hR_det * root
-    gain /= norm2
-    gain += h_own - h_cross * setup.hR_dot / norm2
-    return gain
+    return (orient * sign * setup.hR_det * root / norm2
+            + (h_own - h_cross * setup.hR_dot / norm2))
 
 
 def branch_sign(setup: ChannelSetup, user: int) -> int:
@@ -239,13 +231,8 @@ def branch_sign(setup: ChannelSetup, user: int) -> int:
 
 def own_signal(setup: ChannelSetup, user: int, sign, root, remaining):
     """f_ii^2 (P - p_i): received power of the repeated message, p_i < P."""
-    power = own_gain(setup, user, sign, root)
-    power *= power
-    try:
-        power *= remaining
-    except ValueError:  # remaining broadcasts f_ii to a larger array
-        power = power * remaining
-    return power
+    gain = own_gain(setup, user, sign, root)
+    return gain * gain * remaining
 
 
 def boundary_signal(setup: ChannelSetup, user: int, rho_i):

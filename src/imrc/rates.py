@@ -170,7 +170,7 @@ def mac_sum_expanded(setup: ChannelSetup, p1: float, p2: float) -> float:
     p2 overflows (budgets above about 1e154), p1's binary exponent is taken
     out first."""
     value = mac_sum_argument(setup, p1, p2)
-    if math.isinf(value):
+    if not math.isfinite(value):  # alpha = 0 makes it 0 inf = NaN
         exp = math.frexp(p1)[1]
         return math.log2(mac_sum_argument(setup, p1, p2,
                                           math.ldexp(1.0, -exp))) + exp

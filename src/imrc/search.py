@@ -32,8 +32,10 @@ of cells is the order of their sum rates; no cell takes a log2, and the
 bits come from scheme_rate_point on the chosen allocation alone. Every
 feasible value is positive and every infeasible one is 0, so an
 infeasible cell never wins. A1 and M are scaled by the power of two 2^-e
-with 2^e > 1 + ||g1R||^2 P, which keeps A1 A2 finite at budgets where it
-would overflow; a power of two does not round, so no comparison changes.
+with 2^e > 1 + max(||g1R||^2, 1) P, which keeps A1 A2 and M's alpha p1 p2
+finite at budgets where they would overflow; a power of two does not
+round, so no comparison changes. A budget where ||g_iR||^2 P or h_ji^2 P
+itself overflows is refused (_refuse_overflow).
 
 One bound routine, _box_bound, serves every stage that prunes: it bounds
 the coarse stage's 8 x 8 blocks of cells and G x G groups of blocks and
@@ -212,12 +214,13 @@ def _signal(setup: ChannelSetup, user: int, rho1, sign, p
     rho1, the branch sign and p_i: model's per-user kernel, as in
     scheme_rate_point, with the boundary value (always feasible) at p_i = P.
     Raises DegenerateRelayChannel where hRj = 0, as zf_radicand does.
-    The radicand's array becomes the root, and the results are built in
-    place, so a (rho1, p) table costs a few arrays of its size."""
+    The radicand's new array becomes the root, and the boundary values and
+    feasibility are written into the kernel's new arrays."""
     rho_i = rho1 if user == 1 else 1.0 - rho1
     boundary = p >= setup.P
     remaining = np.where(boundary, 1.0, setup.P - p)
     rad, feasible = zf_radicand(setup, user, rho_i, remaining)
+    # in place, like _capped_term and _value: see _value for why
     root = np.asarray(rad)  # a new array (numpy gives 0-d results as scalars)
     np.sqrt(np.maximum(root, 0.0, out=root), out=root)
     sig = np.asarray(own_signal(setup, user, sign, root, remaining))
@@ -227,13 +230,25 @@ def _signal(setup: ChannelSetup, user: int, rho1, sign, p
 
 
 def _exponent(setup: ChannelSetup) -> int:
-    """e with 2^e > 1 + ||g1R||^2 P, so 2^e bounds user 1's term A1."""
-    return math.frexp(1.0 + setup.g1R_norm2 * setup.P)[1]
+    """e with 2^e > 1 + max(||g1R||^2, 1) P, so 2^e bounds user 1's term
+    A1, and 2^-e p1 p2 < P in mac_sum_argument even where alpha = 0."""
+    return math.frexp(1.0 + max(setup.g1R_norm2, 1.0) * setup.P)[1]
 
 
 def _scale(setup: ChannelSetup) -> float:
     """2^-e: scaling A1 by it keeps A1 A2 below A2, and does not round."""
     return math.ldexp(1.0, -_exponent(setup))
+
+
+def _refuse_overflow(setup: ChannelSetup) -> None:
+    """Raise ValueError, naming the budget, where ||g_iR||^2 P or h_ji^2 P
+    overflows: user i's MAC and interference terms at p = P, which
+    _exponent, every cell's A_i and scheme_rate_point's rates need finite."""
+    gain = max(setup.g1R_norm2, setup.g2R_norm2, setup.h12 ** 2,
+               setup.h21 ** 2)
+    if math.isinf(gain * setup.P):
+        raise ValueError(f"budget P = {setup.P!r} is too large: "
+                         "||g_iR||^2 P or h_ji^2 P overflows")
 
 
 def _capped_term(setup: ChannelSetup, user: int, sig, p_own,
@@ -247,7 +262,7 @@ def _capped_term(setup: ChannelSetup, user: int, sig, p_own,
     else:
         gain2, cross2 = setup.g2R_norm2, setup.h12 ** 2
     term = sig / (1.0 + cross2 * p_other)
-    np.minimum(term, gain2 * p_own, out=term)
+    np.minimum(term, gain2 * p_own, out=term)  # in place: see _value
     term += 1.0
     return term
 
@@ -263,6 +278,8 @@ def _value(setup: ChannelSetup, sig1, sig2, hi1, hi2, lo1, lo2,
     scale = _scale(setup)  # a power of two: exact
     total = (scale * _capped_term(setup, 1, sig1, hi1, lo2)
              * _capped_term(setup, 2, sig2, hi2, lo1))
+    # in place here, in _signal and _capped_term: plain read 0.5% slower
+    # on grid items (median of 6 A/B runs)
     np.minimum(total, mac_sum_argument(setup, hi1, hi2, scale), out=total)
     np.copyto(total, 0.0, where=~ok)
     return total
@@ -306,7 +323,8 @@ def _peak(setup: ChannelSetup, user: int, rho1, lo, hi
     dozen more roundings of at most 2^-53, as g does. So K enters as
     K (1 + 2 RADICAND_RTOL), and g is multiplied by 1 + RADICAND_RTOL
     (about 2^-40). g(s r, s K) = s g(r, K), and g is evaluated at
-    s = 2^-e with s P in [1/2, 1) (at most 2^1000), where nothing
+    s = 2^-e with s P in [1/2, 1) (s at most 2^1000, and at least 2^-1023,
+    so that 1 / s is finite: s P < 2 from P = 2^1023), where nothing
     underflows. Only a subnormal result rounds by an absolute 2^-1075: g's
     last step, the cell's last product and the three steps of the boundary
     power, scaled by up to (1 + |det(H)|) / ||hRj||^2, which the added
@@ -315,18 +333,15 @@ def _peak(setup: ChannelSetup, user: int, rho1, lo, hi
                        else (1.0 - rho1, setup.h21 ** 2, setup.hR1_norm2))
     top, rest = hi >= setup.P, setup.P - hi
     live = zf_radicand(setup, user, rho_i, np.where(top, 1.0, rest))[1] | top
-    s = math.ldexp(1.0, min(1000, -math.frexp(setup.P)[1]))  # exact
+    s = math.ldexp(1.0, min(1000, max(-1023, -math.frexp(setup.P)[1])))
     a, b = abs(own_gain(setup, user, 1, 0.0)), abs(setup.hR_det) / norm2
     K = rho_i * setup.PR * (s * norm2 * (1.0 + 2.0 * RADICAND_RTOL))
     r = (setup.P - lo) * s  # r* when c = 0, as g then rises with r
     if c > 0.0:  # r* clipped to [P - hi, P - lo]
         w = a * a / (a * a + b * b * c) if a * a > 0.0 else 0.0
         r = np.minimum(np.maximum(K * w / c, rest * s), r)
-    g = K - c * r  # a new array of the result's shape
-    np.sqrt(np.maximum(g, 0.0, out=g), out=g)
     scale = math.sqrt((1.0 + RADICAND_RTOL) / s)  # g's factor, on a and b
-    g *= b * scale
-    g += a * scale * np.sqrt(r)
+    g = b * scale * np.sqrt(np.maximum(K - c * r, 0.0)) + a * scale * np.sqrt(r)
     return g * g + math.ldexp(2.0 + b + 1.0 / norm2, -1074), live
 
 
@@ -395,9 +410,10 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
 
     def evaluate(k, block):
         # each block's best cell at rho1 k and that cell's row-major index
-        # in the padded grid, b * _CHUNK blocks to a _best call: each
-        # user's signals for b chunks of blocks at once (as many values as
-        # a chunk has cells)
+        # in the n x n grid (never a padded cell: those are 0, and a block
+        # whose best is 0 gives its corner), b * _CHUNK blocks to a _best
+        # call: each user's signals for b chunks of blocks at once (as many
+        # values as a chunk has cells)
         row, col = np.divmod(block, nb)
         best, first = np.empty(len(k)), np.empty(len(k), dtype=np.intp)
         for start in range(0, len(k), b * _CHUNK):
@@ -405,7 +421,7 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
             best[c], first[c] = _best(setup, rhos[k[c]], n1, n2,
                                       pp[row[c] * b + np.arange(b)[:, None]],
                                       pp[col[c] * b + np.arange(b)[:, None]])
-        return best, (row * b + first // b) * span + col * b + first % b
+        return best, (row * b + first // b) * n + col * b + first % b
 
     # first pass: the best cell of the top-bound block of each rho1's
     # top-bound group (none for a rho1 with no feasible cell) sets the
@@ -429,9 +445,8 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
     value, arg = np.zeros(n_rho), np.zeros(n_rho, dtype=np.intp)
     value[k[head]] = np.maximum.reduceat(best, head)
     arg[k[head]] = np.minimum.reduceat(
-        np.where(best == value[k], cell, span * span), head)
-    row, col = np.divmod(arg, span)  # padded to n x n cell indices
-    return value, row * n + col, np.bincount(k, minlength=n_rho)
+        np.where(best == value[k], cell, n * n), head)
+    return value, arg, np.bincount(k, minlength=n_rho)
 
 
 def _window_rows(P: float, c: np.ndarray, half: float) -> np.ndarray:
@@ -505,7 +520,9 @@ def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
     user, in each rho1's dominant sign block, optionally zooming on its
     best cell (replaced only by a strictly better zoom cell). Exact-value
     ties go to the smallest (rho1, p1, p2), then to the first sign pair,
-    -1 first, reaching the value there; None when nothing is feasible."""
+    -1 first, reaching the value there; None when nothing is feasible.
+    Raises ValueError where P is too large (_refuse_overflow)."""
+    _refuse_overflow(setup)
     try:
         n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
     except DegenerateRelayChannel:

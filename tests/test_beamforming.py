@@ -146,6 +146,12 @@ def test_degenerate_relay_column():
         boundary_beam_vector(setup, 0.5, 1)
 
 
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_boundary_beam_vector_refuses_other_signs(sign):
+    with pytest.raises(ValueError, match="sign must be -1 or \\+1"):
+        boundary_beam_vector(EX, 0.5, 1, sign=sign)
+
+
 def test_interior_requires_p_below_budget():
     alloc = PowerAllocation(p1=EX.P, p2=0.0, rho1=0.5)
     with pytest.raises(ValueError):

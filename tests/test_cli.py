@@ -204,6 +204,32 @@ def test_overflowing_db_range_is_usage_error(tmp_path, capsys, command):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", [["sweep"], ["figure", "5"]])
+@pytest.mark.parametrize("db", ["3080", "3082.3045"])  # P = 1e308, 1.7e308
+def test_budget_near_the_float_limit_is_refused(tmp_path, capsys, command,
+                                                db):
+    # ||g1R||^2 P overflows on the paper example: the search exited 2 with
+    # NoFeasiblePoint, and the budget is now refused before any output
+    out_path = tmp_path / "f.csv"
+    code, out, err = run(capsys, *command, f"--p-db-range={db}:{db}:1",
+                         "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: budget P = 1") and "e+308 is too" in err
+    assert not out_path.exists()
+
+
+def test_sweep_writes_nan_for_an_infeasible_sqrt_split(tmp_path, capsys):
+    # at PR = 0.01 and 10 dB the split p = sqrt(P) leaves a user without
+    # zero forcing: the README's one `nan` cell, which perfbench's row
+    # check tells apart from the empty cell below 0 dB
+    out_path = tmp_path / "sweep.csv"
+    code, out, _ = run(capsys, "sweep", "--PR", "0.01",
+                       "--p-db-range=10:10:1", "--out", str(out_path))
+    assert code == 0 and "sqrt = undefined" in out
+    header, row = list(csv.reader(out_path.read_text().splitlines()))
+    assert dict(zip(header, row))["R_sum_sqrt"] == "nan"
+
+
 @pytest.mark.parametrize("which", ["4", "5"])
 def test_underflowing_budget_writes_empty_figure_cells(tmp_path, capsys,
                                                        which):

@@ -164,10 +164,10 @@ def _assert_kernel_matches_scalars(array_fn, scalar_fn, *args):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_kernel_on_arrays_matches_scalars(seed):
-    # the array kernel builds its results in place; it must equal the
-    # scalar kernel element by element, bit for bit, and never write an
-    # argument, whichever argument is the largest, on 0-d arrays, with
-    # det(H) = 0 and at p_i = P
+    # the array kernel returns new arrays, which search._signal writes
+    # into; it must equal the scalar kernel element by element, bit for
+    # bit, and never write an argument, whichever argument is the largest,
+    # on 0-d arrays, with det(H) = 0 and at p_i = P
     rng = np.random.default_rng(2600 + seed)
     P = float(10.0 ** rng.uniform(-3.0, 3.0))
     setup = random_setup(rng, P=P, PR=(1.0, 100.0, 0.01, 0.0)[seed % 4] * P,
@@ -291,6 +291,8 @@ def test_parse_channel_text_errors():
                                                 "g1R = 0.6"))
     with pytest.raises(ValueError):
         parse_channel_text("h11\n")
+    with pytest.raises(ValueError, match="line 11: PR takes one number"):
+        parse_channel_text(EXAMPLE_TEXT.replace("PR = 0.1", "PR = 0.1 0.2"))
 
 
 def test_load_channel(tmp_path):

@@ -72,6 +72,17 @@ def test_scheme_rate_finite_at_huge_budgets(P):
     assert rates.sum_rate == pytest.approx(rates.Rsum_mac, rel=1e-12)
 
 
+@pytest.mark.parametrize("P", [1e160, 1e250])
+def test_sum_cap_finite_without_product_term(P):
+    # g1R = 0 makes alpha = 0, and alpha p1 p2 was 0 inf = NaN once p1 p2
+    # overflowed: the cap must be log2(1 + ||g2R||^2 p2)
+    setup = replace(EX, g1R=(0.0, 0.0), P=P, PR=P)
+    assert setup.mac_alpha == 0.0
+    cap = mac_sum_expanded(setup, 0.5 * P, P)
+    assert cap == pytest.approx(math.log2(1.0 + setup.g2R_norm2 * P),
+                                rel=1e-12)
+
+
 def test_mac_product_coefficient_is_squared_det():
     rng = np.random.default_rng(31)
     for _ in range(100):
@@ -222,3 +233,7 @@ def test_region_degenerate_shapes():
     assert not segment.contains(0.5, 0.1)
     assert not segment.contains(1.5, 0.0)
     assert not RateRegion(vertices=()).contains(0.0, 0.0)
+    # two coinciding vertices have no direction: a point test
+    twice = RateRegion(vertices=((0.5, 0.5), (0.5, 0.5)))
+    assert twice.contains(0.5, 0.5)
+    assert not twice.contains(0.5, 0.6)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +84,12 @@ def _huge_budget_case(P):
     return setup, GridSpec(n_p=41, n_rho=9)
 
 
+# numpy warns near the float limit where a signal overflows, and where the
+# kernel's value at p_i = P, which _signal then replaces, does
+NEAR_LIMIT = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning")
+
 # g2R = 0.336 g1R: det([g1R g2R])^2 written out rounds to -1.4e-17 here
 PARALLEL_UPLINKS = replace(EX, g2R=(0.20170854271356783, 0.40341708542713567),
                            P=1e20, PR=1e20)
@@ -104,6 +111,18 @@ PARALLEL_UPLINKS = replace(EX, g2R=(0.20170854271356783, 0.40341708542713567),
     pytest.param(lambda: _huge_budget_case(1e250), id="huge-1e250"),
     pytest.param(lambda: (PARALLEL_UPLINKS, GridSpec(n_p=7, n_rho=3)),
                  id="parallel-uplinks"),
+    # P >= 2^1023 made _peak's 1 / s overflow, so every bound was NaN and
+    # the search raised NoFeasiblePoint; ||g1R||^2 P stays finite here
+    pytest.param(lambda: (replace(EX, P=9e307, PR=9e307),
+                          GridSpec(n_p=7, n_rho=3)), id="near-limit-9e307",
+                 marks=NEAR_LIMIT),
+    pytest.param(lambda: (replace(EX, g1R=(0.5, 0.5), P=1e308, PR=1e308),
+                          GridSpec(n_p=7, n_rho=3)), id="near-limit-1e308",
+                 marks=NEAR_LIMIT),
+    # g1R = 0: alpha = 0 and the scaled p1 p2 overflowed into 0 inf = NaN
+    # from budgets near 2e154, in the search and in the MAC sum cap alike
+    pytest.param(lambda: (replace(EX, g1R=(0.0, 0.0), P=1e160, PR=1e160),
+                          GridSpec(n_p=7, n_rho=3)), id="zero-g1R-1e160"),
 ])
 def test_grid_search_matches_brute_force(case):
     setup, grid = case()
@@ -591,6 +610,52 @@ class _BelowBudget(GridSpec):
         return super().p_values(P)[:-1]
 
 
+@pytest.mark.parametrize("P", [1e308, 1.7e308])
+def test_budget_near_the_float_limit_is_refused(P):
+    # ||g1R||^2 P overflows on the paper example, and with it the MAC cap
+    # and the search's scale: the search reported NoFeasiblePoint, and the
+    # budget is now refused by name before searching
+    message = re.escape(f"budget P = {P!r} is too large")
+    with pytest.raises(ValueError, match=message):
+        grid_search_sum_rate(replace(EX, P=P, PR=P), GridSpec(n_p=41, n_rho=9))
+    with pytest.raises(ValueError, match=message):
+        sweep_P(EX, [P])
+
+
+@NEAR_LIMIT
+def test_budget_below_the_float_limit_keeps_its_result():
+    # 8e307 lies below 2^1023 and its ||g1R||^2 P is finite: the near-limit
+    # refusal and scaling must leave its result as it was
+    result = grid_search_sum_rate(replace(EX, P=8e307, PR=8e307),
+                                  GridSpec(n_p=41, n_rho=9))
+    assert result.sum_rate == 1022.0624355907864
+    assert result.allocation == PowerAllocation(p1=2.8e307, p2=0.0, rho1=0.1,
+                                                n1=-1, n2=-1)
+
+
+@NEAR_LIMIT
+@pytest.mark.parametrize("P", [9e307, 1.7e308])
+def test_peak_is_sound_near_the_float_limit(P):
+    # from P = 2^1023 on, _peak's s = 2^-e stops at 2^-1023 so that 1 / s
+    # stays finite: _peak must be at least _signal at every feasible p_i
+    # in [lo, hi], and never NaN; the paper example and random channels
+    # with PR/P in {1/100, 1/4, 1}, on 24 random intervals each
+    rng = np.random.default_rng(2990)
+    for ratio in (0.01, 0.25, 1.0):
+        for case in (replace(EX, P=P, PR=ratio * P),
+                     random_setup(rng, P=P, PR=ratio * P),
+                     random_setup(rng, P=P, PR=ratio * P, det_zero=True)):
+            for user, rho1 in itertools.product((1, 2), (0.01, 0.5, 0.99)):
+                ends = np.concatenate([rng.uniform(0.0, P, 8), [0.0, P]])
+                lo, hi = np.sort(rng.choice(ends, (2, 24)), axis=0)
+                bound, live = _peak(case, user, rho1, lo, hi)
+                dense = np.linspace(lo, hi, 257, axis=1)
+                for sign in (-1, 1):
+                    sig, ok = _signal(case, user, rho1, sign, dense)
+                    assert (np.where(ok, sig, 0.0) <= bound[:, None]).all()
+                    assert (live == ok.any(axis=1)).all()
+
+
 def test_overall_incumbent_without_feasible_cell():
     # PR = 0 leaves no zero forcing below p_i = P: the first pass finds no
     # incumbent, the reach is inf rather than 0, and no block is evaluated
@@ -918,6 +983,17 @@ def test_bisect_synthetic_crossing():
 def test_bisect_returns_coinciding_endpoint():
     root = bisect_intersection((lambda p: 0.0, lambda p: p * p), (0.0, 1.0))
     assert root == 0.0
+
+
+def test_bisect_returns_coinciding_upper_endpoint():
+    root = bisect_intersection((lambda p: p, lambda p: 1.0), (0.0, 1.0))
+    assert root == 1.0
+
+
+@pytest.mark.parametrize("interval", [(1.0, 1.0), (1.0, 0.0)])
+def test_bisect_requires_ascending_interval(interval):
+    with pytest.raises(ValueError, match="lo < hi"):
+        bisect_intersection((lambda p: p, lambda p: 0.5), interval)
 
 
 def test_bisect_requires_sign_change():

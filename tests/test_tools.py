@@ -1,6 +1,8 @@
 """The repository's tools."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -61,3 +63,23 @@ def test_search_dump_prints_every_search_of_a_channel(capsys):
     results = [line.split(": ")[1] for line in lines]
     assert results[2] == "NoFeasiblePoint"
     assert set(results[:2] + results[3:]) == {"None"}
+
+
+def test_ab_time_reports_each_tree_against_the_first():
+    # the repository's tree against itself, one round on two items of
+    # each pool: one row per pool and tree, the first tree's ratio 1
+    import imrc
+
+    src = str(Path(imrc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "ab_time.py"), src, src, "--rounds", "1",
+         "--items", "2"], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].split()[:4] == ["pool", "tree", "sum_min_ms", "ratio"]
+    rows = [line.split() for line in lines[1:-1]]
+    assert [(row[0], row[1]) for row in rows] == [
+        (pool, tree) for pool in ("sweep", "grid") for tree in "01"]
+    ratios = [float(row[3]) for row in rows]
+    assert ratios[0] == ratios[2] == 1.0 and ratios[1] > 0 and ratios[3] > 0
+    assert lines[-1].startswith("peak RSS ")
