@@ -25,6 +25,7 @@ one pass serves a whole grid of relay splits and the scalar functions alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -130,8 +131,9 @@ def _user_expansion(setup: ChannelSetup, rho1, user: int, sign):
             f"relay column for user {3 - user} is zero; cannot zero-force") from exc
     s_val = np.sqrt(np.where(s_sq > 0.0, s_sq, np.nan))
     mu = own_gain(setup, user, sign, s_val)
-    nu = (orient * sign * rho_i * setup.PR * setup.hR_det
-          / (2.0 * setup.P * s_val))
+    e = -_exponent(setup.P)  # P and PR scaled alike: nu does not round
+    nu = (orient * sign * rho_i * math.ldexp(setup.PR, e) * setup.hR_det
+          / (2.0 * math.ldexp(setup.P, e) * s_val))
     return mu, nu, s_val, s_sq
 
 
@@ -184,6 +186,14 @@ def _linear_ic(mu: float, nu: float, big_p: float, p: float) -> float:
             - 2.0 * q * p * p / big_p) / LN2
 
 
+def _exponent(big_p: float) -> int:
+    """The least e >= 0 with 2^-e P < 1. The closed form multiplies by
+    2^-e P and 2^-e PR in place of P and PR, so 2 mu^2 P and 2 P S cannot
+    overflow near the float limit; a power of two does not round, and
+    budgets below 1 are not scaled at all."""
+    return max(0, math.frexp(big_p)[1])
+
+
 def _phat_user(mu, nu, g_norm2, big_p):
     """Crossing of the two first-order caps in [0, P] for one user, and
     whether a clamp pulled it there.
@@ -199,12 +209,13 @@ def _phat_user(mu, nu, g_norm2, big_p):
     disc = lam * lam + 8.0 * mu_sq * q
     denom = np.sqrt(np.maximum(disc, 0.0)) - lam
     low = denom <= 0.0
-    p = 2.0 * mu_sq * big_p / np.where(low, 1.0, denom)
-    low |= p < 0.0
-    high = p > big_p
-    p = np.where(low, 0.0, np.where(high, big_p, p))
-    p = np.where(mu_sq == 0.0, 0.0, np.where(g_norm2 == 0.0, big_p, p))
-    return p, (low | high) & (mu_sq != 0.0) & (g_norm2 != 0.0)
+    e = _exponent(big_p)
+    top = math.ldexp(big_p, -e)  # P, scaled until the end
+    p = 2.0 * mu_sq * top / np.where(low, 1.0, denom)
+    high = p > top
+    p = np.where(low, 0.0, np.where(high, top, p))
+    p = np.where(mu_sq == 0.0, 0.0, np.where(g_norm2 == 0.0, top, p))
+    return np.ldexp(p, e), (low | high) & (mu_sq != 0.0) & (g_norm2 != 0.0)
 
 
 def closed_form_phat(coeffs: ApproxCoeffs, setup: ChannelSetup) -> ClosedFormPowers:

@@ -85,7 +85,7 @@ class ChannelSetup:
         for name in _VECTOR_KEYS:
             x, y = (float(v) for v in getattr(self, name))
             object.__setattr__(self, name, (x, y))
-            object.__setattr__(self, f"{name}_norm2", x ** 2 + y ** 2)
+            object.__setattr__(self, f"{name}_norm2", _square(x) + _square(y))
         (a, c), (b, d) = self.hR1, self.hR2
         ad, bc = a * d, b * c
         det = ad - bc
@@ -94,8 +94,9 @@ class ChannelSetup:
         object.__setattr__(self, "hR_det", det)
         object.__setattr__(self, "hR_dot", a * b + c * d)
         (g11, g12), (g21, g22) = self.g1R, self.g2R
-        object.__setattr__(self, "mac_alpha", max(0.0, (g11 * g22) ** 2
-                           + (g21 * g12) ** 2 - 2.0 * g12 * g21 * g11 * g22))
+        alpha = (_square(g11 * g22) + _square(g21 * g12)
+                 - 2.0 * g12 * g21 * g11 * g22)  # NaN stays, for validate
+        object.__setattr__(self, "mac_alpha", 0.0 if alpha < 0.0 else alpha)
 
     def relay_det(self) -> float:
         """det of the 2x2 relay-to-receivers matrix [hR1 hR2]."""
@@ -141,8 +142,18 @@ class PowerAllocation:
         raise ValueError(f"user must be 1 or 2, got {user}")
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf where it overflows: float ** raises OverflowError
+    there. Not x * x, which libm's pow does not always match."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def validate(setup: ChannelSetup) -> ChannelSetup:
-    """Check finiteness and power signs; return the setup unchanged."""
+    """Check finiteness, also of every gain's square, and power signs;
+    return the setup unchanged."""
     for name in _KEYS:
         value = getattr(setup, name)
         labeled = ([(f"{name}[0]", value[0]), (f"{name}[1]", value[1])]
@@ -150,6 +161,14 @@ def validate(setup: ChannelSetup) -> ChannelSetup:
         for label, x in labeled:
             if not math.isfinite(x):
                 raise NonFinite(f"{label} is not finite: {x!r}")
+    for name in _KEYS[:8]:
+        square = (getattr(setup, f"{name}_norm2") if name in _VECTOR_KEYS
+                  else _square(getattr(setup, name)))
+        if math.isinf(square):
+            raise NonFinite(f"{name} is too large: its square overflows")
+    if not math.isfinite(setup.mac_alpha):
+        raise NonFinite("g1R and g2R are too large: det([g1R g2R])^2 "
+                        "overflows")
     if setup.P < 0.0:
         raise NegativePower(f"P must be >= 0, got {setup.P}")
     if setup.PR < 0.0:

@@ -97,10 +97,8 @@ class RateRegion:
             return False
         extent = max(max(abs(x), abs(y)) for x, y in verts)
         eps = tol * (1.0 + extent)
-        if len(verts) == 1:
-            return abs(r1 - verts[0][0]) <= eps and abs(r2 - verts[0][1]) <= eps
-        if len(verts) == 2:
-            (x0, y0), (x1, y1) = verts
+        if len(verts) <= 2:  # one vertex is a zero-length segment
+            (x0, y0), (x1, y1) = verts[0], verts[-1]
             dx, dy = x1 - x0, y1 - y0
             length = math.hypot(dx, dy)
             if length == 0.0:

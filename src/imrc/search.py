@@ -34,8 +34,9 @@ feasible value is positive and every infeasible one is 0, so an
 infeasible cell never wins. A1 and M are scaled by the power of two 2^-e
 with 2^e > 1 + max(||g1R||^2, 1) P, which keeps A1 A2 and M's alpha p1 p2
 finite at budgets where they would overflow; a power of two does not
-round, so no comparison changes. A budget where ||g_iR||^2 P or h_ji^2 P
-itself overflows is refused (_refuse_overflow).
+round, so no comparison changes. A budget where ||g_iR||^2 P, h_ji^2 P
+or a bound on a user's signal itself overflows is refused
+(_refuse_overflow).
 
 One bound routine, _box_bound, serves every stage that prunes: it bounds
 the coarse stage's 8 x 8 blocks of cells and G x G groups of blocks and
@@ -242,13 +243,25 @@ def _scale(setup: ChannelSetup) -> float:
 
 def _refuse_overflow(setup: ChannelSetup) -> None:
     """Raise ValueError, naming the budget, where ||g_iR||^2 P or h_ji^2 P
-    overflows: user i's MAC and interference terms at p = P, which
-    _exponent, every cell's A_i and scheme_rate_point's rates need finite."""
+    overflows, user i's MAC and interference terms at p = P, or the bound
+    (|a_i| sqrt(P) + |det(H)| sqrt(PR / ||hRj||^2))^2 on its repeat signal
+    f_ii^2 (P - p_i) (module docstring, at r = P and c = 0), or
+    PR det(H)^2, which bounds boundary_signal's product before it divides
+    by ||hRj||^2: _exponent, every cell's A_i and scheme_rate_point's rates
+    need them finite. A zero hRj leaves user i no signal."""
     gain = max(setup.g1R_norm2, setup.g2R_norm2, setup.h12 ** 2,
                setup.h21 ** 2)
-    if math.isinf(gain * setup.P):
-        raise ValueError(f"budget P = {setup.P!r} is too large: "
-                         "||g_iR||^2 P or h_ji^2 P overflows")
+    over = (math.isinf(gain * setup.P)
+            or math.isinf(setup.PR * setup.hR_det * setup.hR_det))
+    for user, norm2 in ((1, setup.hR2_norm2), (2, setup.hR1_norm2)):
+        if norm2 > 0.0:
+            root = (abs(own_gain(setup, user, 1, 0.0)) * math.sqrt(setup.P)
+                    + abs(setup.hR_det) / math.sqrt(norm2)
+                    * math.sqrt(setup.PR))
+            over = over or math.isinf(root * root)
+    if over:
+        raise ValueError(f"budget P = {setup.P!r} is too large: ||g_iR||^2 "
+                         "P, h_ji^2 P or a repeat signal overflows")
 
 
 def _capped_term(setup: ChannelSetup, user: int, sig, p_own,
@@ -380,33 +393,30 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
     span = -(-n // (size * b)) * size * b  # cells a side, in whole groups
     nb, ng = span // b, span // (size * b)
     pp = np.concatenate([pv, np.full(span - n, np.nan)])  # NaN: infeasible
-    # each unit's least and largest p, NaN for a unit wholly past pv
-    blocks, groups = ((pp[::w], np.fmax.reduceat(pp, np.arange(0, span, w)))
-                      for w in (b, size * b))
+    # each block's and group's least and largest p, NaN for one wholly
+    # past pv
+    (lo, hi), (glo, ghi) = ((pp[::w],
+                             np.fmax.reduceat(pp, np.arange(0, span, w)))
+                            for w in (b, size * b))
 
-    def inside(level, side, k, outer, across):
-        # the _box_bound of the side x side units of level inside the units
-        # outer (row-major, across a side) of the level above at rho1 k,
-        # shaped (unit inside, outer) so that each ufunc loop runs over
-        # many units, and each unit's row-major index in level
-        rows, cols = (x * side for x in np.divmod(outer, across))
-        rows = rows + np.arange(side)[:, None, None]
-        cols = cols + np.arange(side)[:, None]
-        lo, hi = level
-        bound = _box_bound(setup, rhos[k], lo[rows], hi[rows], lo[cols],
-                           hi[cols]).reshape(side * side, -1)
-        return bound, (rows * across * side + cols).reshape(side * side, -1)
+    # every group, shaped (group row, group column, rho1), then (rho1, group)
+    gbound = _box_bound(setup, rhos, glo[:, None, None], ghi[:, None, None],
+                        glo[:, None], ghi[:, None]).reshape(ng * ng, -1).T
 
-    # every group, as the units of the one square that is the whole grid
-    gbound = inside(groups, ng, np.arange(n_rho), np.zeros(n_rho, np.intp),
-                    1)[0].T
-
-    def members(k, g):  # bounds and indices of the blocks of groups g of k
+    def members(k, g):
+        # the _box_bound of the size x size blocks of groups g at rho1 k,
+        # shaped (block inside, group) so that each ufunc loop runs over
+        # many blocks, and each block's row-major index
         if size == 1:  # the group bound is the block bound; bounding the
             # block again made the refined _search 1-8% slower (30
             # interleaved rounds in one process, three channel sets)
             return gbound[k, g][None], g[None]
-        return inside(blocks, size, k, g, ng)
+        rows = g // ng * size + np.arange(size)[:, None, None]
+        cols = g % ng * size + np.arange(size)[:, None]
+        bound = _box_bound(setup, rhos[k], lo[rows], hi[rows], lo[cols],
+                           hi[cols])
+        return (bound.reshape(size * size, -1),
+                (rows * nb + cols).reshape(size * size, -1))
 
     def evaluate(k, block):
         # each block's best cell at rho1 k and that cell's row-major index
@@ -530,17 +540,15 @@ def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
     pv = grid.p_values(setup.P)
     rhos = grid.rho_values()
     value, arg, _ = _coarse(setup, rhos, pv, n1, n2, overall=not refine)
-    k = np.flatnonzero(value > 0.0)
-    if not len(k):
+    if not value.max() > 0.0:
         return None
-    value, rho1 = value[k], rhos[k]
-    c1, c2 = pv[arg[k] // len(pv)], pv[arg[k] % len(pv)]
+    c1, c2 = pv[arg // len(pv)], pv[arg % len(pv)]
     step = float(pv[1] - pv[0])
-    if refine and step > 0.0:
-        value, c1, c2, _ = _zoom(setup, rho1, n1, n2, value, c1, c2, step,
+    if refine and step > 0.0:  # _zoom skips the value-0 rows
+        value, c1, c2, _ = _zoom(setup, rhos, n1, n2, value, c1, c2, step,
                                  step)
     t = int(np.argmax(value))  # one cell per rho1: the first is smallest
-    rho, p1, p2 = float(rho1[t]), float(c1[t]), float(c2[t])
+    rho, p1, p2 = float(rhos[t]), float(c1[t]), float(c2[t])
     # the chosen cell's four sign pairs, (-1, -1) first, as 1 x 1 boxes
     sign1, sign2 = np.repeat(_SIGNS, 2), np.tile(_SIGNS, 2)
     s = int(_best(setup, rho, sign1, sign2, np.full((1, 4), p1),
@@ -569,7 +577,9 @@ def search_p1(setup: ChannelSetup, rho1: float, n_p: int) -> float | None:
     """Best new-message power p1 of user 1 with p2 = 0 and n2 = +1: the
     exact sum rate of branch_sign's n1 on np.linspace(0, P, n_p), zoomed
     around the argmax. None when no p1 is feasible, or when a zero relay
-    column hRj leaves a user no beam."""
+    column hRj leaves a user no beam. Raises ValueError where P is too
+    large (_refuse_overflow)."""
+    _refuse_overflow(setup)
     pv = np.linspace(0.0, setup.P, n_p)
     try:
         n1 = branch_sign(setup, 1)
@@ -626,16 +636,13 @@ def _sum_rate_or_nan(setup: ChannelSetup, alloc: PowerAllocation) -> float:
 
 def _fixed_split_rate(setup: ChannelSetup, p: float) -> float:
     """Exact scheme sum rate at p1 = p2 = p with rho1 = 1/2, maximized over
-    the four sign pairs; NaN when zero-forcing is infeasible at that split.
+    the four sign pairs; NaN when zero-forcing is infeasible at that split,
+    which no sign changes, so the four are NaN together or numbers together.
     branch_sign's pair alone is not enough: where the MAC sum cap
     truncates, rescaling the rates can leave another pair 1 ulp higher."""
-    best = float("nan")
-    for n1, n2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        alloc = PowerAllocation(p1=p, p2=p, rho1=0.5, n1=n1, n2=n2)
-        value = _sum_rate_or_nan(setup, alloc)
-        if math.isnan(best) or value > best:
-            best = value
-    return best
+    return max(_sum_rate_or_nan(setup, PowerAllocation(p1=p, p2=p, rho1=0.5,
+                                                       n1=n1, n2=n2))
+               for n1, n2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
 
 
 def _sweep_row(setup: ChannelSetup, policy: SweepPolicy) -> SweepRow:

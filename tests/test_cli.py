@@ -204,18 +204,45 @@ def test_overflowing_db_range_is_usage_error(tmp_path, capsys, command):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("command", [["sweep"], ["figure", "5"]])
+@pytest.mark.parametrize("command", [["sweep"], ["figure", "5"],
+                                     ["figure", "4"]])
 @pytest.mark.parametrize("db", ["3080", "3082.3045"])  # P = 1e308, 1.7e308
 def test_budget_near_the_float_limit_is_refused(tmp_path, capsys, command,
                                                 db):
     # ||g1R||^2 P overflows on the paper example: the search exited 2 with
-    # NoFeasiblePoint, and the budget is now refused before any output
+    # NoFeasiblePoint, and the budget is now refused before any output;
+    # figure 4 wrote the closed form's overflowed phat1 / P = 1 there
     out_path = tmp_path / "f.csv"
     code, out, err = run(capsys, *command, f"--p-db-range={db}:{db}:1",
                          "--out", str(out_path))
     assert (code, out) == (1, "")
     assert err.startswith("error: budget P = 1") and "e+308 is too" in err
     assert not out_path.exists()
+
+
+def test_repeat_signal_past_the_float_limit_is_refused(tmp_path, capsys):
+    # h11 = 10: f_11^2 (P - p1) overflows at P = 1e307 though ||g_iR||^2 P
+    # and h_ji^2 P do not, and the fixed splits raised "R1 must be finite"
+    channel = tmp_path / "strong.txt"
+    channel.write_text(CHANNEL_TEXT.replace("h11 = 1.2", "h11 = 10"))
+    code, out, err = run(capsys, "sweep", "--channel", str(channel),
+                         "--p-db-range=3070:3070:1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: budget P = 1e+307 is too large")
+
+
+@pytest.mark.parametrize("command, line, huge, key", [
+    ("rates", "h12 = 0.5", "h12 = 1e200", "h12"),
+    ("validate", "g1R = 0.6, 1.2", "g1R = 1e200, 1.2", "g1R"),
+])
+def test_gain_whose_square_overflows_is_usage_error(tmp_path, capsys,
+                                                    command, line, huge, key):
+    # float ** 2 raised OverflowError, a traceback, from about 1.34e154 on
+    channel = tmp_path / "huge.txt"
+    channel.write_text(CHANNEL_TEXT.replace(line, huge))
+    code, out, err = run(capsys, command, "--channel", str(channel))
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and f"{key} is too large" in err
 
 
 def test_sweep_writes_nan_for_an_infeasible_sqrt_split(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Low-power expansion: Taylor coefficients, linearized caps, closed forms."""
 
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +21,14 @@ from imrc import (
     full_region,
     hull2d,
     linearized_rates,
+    load_channel,
     mac_rates,
     region_rho,
     sum_rate_allocation,
     taylor_coeffs,
 )
 from imrc.errors import ImrcError
+from imrc.search import _refuse_overflow
 
 from helpers import (linearizable_setup, random_setup, reference_best_sign,
                      reference_regions, reference_sum_rate_allocation,
@@ -32,6 +36,7 @@ from helpers import (linearizable_setup, random_setup, reference_best_sign,
 
 EX = example_channel()
 LN2 = math.log(2.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_example_coefficients_frozen():
@@ -322,3 +327,38 @@ def test_batched_closed_form_matches_per_split_reference():
                 assert got is expect
             else:
                 assert (got.n1, got.n2, got.p1, got.p2) == expect
+
+
+def _least_refused_budget(setup):
+    """The least P, with PR = P, that the search refuses as too large, by
+    bisection between 1 and the largest float."""
+    def refused(P):
+        try:
+            _refuse_overflow(replace(setup, P=P, PR=P))
+        except ValueError:
+            return True
+        return False
+
+    lo, hi = 1.0, sys.float_info.max
+    assert refused(hi) and not refused(lo)
+    while lo < (mid := lo + (hi - lo) / 2.0) < hi:
+        lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("case", ["paper-example", "det-nonzero"])
+def test_closed_form_split_scales_with_the_budget_near_the_float_limit(case):
+    # with PR = P the closed-form split is phat_i = c_i P, c_i independent
+    # of P; 2 mu^2 P overflowed near the float limit, so phat1 read P on
+    # the paper example at 3079.99 dB and on a det(H) != 0 channel just
+    # below the least budget the search refuses
+    if case == "paper-example":
+        setup, P = EX, 10.0 ** 307.999
+    else:
+        setup = load_channel(GOLDEN / "channel_det_nonzero.txt")
+        P = 0.995 * _least_refused_budget(setup)
+    low, high = replace(setup, P=1.0, PR=1.0), replace(setup, P=P, PR=P)
+    for split in (sum_rate_allocation, lambda s: best_sign_powers(s, 0.5)):
+        at_0db, near_limit = split(low), split(high)
+        assert math.isclose(near_limit.p1 / P, at_0db.p1, rel_tol=1e-12)
+        assert math.isclose(near_limit.p2 / P, at_0db.p2, rel_tol=1e-12)

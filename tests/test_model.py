@@ -65,6 +65,21 @@ def test_validate_rejects_nonfinite():
         validate(bad)
 
 
+@pytest.mark.parametrize("changes, key", [
+    (dict(h12=1e200), "h12"),
+    (dict(g1R=(1e200, 1.2)), "g1R"),
+    (dict(hR2=(1e154, 1e154)), "hR2"),  # each square finite, not the sum
+    (dict(g1R=(1e100, 1e100), g2R=(1e100, 1e100)), "g1R and g2R"),
+])
+def test_validate_rejects_a_gain_whose_square_overflows(changes, key):
+    # float ** 2 raises OverflowError from about 1.34e154 on: building the
+    # setup, or the kernel's h_ij ** 2, ended in a traceback. The last
+    # case's norms are finite, but its MAC term det([g1R g2R])^2 is not
+    setup = replace(example_channel(), **changes)
+    with pytest.raises(NonFinite, match=rf"^{key} (is|are) too large"):
+        validate(setup)
+
+
 def test_validate_rejects_negative_power():
     ch = example_channel()
     for field in ("P", "PR"):
@@ -293,6 +308,11 @@ def test_parse_channel_text_errors():
         parse_channel_text("h11\n")
     with pytest.raises(ValueError, match="line 11: PR takes one number"):
         parse_channel_text(EXAMPLE_TEXT.replace("PR = 0.1", "PR = 0.1 0.2"))
+
+
+def test_parse_channel_text_refuses_a_gain_whose_square_overflows():
+    with pytest.raises(NonFinite, match="h12 is too large"):
+        parse_channel_text(EXAMPLE_TEXT.replace("h12 = 0.5", "h12 = 1e200"))
 
 
 def test_load_channel(tmp_path):

@@ -620,6 +620,28 @@ def test_budget_near_the_float_limit_is_refused(P):
         grid_search_sum_rate(replace(EX, P=P, PR=P), GridSpec(n_p=41, n_rho=9))
     with pytest.raises(ValueError, match=message):
         sweep_P(EX, [P])
+    # figure 4's search searched on, and figure 4 wrote the closed form's
+    # overflowed phat1 / P = 1 beside it
+    with pytest.raises(ValueError, match=message):
+        search_p1(replace(EX, P=P, PR=P), 0.5, 101)
+
+
+def test_repeat_signal_past_the_float_limit_is_refused():
+    # h11 = 10: ||g_iR||^2 P and h_ji^2 P are finite at P = 1e307, but user
+    # 1's repeat signal f_11^2 (P - p1) is not; the fixed splits raised
+    # "R1 must be finite", and the grid search returned 1020.64 bits
+    strong = replace(EX, h11=10.0)
+    message = re.escape("budget P = 1e+307 is too large")
+    with pytest.raises(ValueError, match=message):
+        grid_search_sum_rate(replace(strong, P=1e307, PR=1e307),
+                             GridSpec(n_p=41, n_rho=9))
+    with pytest.raises(ValueError, match=message):
+        sweep_P(strong, [1e307])
+    # det(H) = -16, ||hRj||^2 = 16: the boundary power rho_i PR det(H)^2 /
+    # ||hRj||^2 is finite, but its product before the division was not
+    wide = replace(EX, h11=0.01, h22=0.01, hR1=(0.0, 4.0), hR2=(4.0, 0.0))
+    with pytest.raises(ValueError, match=message):
+        sweep_P(wide, [1e307])
 
 
 @NEAR_LIMIT

@@ -11,8 +11,11 @@ The set: 150 random channels (P = 10^U(-3, 2), PR/P cycling through 1, 100,
 zoom on the 101x99, 201x99, 37x11 and 41x199 grids, by grid_search_sum_rate
 on the default grid and by search_p1 at rho1 in {0.2, 0.5, 0.8} on 101 and
 2001 points; the 41x199 grid zooms up to 199 windows a round, more than
-the search._CHUNK evaluated at a time. Then the paper example's sweep rows
-from -30 to 20 dB with PR = P and PR = 100 P; then edge channels searched
+the search._CHUNK evaluated at a time. Then every field of the paper
+example's sweep rows from -30 to 20 dB with PR = P and PR = 100 P, and of
+the first SWEPT random channels' rows at their own P and PR on the default
+grid (det(H) != 0 on two in three: the closed form and the fixed splits
+with their branch signs); then edge channels searched
 the same way on the 2x1, 3x2, 17x5, 65x7 and 129x5 grids (one to 17 blocks
 of 8, padded to whole blocks and groups): one channel at P in {0, 5e-324,
 1e-300, 1e160, 1e250} x PR/P in {0, 1/100, 1, 100}, and at P = PR = 1 with
@@ -31,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 CHANNELS = 150
+SWEPT = 10
 GRIDS = ((101, 99), (201, 99), (37, 11), (41, 199))
 RELAY_RATIOS = (1.0, 100.0, 0.25, 0.0, 0.01)
 EDGE_GRIDS = ((2, 1), (3, 2), (17, 5), (65, 7), (129, 5))
@@ -65,6 +69,14 @@ def _alloc(alloc) -> str:
         return "None"
     return (f"rho1={alloc.rho1!r} p1={alloc.p1!r} p2={alloc.p2!r} "
             f"n1={alloc.n1} n2={alloc.n2}")
+
+
+def _row(imrc, setup, P: float, PR) -> str:
+    """Every field of sweep_P's row at budget P (PR = P when PR is None)."""
+    r = imrc.sweep_P(setup, [P], imrc.SweepPolicy(PR=PR)).rows[0]
+    return (f"P={r.P!r} {_alloc(r.best_alloc)} exact={r.R_sum_exact!r} "
+            f"closed={r.R_sum_closed!r} phat=({r.phat1!r}, {r.phat2!r}) "
+            f"half={r.R_sum_half!r} sqrt={r.R_sum_sqrt!r}")
 
 
 def _attempt(call, refusal: type[Exception]) -> str:
@@ -119,24 +131,21 @@ def main(argv=None) -> int:
     import imrc
 
     rng = np.random.default_rng(20091)
-    for k in range(CHANNELS):
-        _search_lines(imrc, str(k), _channel(imrc, rng, k), GRIDS)
+    channels = [_channel(imrc, rng, k) for k in range(CHANNELS)]
+    for k, setup in enumerate(channels):
+        _search_lines(imrc, str(k), setup, GRIDS)
 
     example = imrc.example_channel()
     budgets = [10.0 ** (db / 10.0) for db in range(-30, 21)]
     for label, ratio in (("PR=P", None), ("PR=100P", 100.0)):
         for db, P in zip(range(-30, 21), budgets):
             PR = None if ratio is None else ratio * P
-            policy = imrc.SweepPolicy(PR=PR)
-
-            def row():
-                r = imrc.sweep_P(example, [P], policy).rows[0]
-                return (f"{_alloc(r.best_alloc)} exact={r.R_sum_exact!r} "
-                        f"closed={r.R_sum_closed!r} phat=({r.phat1!r}, "
-                        f"{r.phat2!r})")
-
-            print(f"example {label} {db} dB: "
-                  f"{_attempt(row, imrc.ImrcError)}")
+            line = _attempt(lambda: _row(imrc, example, P, PR), imrc.ImrcError)
+            print(f"example {label} {db} dB: {line}")
+    for k, setup in enumerate(channels[:SWEPT]):
+        line = _attempt(lambda: _row(imrc, setup, setup.P, setup.PR),
+                        imrc.ImrcError)
+        print(f"{k} sweep: {line}")
     for label, setup in _edge_channels(imrc):
         _search_lines(imrc, f"edge {label}", setup, EDGE_GRIDS)
     return 0
