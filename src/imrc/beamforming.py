@@ -155,7 +155,7 @@ def approx_beam_vector(setup: ChannelSetup, alloc: PowerAllocation,
     """First-order (in p_i/P) approximation of beam_vector, obtained by
     expanding the square root around p_i = 0:
 
-        sqrt(radicand(p_i)) ~ S_i + ||hRj||^2 * rho_i*PR * p_i / (2 P^2 S_i),
+        sqrt(radicand(p_i)) ~ S_i + ||hRj||^2 * rho_i*(PR/P) * (p_i/P) / (2 S_i),
 
     with S_i the p_i = 0 value, from the low-power expansion (which raises
     LinearizationInfeasible where S_i^2 <= 0). Exact at p_i = 0; a rough
@@ -163,5 +163,5 @@ def approx_beam_vector(setup: ChannelSetup, alloc: PowerAllocation,
     p_i, rho_i, n_i = alloc.user(user)
     _, h_cross, norm2, _, _, hRj = _user(setup, user)
     s_i = _expansion(setup, alloc.rho1, user, n_i)[2]
-    root = s_i + norm2 * rho_i * setup.PR * p_i / (2.0 * setup.P ** 2 * s_i)
+    root = s_i + norm2 * rho_i * (setup.PR / setup.P) * (p_i / setup.P) / (2.0 * s_i)
     return _zero_forcing_vector(h_cross, hRj, norm2, root, n_i)

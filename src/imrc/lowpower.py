@@ -25,7 +25,6 @@ one pass serves a whole grid of relay splits and the scalar functions alike.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -115,7 +114,10 @@ class RhoRegion:
 
 def _user_expansion(setup: ChannelSetup, rho1, user: int, sign):
     """(mu, nu, S, S^2) for one user at arrays (or scalars) of rho1 and the
-    beam-branch sign, broadcast. mu, nu and S are NaN where S^2 <= 0 (no
+    beam-branch sign, broadcast. Each is a gain in the ratio PR/P, as the
+    expansion is in p_i/P: S^2 = rho_i (PR/P) ||hRj||^2 - h_ij^2 and
+    nu = +-rho_i (PR/P) det(H) / (2 S), so a budget near the float limit
+    does not overflow them. mu, nu and S are NaN where S^2 <= 0 (no
     zero-forcing margin at p_i = 0); _expansion raises there.
 
     Raises DegenerateAntenna if the other user's relay column vanishes and
@@ -131,9 +133,7 @@ def _user_expansion(setup: ChannelSetup, rho1, user: int, sign):
             f"relay column for user {3 - user} is zero; cannot zero-force") from exc
     s_val = np.sqrt(np.where(s_sq > 0.0, s_sq, np.nan))
     mu = own_gain(setup, user, sign, s_val)
-    e = -_exponent(setup.P)  # P and PR scaled alike: nu does not round
-    nu = (orient * sign * rho_i * math.ldexp(setup.PR, e) * setup.hR_det
-          / (2.0 * math.ldexp(setup.P, e) * s_val))
+    nu = orient * sign * rho_i * (setup.PR / setup.P) * setup.hR_det / (2.0 * s_val)
     return mu, nu, s_val, s_sq
 
 
@@ -181,41 +181,34 @@ def linearized_rates(coeffs: ApproxCoeffs, setup: ChannelSetup,
 
 
 def _linear_ic(mu: float, nu: float, big_p: float, p: float) -> float:
-    mu_sq, q = mu * mu, mu * nu
-    return (mu_sq * big_p + (2.0 * q - mu_sq) * p
-            - 2.0 * q * p * p / big_p) / LN2
-
-
-def _exponent(big_p: float) -> int:
-    """The least e >= 0 with 2^-e P < 1. The closed form multiplies by
-    2^-e P and 2^-e PR in place of P and PR, so 2 mu^2 P and 2 P S cannot
-    overflow near the float limit; a power of two does not round, and
-    budgets below 1 are not scaled at all."""
-    return max(0, math.frexp(big_p)[1])
+    """The destination-side first-order cap at p, in bits: P (mu^2 +
+    (2q - mu^2) t - 2q t^2) / ln 2 with q = mu*nu and t = p/P, the
+    bracket a gain and only its last product a power."""
+    mu_sq, q, t = mu * mu, mu * nu, p / big_p
+    return big_p * (mu_sq + (2.0 * q - mu_sq) * t - 2.0 * q * t * t) / LN2
 
 
 def _phat_user(mu, nu, g_norm2, big_p):
     """Crossing of the two first-order caps in [0, P] for one user, and
     whether a clamp pulled it there.
 
-    The crossing solves 2q p^2/P - lambda p - mu^2 P = 0 with q = mu*nu and
-    lambda = 2q - mu^2 - ||g||^2; the rationalized root 2 mu^2 P / (sqrt(
-    lambda^2 + 8 mu^2 q) - lambda) is the one in [0, P] for either sign of
-    q and stays stable as q -> 0. mu^2 = 0 makes the destination-side cap
-    identically zero, so only p = 0 avoids waste; ||g||^2 = 0 does so for
-    the relay-side cap, and the crossing degenerates to P."""
+    The crossing solves 2q t^2 - lambda t - mu^2 = 0 in the fraction
+    t = p/P of the budget, with q = mu*nu and lambda = 2q - mu^2 - ||g||^2;
+    the rationalized root t = 2 mu^2 / (sqrt(lambda^2 + 8 mu^2 q) - lambda)
+    is the one in [0, 1] for either sign of q and stays stable as q -> 0,
+    and the power is t P. mu^2 = 0 makes the destination-side cap
+    identically zero, so only t = 0 avoids waste; ||g||^2 = 0 does so for
+    the relay-side cap, and the crossing degenerates to t = 1."""
     mu_sq, q = mu * mu, mu * nu
     lam = 2.0 * q - mu_sq - g_norm2
     disc = lam * lam + 8.0 * mu_sq * q
     denom = np.sqrt(np.maximum(disc, 0.0)) - lam
     low = denom <= 0.0
-    e = _exponent(big_p)
-    top = math.ldexp(big_p, -e)  # P, scaled until the end
-    p = 2.0 * mu_sq * top / np.where(low, 1.0, denom)
-    high = p > top
-    p = np.where(low, 0.0, np.where(high, top, p))
-    p = np.where(mu_sq == 0.0, 0.0, np.where(g_norm2 == 0.0, top, p))
-    return np.ldexp(p, e), (low | high) & (mu_sq != 0.0) & (g_norm2 != 0.0)
+    x = 2.0 * mu_sq / np.where(low, 1.0, denom)  # phat / P
+    high = x > 1.0
+    x = np.where(low, 0.0, np.minimum(x, 1.0))
+    x = np.where(mu_sq == 0.0, 0.0, np.where(g_norm2 == 0.0, 1.0, x))
+    return x * big_p, (low | high) & (mu_sq != 0.0) & (g_norm2 != 0.0)
 
 
 def closed_form_phat(coeffs: ApproxCoeffs, setup: ChannelSetup) -> ClosedFormPowers:

@@ -219,7 +219,10 @@ def _signal(setup: ChannelSetup, user: int, rho1, sign, p
     feasibility are written into the kernel's new arrays."""
     rho_i = rho1 if user == 1 else 1.0 - rho1
     boundary = p >= setup.P
-    remaining = np.where(boundary, 1.0, setup.P - p)
+    # P stands in for P - p at p_i = P, where the value is replaced: no cell
+    # has more left than P, so it overflows only where p_i = 0 does (P = 0
+    # makes every cell a boundary cell, hence the 1.0)
+    remaining = np.where(boundary, setup.P or 1.0, setup.P - p)
     rad, feasible = zf_radicand(setup, user, rho_i, remaining)
     # in place, like _capped_term and _value: see _value for why
     root = np.asarray(rad)  # a new array (numpy gives 0-d results as scalars)
@@ -291,8 +294,9 @@ def _value(setup: ChannelSetup, sig1, sig2, hi1, hi2, lo1, lo2,
     scale = _scale(setup)  # a power of two: exact
     total = (scale * _capped_term(setup, 1, sig1, hi1, lo2)
              * _capped_term(setup, 2, sig2, hi2, lo1))
-    # in place here, in _signal and _capped_term: plain read 0.5% slower
-    # on grid items (median of 6 A/B runs)
+    # in place here, in _signal and _capped_term: plain read sweep 1.033x
+    # and grid 1.010x as slow (tools/ab_time.py, seed 5151, 20 rounds; A/A
+    # 1.002 and 0.997)
     np.minimum(total, mac_sum_argument(setup, hi1, hi2, scale), out=total)
     np.copyto(total, 0.0, where=~ok)
     return total
@@ -345,7 +349,8 @@ def _peak(setup: ChannelSetup, user: int, rho1, lo, hi
     rho_i, c, norm2 = ((rho1, setup.h12 ** 2, setup.hR2_norm2) if user == 1
                        else (1.0 - rho1, setup.h21 ** 2, setup.hR1_norm2))
     top, rest = hi >= setup.P, setup.P - hi
-    live = zf_radicand(setup, user, rho_i, np.where(top, 1.0, rest))[1] | top
+    # P stands in for P - hi at hi = P, as in _signal
+    live = zf_radicand(setup, user, rho_i, np.where(top, setup.P or 1.0, rest))[1]
     s = math.ldexp(1.0, min(1000, max(-1023, -math.frexp(setup.P)[1])))
     a, b = abs(own_gain(setup, user, 1, 0.0)), abs(setup.hR_det) / norm2
     K = rho_i * setup.PR * (s * norm2 * (1.0 + 2.0 * RADICAND_RTOL))
@@ -355,7 +360,7 @@ def _peak(setup: ChannelSetup, user: int, rho1, lo, hi
         r = np.minimum(np.maximum(K * w / c, rest * s), r)
     scale = math.sqrt((1.0 + RADICAND_RTOL) / s)  # g's factor, on a and b
     g = b * scale * np.sqrt(np.maximum(K - c * r, 0.0)) + a * scale * np.sqrt(r)
-    return g * g + math.ldexp(2.0 + b + 1.0 / norm2, -1074), live
+    return g * g + math.ldexp(2.0 + b + 1.0 / norm2, -1074), live | top
 
 
 def _box_bound(setup: ChannelSetup, rho1, lo1, hi1, lo2, hi2) -> np.ndarray:

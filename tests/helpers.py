@@ -152,8 +152,7 @@ def _reference_expansion(setup, rho1, user, sign):
         raise LinearizationInfeasible(f"S^2 = {s_sq} <= 0")
     s_val = math.sqrt(s_sq)
     mu = own_gain(setup, user, sign, s_val)
-    nu = (orient * sign * rho_i * setup.PR * setup.hR_det
-          / (2.0 * setup.P * s_val))
+    nu = orient * sign * rho_i * (setup.PR / setup.P) * setup.hR_det / (2.0 * s_val)
     return mu, nu
 
 
@@ -168,8 +167,8 @@ def _reference_phat(mu_sq, q, g_norm2, big_p):
     denom = math.sqrt(max(disc, 0.0)) - lam
     if denom <= 0.0:
         return 0.0
-    p = 2.0 * mu_sq * big_p / denom
-    return 0.0 if p < 0.0 else min(p, big_p)
+    x = 2.0 * mu_sq / denom  # phat / P
+    return (0.0 if x < 0.0 else min(x, 1.0)) * big_p
 
 
 def reference_best_sign(setup, rho1, user):

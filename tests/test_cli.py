@@ -1,9 +1,11 @@
 """Command-line surface: parsing, output formats, exit codes, CSV files."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,9 +18,11 @@ from imrc import (
     example_channel,
     full_region,
 )
-from imrc.cli import main, parse_db_range, parse_grid, parse_power
+from imrc.cli import (figure2_rows, figure3_rows, main, parse_db_range,
+                      parse_grid, parse_power, resolve_channel)
 
 EX = example_channel()
+DET_NONZERO = str(Path(__file__).parent / "golden" / "channel_det_nonzero.txt")
 
 CHANNEL_TEXT = """\
 h11 = 1.2
@@ -243,6 +247,64 @@ def test_gain_whose_square_overflows_is_usage_error(tmp_path, capsys,
     code, out, err = run(capsys, command, "--channel", str(channel))
     assert (code, out) == (1, "")
     assert err.startswith("usage error:") and f"{key} is too large" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--p-db-range=3079.5:3079.5:1"],
+    ["figure", "4", "--p-db-range=3079.99:3079.99:1"],
+    ["figure", "5", "--p-db-range=3079.5:3079.5:1", "--grid", "21x9"],
+], ids=["sweep", "figure4", "figure5"])
+def test_near_limit_runs_print_no_warning(tmp_path, argv):
+    # the search evaluated the kernel at remaining = 1 for the p_i = P cells,
+    # where PR ||hRj||^2 overflows, before replacing those values: numpy
+    # printed RuntimeWarnings on runs that succeed
+    src = str(Path(imrc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "imrc", *argv,
+         "--out", str(tmp_path / "f.csv")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_figure3_at_huge_budgets_scales_the_smaller_run(tmp_path, capsys):
+    # _linear_ic's 2q p p / P overflowed from P ~ 1.3e154: at 1e200, 99 of
+    # the 100 r1_ic cells were -inf and the intersection was 4.5e187
+    out_path = tmp_path / "fig3.csv"
+    code, out, _ = run(capsys, "figure", "3", "--channel", DET_NONZERO,
+                       "--P", "1e200", "--PR", "1e200", "--out", str(out_path))
+    assert code == 0
+    cells = [cell for row in csv.reader(out_path.read_text().splitlines()[1:])
+             for cell in row]
+    assert len(cells) == 500
+    assert all(cell and math.isfinite(float(cell)) for cell in cells)
+    setup = resolve_channel(DET_NONZERO)
+    rows, crossing = figure3_rows(replace(setup, P=1e200, PR=1e200), 0.5, 1,
+                                  1e-4)
+    base, base_crossing = figure3_rows(replace(setup, P=1e150, PR=1e150),
+                                       0.5, 1, 1e-4)
+    for row, ref in zip(rows, base):  # the linearized columns scale with P
+        assert row[1:3] == pytest.approx([1e50 * x for x in ref[1:3]],
+                                         rel=1e-12)
+    assert crossing / 1e200 == pytest.approx(base_crossing / 1e150, rel=1e-12)
+    line = next(l for l in out.splitlines() if l.startswith("intersection"))
+    assert float(line.split("=")[1]) == pytest.approx(crossing, rel=1e-11)
+
+
+def test_figure2_at_huge_budgets_matches_unit_budgets(tmp_path, capsys):
+    # approx_beam_vector's P ** 2 raised OverflowError, a traceback, from
+    # P ~ 1.3e154; the beam vectors depend on P and PR only through PR / P
+    out_path = tmp_path / "fig2.csv"
+    code, _, _ = run(capsys, "figure", "2", "--P", "1e200", "--PR", "1e200",
+                     "--out", str(out_path))
+    assert code == 0
+    rows = figure2_rows(replace(EX, P=1e200, PR=1e200), 0.5, 1)
+    base = figure2_rows(replace(EX, P=1.0, PR=1.0), 0.5, 1)
+    assert len(rows) == 100
+    for row, ref in zip(rows, base):
+        assert row == pytest.approx(ref, rel=1e-12)
 
 
 def test_sweep_writes_nan_for_an_infeasible_sqrt_split(tmp_path, capsys):

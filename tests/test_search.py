@@ -84,8 +84,7 @@ def _huge_budget_case(P):
     return setup, GridSpec(n_p=41, n_rho=9)
 
 
-# numpy warns near the float limit where a signal overflows, and where the
-# kernel's value at p_i = P, which _signal then replaces, does
+# numpy warns near the float limit where a sampled signal overflows
 NEAR_LIMIT = pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning",
     "ignore:invalid value encountered:RuntimeWarning")
@@ -114,11 +113,9 @@ PARALLEL_UPLINKS = replace(EX, g2R=(0.20170854271356783, 0.40341708542713567),
     # P >= 2^1023 made _peak's 1 / s overflow, so every bound was NaN and
     # the search raised NoFeasiblePoint; ||g1R||^2 P stays finite here
     pytest.param(lambda: (replace(EX, P=9e307, PR=9e307),
-                          GridSpec(n_p=7, n_rho=3)), id="near-limit-9e307",
-                 marks=NEAR_LIMIT),
+                          GridSpec(n_p=7, n_rho=3)), id="near-limit-9e307"),
     pytest.param(lambda: (replace(EX, g1R=(0.5, 0.5), P=1e308, PR=1e308),
-                          GridSpec(n_p=7, n_rho=3)), id="near-limit-1e308",
-                 marks=NEAR_LIMIT),
+                          GridSpec(n_p=7, n_rho=3)), id="near-limit-1e308"),
     # g1R = 0: alpha = 0 and the scaled p1 p2 overflowed into 0 inf = NaN
     # from budgets near 2e154, in the search and in the MAC sum cap alike
     pytest.param(lambda: (replace(EX, g1R=(0.0, 0.0), P=1e160, PR=1e160),
@@ -644,7 +641,6 @@ def test_repeat_signal_past_the_float_limit_is_refused():
         sweep_P(wide, [1e307])
 
 
-@NEAR_LIMIT
 def test_budget_below_the_float_limit_keeps_its_result():
     # 8e307 lies below 2^1023 and its ||g1R||^2 P is finite: the near-limit
     # refusal and scaling must leave its result as it was

@@ -65,6 +65,28 @@ def test_search_dump_prints_every_search_of_a_channel(capsys):
     assert set(results[:2] + results[3:]) == {"None"}
 
 
+def test_search_dump_prints_the_low_power_layer(capsys):
+    # each split and sign pair prints the four low-power fields, a refusal
+    # by the exception's name; at P = PR = 1e200 approx_beam_vector's
+    # P ** 2 raised OverflowError
+    import imrc
+    from dataclasses import replace
+
+    dump = _tool("search_dump")
+    setup = replace(imrc.example_channel(), P=1e200, PR=1e200)
+    dump._lowpower_lines(imrc, "example", setup)
+    lines = capsys.readouterr().out.splitlines()
+    fields = ("taylor_coeffs", "closed_form_phat", "linearized_rates",
+              "approx_beam_vector")
+    assert [line.split(": ")[0] for line in lines] == [
+        f"lowpower example rho1={rho1} n=({n1}, {n2}) {field}"
+        for rho1 in dump.P1_SPLITS for n1, n2 in dump.SIGN_PAIRS
+        for field in fields]
+    results = [line.split(": ")[1] for line in lines]
+    assert "OverflowError" not in results
+    assert all("=" in result for result in results[16:32])  # rho1 = 0.5
+
+
 def test_ab_time_reports_each_tree_against_the_first():
     # the repository's tree against itself, one round on two items of
     # each pool: one row per pool and tree, the first tree's ratio 1

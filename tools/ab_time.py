@@ -16,6 +16,14 @@ first rotates from round to round. For each pool and tree it prints the
 sum over items of each item's fastest time, that sum relative to the
 first tree's, and the minor page faults per item (getrusage); then the
 process's peak RSS.
+
+To run the Tier-1 tests against another tree, override pytest's own path:
+
+    python -m pytest -q -o pythonpath=OTHER/src
+
+pyproject.toml sets pythonpath = ["src"], which pytest puts ahead of
+PYTHONPATH, so `PYTHONPATH=OTHER/src python -m pytest` silently tests this
+checkout's src/ instead.
 """
 
 from __future__ import annotations

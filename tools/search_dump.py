@@ -22,7 +22,12 @@ of 8, padded to whole blocks and groups): one channel at P in {0, 5e-324,
 a zero hR2, with parallel relay columns, and with g1R = 0 and h12 = 0
 (every p1 ties); and at P = 1, PR = 1/4 with hR2 = (1, 0), where user 1's
 radicand is exactly 0 at rho1 = p1 = 1/2, a cell of the 17x5, 65x7 and
-129x5 grids.
+129x5 grids. Last, the low-power layer of the paper example and of
+tests/golden/channel_det_nonzero.txt at P = PR in {1e-3, 1, 1e200}, at
+rho1 in {0.2, 0.5, 0.8} and every sign pair: taylor_coeffs (mu, nu and S of
+each user), closed_form_phat, linearized_rates at p1 = p2 = P/3 and both
+users' approx_beam_vector at p1 = p2 = P/2. A refused input prints the
+exception's name, an overflow's too.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ EDGE_BUDGETS = (0.0, 5e-324, 1e-300, 1e160, 1e250)
 EDGE_RATIOS = (0.0, 0.01, 1.0, 100.0)
 P1_SPLITS = (0.2, 0.5, 0.8)
 P1_POINTS = (101, 2001)
+LOWPOWER_BUDGETS = (1e-3, 1.0, 1e200)
+SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _channel(imrc, rng: np.random.Generator, k: int):
@@ -79,7 +87,7 @@ def _row(imrc, setup, P: float, PR) -> str:
             f"half={r.R_sum_half!r} sqrt={r.R_sum_sqrt!r}")
 
 
-def _attempt(call, refusal: type[Exception]) -> str:
+def _attempt(call, refusal) -> str:
     try:
         return call()
     except refusal as exc:  # an input a search refuses is a result too
@@ -125,6 +133,47 @@ def _search_lines(imrc, label: str, setup, grids):
             print(f"{label} search_p1 rho1={rho1} n_p={n_p}: {line}")
 
 
+def _lowpower_lines(imrc, label: str, setup) -> None:
+    """The low-power layer of one channel at each split and sign pair."""
+    refusal = (imrc.ImrcError, ArithmeticError)
+    for rho1 in P1_SPLITS:
+        for n1, n2 in SIGN_PAIRS:
+            def taylor():
+                return imrc.taylor_coeffs(setup, rho1, n1, n2)
+
+            def coeffs():
+                c = taylor()
+                return (f"mu=({c.mu11!r}, {c.mu22!r}) nu=({c.nu11!r}, "
+                        f"{c.nu22!r}) S=({c.S1!r}, {c.S2!r})")
+
+            def phat():
+                c = imrc.closed_form_phat(taylor(), setup)
+                return (f"p=({c.p1!r}, {c.p2!r}) "
+                        f"clamped=({c.clamped1}, {c.clamped2})")
+
+            def linear():
+                p = setup.P / 3.0
+                r = imrc.linearized_rates(taylor(), setup, p, p)
+                return (f"mac=({r.r1mac!r}, {r.r2mac!r}) "
+                        f"ic=({r.r1ic!r}, {r.r2ic!r})")
+
+            def beam():
+                p = setup.P / 2.0
+                alloc = imrc.PowerAllocation(p1=p, p2=p, rho1=rho1, n1=n1,
+                                             n2=n2)
+                t1, t2 = (imrc.approx_beam_vector(setup, alloc, user).tolist()
+                          for user in (1, 2))
+                return (f"t10=({t1[0]!r}, {t1[1]!r}) "
+                        f"t20=({t2[0]!r}, {t2[1]!r})")
+
+            key = f"lowpower {label} rho1={rho1} n=({n1}, {n2})"
+            for field, call in (("taylor_coeffs", coeffs),
+                                ("closed_form_phat", phat),
+                                ("linearized_rates", linear),
+                                ("approx_beam_vector", beam)):
+                print(f"{key} {field}: {_attempt(call, refusal)}")
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     sys.path.insert(0, str(Path(args[0] if args else "src").resolve()))
@@ -148,6 +197,12 @@ def main(argv=None) -> int:
         print(f"{k} sweep: {line}")
     for label, setup in _edge_channels(imrc):
         _search_lines(imrc, f"edge {label}", setup, EDGE_GRIDS)
+    det_nonzero = imrc.load_channel(
+        str(ROOT / "tests" / "golden" / "channel_det_nonzero.txt"))
+    for P in LOWPOWER_BUDGETS:
+        for label, setup in (("example", example), ("det-nonzero", det_nonzero)):
+            _lowpower_lines(imrc, f"{label} P=PR={P!r}",
+                            replace(setup, P=P, PR=P))
     return 0
 
 
