@@ -31,7 +31,7 @@ from .model import (ChannelSetup, PowerAllocation, feasibility,
                     resolve_channel, validate)
 from .rates import (block_penalty, check_budget, ic_rates, mac_rates,
                     scheme_rate_point)
-from .search import (GridSpec, SweepPolicy, bisect_intersection, search_p1,
+from .search import (GridSpec, SweepPolicy, best_p1, bisect_intersection,
                      sweep_P)
 
 DEFAULT_DB_RANGE = "-30:20:1"
@@ -115,17 +115,10 @@ def _write(config: argparse.Namespace, header, rows) -> None:
 
 
 def _setup(config: argparse.Namespace) -> ChannelSetup:
-    """The channel with the budget overrides applied; an out-of-range gain
-    or budget is a usage error."""
-    try:
-        setup = resolve_channel(config.channel)
-        if config.P is not None:
-            setup = replace(setup, P=config.P)
-        if config.PR is not None:
-            setup = replace(setup, PR=config.PR)
-        return validate(setup)
-    except (NegativePower, NonFinite) as exc:
-        raise UsageError(str(exc)) from exc
+    """The channel with the budget overrides applied, validated."""
+    setup = resolve_channel(config.channel)
+    return validate(replace(setup, P=setup.P if config.P is None else config.P,
+                            PR=setup.PR if config.PR is None else config.PR))
 
 
 def _alloc(config: argparse.Namespace) -> PowerAllocation:
@@ -285,21 +278,19 @@ def figure3_rows(setup: ChannelSetup, rho1: float, n1: int,
 
 
 def figure4_rows(setup_template: ChannelSetup, db_values, PR: float | None,
-                 rho1: float, n_p: int) -> list[tuple]:
-    """Best p1/P with p2 = 0 across budgets: refined 1-D exhaustive search
-    vs the closed form, both maximized over the branch sign. A cell is NaN
-    where its method has no feasible p1."""
+                 rho1: float) -> list[tuple]:
+    """Best p1/P with p2 = 0 across budgets: the exact optimum vs the
+    closed form, both maximized over the branch sign. A cell is NaN where
+    its method has no feasible p1."""
     rows = []
     for db, big_p in zip(db_values, _budgets(db_values)):
         setup = validate(replace(setup_template, P=big_p,
                                  PR=big_p if PR is None else PR))
-        best = search_p1(setup, rho1, n_p)
         try:
             closed = _over(best_sign_powers(setup, rho1).p1, big_p)
         except LinearizationInfeasible:  # no zero-forcing margin at rho1
             closed = float("nan")
-        rows.append((db, float("nan") if best is None else _over(best, big_p),
-                     closed))
+        rows.append((db, best_p1(setup, rho1), closed))
     return rows
 
 
@@ -337,8 +328,7 @@ def cmd_figure(config: argparse.Namespace) -> int:
         print(f"intersection p1 = {_fmt(crossing)}")
     elif config.which == 4:
         header = ["P_dB", "phat1_grid_over_P", "phat1_closed_over_P"]
-        n_p = GridSpec(n_p=config.grid[0]).n_p if config.grid else 2001
-        rows = figure4_rows(setup, config.p_db, config.PR, config.rho, n_p)
+        rows = figure4_rows(setup, config.p_db, config.PR, config.rho)
     else:
         header = ["P_dB", "norm_sum_grid", "norm_sum_closed",
                   "norm_sum_half", "norm_sum_sqrt"]
@@ -409,7 +399,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command][0](args)
-    except UsageError as exc:
+    except (UsageError, NegativePower, NonFinite) as exc:
+        # only model.validate raises the last two: out-of-range input
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ImrcError as exc:

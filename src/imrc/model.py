@@ -152,8 +152,8 @@ def _square(x: float) -> float:
 
 
 def validate(setup: ChannelSetup) -> ChannelSetup:
-    """Check finiteness, also of every gain's square, and power signs;
-    return the setup unchanged."""
+    """Check finiteness, also of every gain's square and of PR / P, which
+    the kernel forms, and power signs; return the setup unchanged."""
     for name in _KEYS:
         value = getattr(setup, name)
         labeled = ([(f"{name}[0]", value[0]), (f"{name}[1]", value[1])]
@@ -173,6 +173,8 @@ def validate(setup: ChannelSetup) -> ChannelSetup:
         raise NegativePower(f"P must be >= 0, got {setup.P}")
     if setup.PR < 0.0:
         raise NegativePower(f"PR must be >= 0, got {setup.PR}")
+    if setup.P > 0.0 and math.isinf(setup.PR / setup.P):
+        raise NonFinite(f"PR / P overflows: PR = {setup.PR!r}, P = {setup.P!r}")
     return setup
 
 

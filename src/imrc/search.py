@@ -3,21 +3,22 @@
 The grid search trusts no closed-form shortcut: it finds the best exact
 scheme sum rate over every (p1, p2, rho1, n1, n2) combination of the grid,
 and bisection finds curve intersections by sign changes alone. These are
-the references the analytical results are checked against.
+the references the analytical results are checked against. best_p1,
+figure 4's best p1 with p2 = 0, needs no search: it is exact, from the
+concave signal g derived below.
 
 One sign block per rho1 suffices: model.branch_sign gives each user the
 n_i with the larger |f_ii| at every cell, bit for bit, and A_i and
 min(A1 A2, M) below never fall as |f_ii| grows, so that block is the
-cellwise maximum of the four. That one block serves the coarse stage, the
-zoom and figure 4's search_p1; only the chosen cell of a grid search is
-resolved over all four pairs, so exact ties still go to the smallest
-(n1, n2).
+cellwise maximum of the four. That one block serves the coarse stage and
+the zoom; only the chosen cell of a grid search is resolved over all four
+pairs, so exact ties still go to the smallest (n1, n2).
 
 One box routine, _best, serves every search stage. Each stage asks the
 same of a box of cells p1 x p2 at one (rho1, n1, n2): its best value and
 the first cell, row-major, that gives it. The boxes are the coarse
-stage's 8 x 8 blocks, the zoom's 21 x 21 windows, figure 4's p1 column
-and the four sign pairs of a grid search's chosen cell, each a 1 x 1 box.
+stage's 8 x 8 blocks, the zoom's 21 x 21 windows and the four sign pairs
+of a grid search's chosen cell, each a 1 x 1 box.
 _best evaluates model's per-user kernel -- the radicand with its
 feasibility tolerance, f_ii and the boundary power, the same functions
 scheme_rate_point calls on scalars -- over many boxes at once, boxes on
@@ -117,8 +118,8 @@ __all__ = [
     "SweepRow",
     "SweepTable",
     "grid_search_sum_rate",
+    "best_p1",
     "bisect_intersection",
-    "search_p1",
     "sweep_P",
 ]
 
@@ -482,24 +483,24 @@ def _hull(P: float, c: np.ndarray, half: float) -> tuple:
 
 
 def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: int, n2: int,
-          value: np.ndarray, c1: np.ndarray, c2: np.ndarray, half1: float,
-          half2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+          value: np.ndarray, c1: np.ndarray, c2: np.ndarray, half: float
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Sharpen each window's best cell (value at c1, c2) in the (n1, n2)
-    sign block by a deterministic zoom: re-grid +/- half per axis around
-    the current center (_window_rows), move the center to the window's
-    first argmax by _best, shrink the half-widths to the new spacing,
-    repeat; a zero half-width pins that axis. Only a strictly better cell
-    replaces the best. A window is not zoomed while its value is 0 or it
-    cannot change the first argmax of best (module docstring). Returns
-    best, p1, p2 and the window-rounds."""
+    sign block by a deterministic zoom: re-grid +/- half on both axes
+    around the current center (_window_rows), move the center to the
+    window's first argmax by _best, shrink the half-width to the new
+    spacing, repeat. Only a strictly better cell replaces the best. A
+    window is not zoomed while its value is 0 or it cannot change the
+    first argmax of best (module docstring). Returns best, p1, p2 and the
+    window-rounds."""
     best, best1, best2 = value.copy(), c1.copy(), c2.copy()
     c1, c2 = c1.copy(), c2.copy()
     live = np.flatnonzero(value > 0.0)
     runs = 0
     for round_ in range(_ZOOM_ROUNDS):
         if len(live) > 2:  # two windows zoom faster than they are bounded
-            lo1, hi1 = _hull(setup.P, c1[live], half1)
-            lo2, hi2 = _hull(setup.P, c2[live], half2)
+            lo1, hi1 = _hull(setup.P, c1[live], half)
+            lo2, hi2 = _hull(setup.P, c2[live], half)
             bound = _box_bound(setup, rho1[live], lo1, hi1, lo2, hi2)
             keep = (bound >= best.max()) & (bound > best[live])
             if round_ == 0 and setup.hR_det == 0.0:
@@ -515,8 +516,8 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: int, n2: int,
         if not len(live):
             break
         runs += len(live)
-        p1w = _window_rows(setup.P, c1[live], half1)
-        p2w = _window_rows(setup.P, c2[live], half2)
+        p1w = _window_rows(setup.P, c1[live], half)
+        p2w = _window_rows(setup.P, c2[live], half)
         top, at = _best(setup, rho1[live], n1, n2, p1w, p2w)
         i, j = np.divmod(at, _ZOOM_POINTS)
         window = np.arange(len(live))
@@ -524,8 +525,7 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: int, n2: int,
         gain = top > best[live]
         won = live[gain]
         best[won], best1[won], best2[won] = top[gain], c1[won], c2[won]
-        half1 /= _ZOOM_SHRINK
-        half2 /= _ZOOM_SHRINK
+        half /= _ZOOM_SHRINK
     return best, best1, best2, runs
 
 
@@ -542,16 +542,14 @@ def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
         n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
     except DegenerateRelayChannel:
         return None  # a zero relay column hRj leaves user i no beam
-    pv = grid.p_values(setup.P)
-    rhos = grid.rho_values()
+    pv, rhos = grid.p_values(setup.P), grid.rho_values()
     value, arg, _ = _coarse(setup, rhos, pv, n1, n2, overall=not refine)
     if not value.max() > 0.0:
         return None
     c1, c2 = pv[arg // len(pv)], pv[arg % len(pv)]
     step = float(pv[1] - pv[0])
     if refine and step > 0.0:  # _zoom skips the value-0 rows
-        value, c1, c2, _ = _zoom(setup, rhos, n1, n2, value, c1, c2, step,
-                                 step)
+        value, c1, c2, _ = _zoom(setup, rhos, n1, n2, value, c1, c2, step)
     t = int(np.argmax(value))  # one cell per rho1: the first is smallest
     rho, p1, p2 = float(rhos[t]), float(c1[t]), float(c2[t])
     # the chosen cell's four sign pairs, (-1, -1) first, as 1 x 1 boxes
@@ -578,22 +576,42 @@ def grid_search_sum_rate(setup: ChannelSetup,
                         sum_rate=scheme_rate_point(setup, alloc).sum_rate)
 
 
-def search_p1(setup: ChannelSetup, rho1: float, n_p: int) -> float | None:
-    """Best new-message power p1 of user 1 with p2 = 0 and n2 = +1: the
-    exact sum rate of branch_sign's n1 on np.linspace(0, P, n_p), zoomed
-    around the argmax. None when no p1 is feasible, or when a zero relay
-    column hRj leaves a user no beam. Raises ValueError where P is too
+def best_p1(setup: ChannelSetup, rho1: float) -> float:
+    """p1/P of the least p1 that maximizes user 1's exact rate with p2 = 0
+    and n2 = +1, over both signs n1; NaN where P = 0, where a relay column
+    is zero, or where user 2 has no zero forcing at p2 = 0. With p2 = 0 no
+    interference is left and the MAC sum cap never binds, so the rate is
+    log2(1 + min(G p1, f_11^2 (P - p1))), G = ||g1R||^2. Over P and in
+    u = 1 - p1/P, that is the falling line G (1 - u) against the module
+    docstring's concave g at K = rho1 (PR / P) ||hR2||^2, a = |a_1| and
+    b = |b_1|, on [0, top = min(1, K / c)]. The answer is g's clipped peak
+    u* where the line lies on or above g there; else u = 0 where the line
+    starts below g (d0 = G - b^2 K <= 0); else their crossing, the smaller
+    root of (d0 - d1 u)^2 = 4 a^2 b^2 u (K - c u), d1 = G + a^2 - b^2 c,
+    written without the cancellation of sqrt(B^2 - 4AC), which is exactly
+    0 where det(H) = 0. Where G = 0, or g = 0 at its peak, every feasible
+    p1 ties, and the least is 1 - top. Raises ValueError where P is too
     large (_refuse_overflow)."""
     _refuse_overflow(setup)
-    pv = np.linspace(0.0, setup.P, n_p)
-    try:
-        n1 = branch_sign(setup, 1)
-        value, at = _best(setup, rho1, n1, 1, pv[:, None], np.zeros((1, 1)))
-    except DegenerateRelayChannel:
-        return None
-    value, c1, _, _ = _zoom(setup, np.full(1, rho1), n1, 1, value, pv[at],
-                            np.zeros(1), float(pv[1] - pv[0]), 0.0)
-    return float(c1[0]) if value[0] > 0.0 else None
+    if (setup.P == 0.0 or setup.hR1_norm2 == 0.0 or setup.hR2_norm2 == 0.0
+            or not zf_radicand(setup, 2, 1.0 - rho1, setup.P)[1]):
+        return math.nan
+    G, c, norm2 = setup.g1R_norm2, setup.h12 ** 2, setup.hR2_norm2
+    a, b = abs(own_gain(setup, 1, 1, 0.0)), abs(setup.hR_det) / norm2
+    K = rho1 * (setup.PR / setup.P) * norm2
+    top = min(1.0, K / c) if c > 0.0 else 1.0
+    w = a * a / (a * a + b * b * c) if a * a > 0.0 else 0.0
+    peak = min(K * w / c, top) if c > 0.0 else top  # g rises when c = 0
+    g = a * math.sqrt(peak) + b * math.sqrt(max(K - c * peak, 0.0))
+    if G == 0.0 or g == 0.0:
+        return 1.0 - top
+    if G * (1.0 - peak) >= g * g:
+        return 1.0 - peak
+    d0, d1, abK = G - b * b * K, G + a * a - b * b * c, a * b * K
+    if d0 <= 0.0:
+        return 1.0
+    root = math.sqrt(max(d0 * d1 * K + abK * abK - c * d0 * d0, 0.0))
+    return 1.0 - 2.0 * d0 * d0 / (2.0 * d0 * d1 + 4.0 * a * b * (abK + root))
 
 
 def bisect_intersection(curve_pair, interval, tol: float = 1e-12) -> float:

@@ -91,14 +91,17 @@ def reference_objective(setup, rho1, n1, n2, p1, p2):
     return _value(setup, sig1, sig2, rows, cols, rows, cols, ok1 & ok2)
 
 
-def reference_zoom(setup, rho1, n1, n2, value, c1, c2, half1, half2,
+def reference_zoom(setup, rho1, n1, n2, value, c1, c2, half1, half2=None,
                    rounds=3, points=21):
     """search._zoom without pruning: every window with a positive value,
     every round, one window at a time on np.linspace grids, all in the
     (n1, n2) sign block. Each round re-grids +/- half around the center,
     clamped to [0, P], moves the center to the first row-major argmax,
-    keeps it when strictly better, and divides the half-widths by 10. Returns the same tuple as _zoom:
-    best value, p1 and p2 per window, and the window-rounds run."""
+    keeps it when strictly better, and divides the half-widths by 10.
+    half2 is p2's half-width, half1 when None as in _zoom; 0 pins p2.
+    Returns the same tuple as _zoom: best value, p1 and p2 per window, and
+    the window-rounds run."""
+    half2 = half1 if half2 is None else half2
     best = np.array(value, dtype=float)
     best1, best2 = np.array(c1, dtype=float), np.array(c2, dtype=float)
     runs = 0
@@ -118,10 +121,11 @@ def reference_zoom(setup, rho1, n1, n2, value, c1, c2, half1, half2,
 
 
 def reference_search_p1(setup, rho1, n_p):
-    """search.search_p1 over both signs n1: each sign's column on the same
-    np.linspace grid, each zoomed from its first argmax by reference_zoom,
-    the best kept with +1 first on ties; None when neither is feasible or
-    a relay column is zero."""
+    """Best p1 with p2 = 0 and n2 = +1 by search, over both signs n1: each
+    sign's column on the same np.linspace grid of n_p points, each zoomed
+    from its first argmax by reference_zoom with p2 pinned, the best kept
+    with +1 first on ties; None when neither is feasible or a relay column
+    is zero. search.best_p1 is its exact counterpart."""
     pv = np.linspace(0.0, setup.P, n_p)
     best, best_p1 = 0.0, None
     for n1 in (1, -1):

@@ -84,8 +84,8 @@ def test_parse_grid():
 ])
 def test_grid_is_checked_only_where_it_is_read(capsys, tmp_path, monkeypatch,
                                                argv, code):
-    # figure 4 reads only NP; sweep and figure 5 read both halves and
-    # refuse either one before any output
+    # figure 4 reads neither half, as its p1 is exact; sweep and figure 5
+    # read both halves and refuse either one before any output
     monkeypatch.chdir(tmp_path)  # figure writes figN.csv here by default
     got, out, err = run(capsys, *argv)
     assert got == code
@@ -267,6 +267,32 @@ def test_near_limit_runs_print_no_warning(tmp_path, argv):
          "--out", str(tmp_path / "f.csv")],
         capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["phat", "--P", "1e-300"],
+    ["sweep", "--p-db-range=-3000:-3000:1"],
+    ["figure", "4", "--p-db-range=-3000:-3000:1"],
+    ["figure", "5", "--p-db-range=-3000:-3000:1"],
+], ids=["phat", "sweep", "figure4", "figure5"])
+def test_relay_ratio_past_the_float_limit_is_usage_error(tmp_path, argv):
+    # PR / P = 1e10 / 1e-300 overflows, and the kernel forms it: phat
+    # printed empty cells and three RuntimeWarnings, sweep and figure 5
+    # exited 2 with NoFeasiblePoint, and figure 4 wrote p1 / P = 0; the
+    # budget pair is now refused by name before any output
+    out_path = tmp_path / "f.csv"
+    src = str(Path(imrc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "imrc", *argv,
+         "--PR", "1e10", "--out", str(out_path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == ("usage error: PR / P overflows: "
+                           "PR = 10000000000.0, P = 1e-300\n")
+    assert not out_path.exists()
 
 
 def test_figure3_at_huge_budgets_scales_the_smaller_run(tmp_path, capsys):

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from imrc import (
     ImrcError,
     InfeasibleRadicand,
     NoFeasiblePoint,
+    NonFinite,
     NoSignChange,
     PowerAllocation,
     RateRegion,
@@ -29,6 +31,7 @@ from imrc import (
     hull2d,
     ic_rates,
     linearized_rates,
+    load_channel,
     mac_rates,
     scheme_rate_point,
     sum_rate_allocation,
@@ -37,16 +40,17 @@ from imrc import (
 )
 
 import imrc.search as search_module
-from imrc.model import RADICAND_RTOL, branch_sign
+from imrc.model import RADICAND_RTOL, branch_sign, zf_radicand
 from imrc.search import (_BLOCK, _GROUP, _SIGNS, _ZOOM_ROUNDS, _ZOOM_SHRINK,
                          _best, _box_bound, _coarse, _exponent,
                          _fixed_split_rate, _hull, _peak, _search, _signal,
-                         _sum_rate_or_nan, _window_rows, _zoom, search_p1)
+                         _sum_rate_or_nan, _window_rows, _zoom, best_p1)
 
 from helpers import (linearizable_setup, random_setup, reference_objective,
                      reference_search_p1, reference_zoom)
 
 EX = example_channel()
+DET_NONZERO = Path(__file__).parent / "golden" / "channel_det_nonzero.txt"
 
 
 def brute_force(setup, grid):
@@ -620,7 +624,7 @@ def test_budget_near_the_float_limit_is_refused(P):
     # figure 4's search searched on, and figure 4 wrote the closed form's
     # overflowed phat1 / P = 1 beside it
     with pytest.raises(ValueError, match=message):
-        search_p1(replace(EX, P=P, PR=P), 0.5, 101)
+        best_p1(replace(EX, P=P, PR=P), 0.5)
 
 
 def test_repeat_signal_past_the_float_limit_is_refused():
@@ -639,6 +643,14 @@ def test_repeat_signal_past_the_float_limit_is_refused():
     wide = replace(EX, h11=0.01, h22=0.01, hR1=(0.0, 4.0), hR2=(4.0, 0.0))
     with pytest.raises(ValueError, match=message):
         sweep_P(wide, [1e307])
+
+
+def test_relay_ratio_past_the_float_limit_is_refused():
+    # P = 1e-300 with PR = 1e10: PR / P overflows, and the search raised
+    # "R1 must be finite" from RatePoint on this channel
+    setup = replace(load_channel(DET_NONZERO), P=1e-300, PR=1e10)
+    with pytest.raises(NonFinite, match=re.escape("PR / P overflows")):
+        grid_search_sum_rate(setup, GridSpec(n_p=41, n_rho=9))
 
 
 def test_budget_below_the_float_limit_keeps_its_result():
@@ -774,7 +786,7 @@ def test_window_bound_is_sound(seed):
     # point of the hull, c +/- h (1 + 1/9) in [0, P], 0 only where no point
     # is feasible, and a hull that the zoom's twin check finds feasible for
     # both users at its least powers must have no infeasible point;
-    # half-widths h from 1e-4 P to P, and h = 0 pinning p2 as in search_p1,
+    # half-widths h from 1e-4 P to P, and h = 0 on p2 (a zero-width hull),
     # all 64 windows in each of the four sign blocks
     setup, rng, rho1, c1, c2 = _window_case(seed)
     halves = ((1e-4, 1e-3), (0.05, 0.0), (0.3, 0.2), (1.0, 1.0))
@@ -804,12 +816,11 @@ def test_zoom_samples_stay_in_hull(P):
     # centers, p = 0 and p = P, each round moves the center to the
     # window's first or last sample (the farthest it can go; both ends,
     # and one chosen at random per window) and shrinks the half-width by
-    # _ZOOM_SHRINK; half-widths from 1e-4 P to P, and 0, the pinned axis
-    # of search_p1
+    # _ZOOM_SHRINK; half-widths from 1e-4 P to P
     rng = np.random.default_rng(4200 + PEAK_BUDGETS.index(P))
     c0 = np.concatenate([[0.0, P], rng.uniform(0.0, P, 30)])
     last = len(_window_rows(P, c0, 0.0)) - 1
-    for half0 in (0.0, 1e-4 * P, 0.01 * P, 0.3 * P, P):
+    for half0 in (1e-4 * P, 0.01 * P, 0.3 * P, P):
         lo, hi = _hull(P, c0, half0)
         for pick in (np.zeros(len(c0), np.intp), np.full(len(c0), last),
                      rng.integers(0, 2, len(c0)) * last):
@@ -824,8 +835,8 @@ def _zoom_case(case):
     """Channels for the zoom checks: the paper example at -10 and 0 dB
     (det(H) = 0), random det(H) = 0 channels whose equal starts have hulls
     not wholly feasible (cases 2 and 9), a PR = 100 P channel whose optimum
-    has p1 = p2 = P, a det(H) != 0 channel whose two search_p1 sign windows
-    start apart, and random channels over the PR/P mix."""
+    has p1 = p2 = P, a det(H) != 0 channel whose two sign columns of p1 at
+    p2 = 0 peak apart, and random channels over the PR/P mix."""
     if case < 2:
         return replace(EX, P=(0.1, 1.0)[case], PR=(0.1, 1.0)[case])
     seed, top, ratio, det_zero = {
@@ -841,21 +852,15 @@ def _zoom_case(case):
 @pytest.mark.parametrize("case", range(10))
 def test_pruned_zoom_matches_reference(case, monkeypatch):
     # dropping windows that cannot win and det(H) = 0 twins leaves the
-    # refined search and search_p1 bit for bit as an unpruned zoom
+    # refined search bit for bit as an unpruned zoom
     setup = _zoom_case(case)
     if case == 3:
         alloc = _search(setup, GridSpec(), refine=True)
         assert alloc.p1 == alloc.p2 == setup.P
-    if case == 4:
-        pv = np.linspace(0.0, setup.P, 101)
-        column = reference_objective(setup, 0.5, _SIGNS[:, None, None], 1,
-                                     pv, np.zeros(1))
-        assert column[0].argmax() != column[1].argmax()
 
     def run():
         return (_search(setup, GridSpec(), refine=True),
-                _search(setup, GridSpec(n_p=41, n_rho=9), refine=True),
-                [search_p1(setup, rho1, 101) for rho1 in (0.2, 0.5, 0.8)])
+                _search(setup, GridSpec(n_p=41, n_rho=9), refine=True))
 
     pruned = run()
     monkeypatch.setattr(search_module, "_zoom", reference_zoom)
@@ -863,11 +868,11 @@ def test_pruned_zoom_matches_reference(case, monkeypatch):
 
 
 def _p1_case(case):
-    """Channels for search_p1 against both signs: 30 random ones (P from
-    1e-3 to 1e2, PR/P in {0, 1/100, 1/4, 1, 100}, det(H) = 0 in 1 of 3),
-    _zoom_case(4), whose sign columns peak apart, and three with det(H) != 0
-    and a tie or an edge: a_1 = h11 - h12 (hR1 . hR2)/||hR2||^2 = 0, so
-    the two signs tie bit for bit; h12 = 0; and PR = 0."""
+    """Channels for best_p1 against the both-sign search: 30 random ones (P
+    from 1e-3 to 1e2, PR/P in {0, 1/100, 1/4, 1, 100}, det(H) = 0 in 1 of
+    3), _zoom_case(4), whose sign columns peak apart, and three with
+    det(H) != 0 and a tie or an edge: a_1 = h11 - h12 (hR1 . hR2)/||hR2||^2
+    = 0, so the two signs tie bit for bit; h12 = 0; and PR = 0."""
     if case == "zoom4":
         return _zoom_case(4)
     if isinstance(case, int):
@@ -882,20 +887,75 @@ def _p1_case(case):
     return replace(setup, **{"h12=0": {"h12": 0.0}, "PR=0": {"PR": 0.0}}[case])
 
 
+def _p1_value(setup, rho1, p1):
+    """The linear-domain scheme sum rate at (p1, p2 = 0), n2 = +1, the
+    better of both signs n1."""
+    return max(reference_objective(setup, rho1, n1, 1, np.array([p1]),
+                                   np.zeros(1))[0, 0] for n1 in (-1, 1))
+
+
 @pytest.mark.parametrize("case", [*range(30), "zoom4", "a1=0", "h12=0",
                                   "PR=0"])
 def test_search_p1_matches_both_sign_search(case):
-    # searching branch_sign's column alone gives, bit for bit, the p1 of
-    # zooming both columns and keeping the better one (+1 first on ties):
-    # the columns are equal where the signs tie, and elsewhere the other
-    # column is never above it; only a zoom from the other column landing
-    # where this one's does not could differ, and these cases pin that it
-    # does not
+    # best_p1, exact, against zooming both signs' columns of n_p points
+    # and keeping the better (reference_search_p1): NaN exactly where the
+    # search finds no feasible p1, elsewhere a rate at least the search's
+    # up to rounding and a p1 within the zoom's last spacing,
+    # P / (1000 (n_p - 1)), of the search's: 1e-5 P down to 5e-7 P
     setup = _p1_case(case)
     assert setup.hR_det != 0.0 or case in range(0, 30, 3)
-    for rho1, n_p in itertools.product((0.2, 0.5, 0.8), (101, 401)):
-        assert (search_p1(setup, rho1, n_p)
-                == reference_search_p1(setup, rho1, n_p))
+    if case == "zoom4":
+        pv = np.linspace(0.0, setup.P, 101)
+        column = reference_objective(setup, 0.5, _SIGNS[:, None, None], 1,
+                                     pv, np.zeros(1))
+        assert column[0].argmax() != column[1].argmax()
+    for rho1, n_p in itertools.product((0.2, 0.5, 0.8), (101, 401, 2001)):
+        exact, searched = best_p1(setup, rho1), reference_search_p1(
+            setup, rho1, n_p)
+        assert math.isnan(exact) == (searched is None)
+        if searched is not None:
+            p1 = exact * setup.P
+            assert (_p1_value(setup, rho1, p1)
+                    >= _p1_value(setup, rho1, searched) * (1.0 - 2.0 ** -48))
+            assert abs(p1 - searched) <= setup.P / (1000.0 * (n_p - 1))
+
+
+@pytest.mark.parametrize("setup", [
+    replace(EX, g1R=(0.0, 0.0), PR=0.25 * EX.P),  # ||g1R||^2 = 0
+    replace(EX, h11=0.25, PR=0.25 * EX.P),  # a_1 = 0 and det(H) = 0: g = 0
+], ids=["G=0", "g=0"])
+def test_best_p1_takes_the_least_p1_where_every_p1_ties(setup):
+    # user 1's rate is 0 at every feasible p1, which starts where the
+    # radicand does, at p1 = P - K / c (K / c = 0.1 P at rho1 = 0.02): the
+    # kernel finds it feasible and 1e-9 P below it not, and the search's
+    # first argmax is the grid point there, 0.9 P
+    rho1 = 0.02
+    least = best_p1(setup, rho1)
+    assert least == pytest.approx(0.9, rel=1e-15)
+    for p1, feasible in ((least, True), (least - 1e-9, False)):
+        remaining = setup.P * (1.0 - p1)
+        assert zf_radicand(setup, 1, rho1, remaining)[1] == feasible
+    assert reference_search_p1(setup, rho1, 101) == pytest.approx(
+        least * setup.P, rel=1e-15)
+
+
+@pytest.mark.parametrize("setup, rho1", [
+    (EX, 0.99),  # user 2's relay share misses h21^2 at p2 = 0
+    (replace(EX, P=0.0, PR=0.0), 0.5),
+], ids=["user2-infeasible", "P=0"])
+def test_best_p1_without_a_feasible_p1(setup, rho1):
+    assert math.isnan(best_p1(setup, rho1))
+    assert setup.P == 0.0 or reference_search_p1(setup, rho1, 101) is None
+
+
+def test_best_p1_crossing_without_cancellation():
+    # det(H) = 0, so b_1 = 0 and the crossing of ||g1R||^2 (1 - u) with
+    # a_1^2 u is u = G / (G + a_1^2): p1 / P = a_1^2 / (G + a_1^2) =
+    # 0.5625 / 2.3625 = 5/21 here. Its discriminant B^2 - 4AC is exactly 0,
+    # so sqrt(B^2 - 4AC) kept only the rounding of B^2 and 4AC and gave
+    # 0.2380952488, 4.5e-8 off
+    setup = replace(EX, h11=1.0)
+    assert best_p1(setup, 0.5) == pytest.approx(5.0 / 21.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("P", [0.1, 1.0])
@@ -1119,10 +1179,10 @@ def test_sweep_relay_budget_policy():
 
 @pytest.mark.parametrize("column", ["hR1", "hR2"])
 def test_search_p1_on_zero_relay_column(column):
-    # a zero hRj leaves user i no zero-forcing beam, so no p1 is feasible,
-    # with branch_sign's n1 as with both
+    # a zero hRj leaves user i no zero-forcing beam, so no p1 is feasible:
+    # best_p1 is NaN, and the both-sign search finds nothing
     setup = replace(EX, **{column: (0.0, 0.0)})
-    assert search_p1(setup, 0.5, 101) is None
+    assert math.isnan(best_p1(setup, 0.5))
     assert reference_search_p1(setup, 0.5, 101) is None
 
 

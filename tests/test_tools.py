@@ -55,14 +55,13 @@ def test_search_dump_prints_every_search_of_a_channel(capsys):
     dump._search_lines(imrc, "edge zero-hR2", setup, ((17, 5),))
     labels = [f"search 17x5 refine={refine}" for refine in (False, True)]
     labels.append("grid_search_sum_rate")
-    labels += [f"search_p1 rho1={rho1} n_p={n_p}"
-               for rho1 in dump.P1_SPLITS for n_p in dump.P1_POINTS]
+    labels += [f"best_p1 rho1={rho1}" for rho1 in dump.P1_SPLITS]
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(": ")[0] for line in lines] == [
         f"edge zero-hR2 {label}" for label in labels]
     results = [line.split(": ")[1] for line in lines]
-    assert results[2] == "NoFeasiblePoint"
-    assert set(results[:2] + results[3:]) == {"None"}
+    assert results[:3] == ["None", "None", "NoFeasiblePoint"]
+    assert set(results[3:]) == {"nan"}
 
 
 def test_search_dump_prints_the_low_power_layer(capsys):

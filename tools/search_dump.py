@@ -9,8 +9,8 @@ dumps checks that a change to the search leaves every result unchanged:
 The set: 150 random channels (P = 10^U(-3, 2), PR/P cycling through 1, 100,
 1/4, 0 and 1/100, det(H) = 0 in 1 of 3), each searched with and without the
 zoom on the 101x99, 201x99, 37x11 and 41x199 grids, by grid_search_sum_rate
-on the default grid and by search_p1 at rho1 in {0.2, 0.5, 0.8} on 101 and
-2001 points; the 41x199 grid zooms up to 199 windows a round, more than
+on the default grid, and figure 4's best_p1 at rho1 in {0.2, 0.5, 0.8};
+the 41x199 grid zooms up to 199 windows a round, more than
 the search._CHUNK evaluated at a time. Then every field of the paper
 example's sweep rows from -30 to 20 dB with PR = P and PR = 100 P, and of
 the first SWEPT random channels' rows at their own P and PR on the default
@@ -46,7 +46,6 @@ EDGE_GRIDS = ((2, 1), (3, 2), (17, 5), (65, 7), (129, 5))
 EDGE_BUDGETS = (0.0, 5e-324, 1e-300, 1e160, 1e250)
 EDGE_RATIOS = (0.0, 0.01, 1.0, 100.0)
 P1_SPLITS = (0.2, 0.5, 0.8)
-P1_POINTS = (101, 2001)
 LOWPOWER_BUDGETS = (1e-3, 1.0, 1e200)
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,9 +109,9 @@ def _edge_channels(imrc):
 
 def _search_lines(imrc, label: str, setup, grids):
     """Every search of one channel: _search with and without the zoom on
-    each grid, grid_search_sum_rate on the default grid, and search_p1 at
-    each split and number of points."""
-    from imrc.search import _search, search_p1
+    each grid, grid_search_sum_rate on the default grid, and best_p1 at
+    each split."""
+    from imrc.search import _search, best_p1
 
     for n_p, n_rho in grids:
         grid = imrc.GridSpec(n_p=n_p, n_rho=n_rho)
@@ -127,10 +126,8 @@ def _search_lines(imrc, label: str, setup, grids):
 
     print(f"{label} grid_search_sum_rate: {_attempt(oracle, imrc.ImrcError)}")
     for rho1 in P1_SPLITS:
-        for n_p in P1_POINTS:
-            line = _attempt(lambda: repr(search_p1(setup, rho1, n_p)),
-                            imrc.ImrcError)
-            print(f"{label} search_p1 rho1={rho1} n_p={n_p}: {line}")
+        line = _attempt(lambda: repr(best_p1(setup, rho1)), imrc.ImrcError)
+        print(f"{label} best_p1 rho1={rho1}: {line}")
 
 
 def _lowpower_lines(imrc, label: str, setup) -> None:
