@@ -32,3 +32,16 @@ def test_golden_csv_is_byte_identical(name, tmp_path, capsys):
     assert main(CASES[name] + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_figure4_exact_optimum_is_the_closed_form_where_det_is_zero():
+    # the paper example has det(H) = 0, where the paper's linearization of
+    # f_11 in p1 is exact, so the closed form's phat1 / P is the exact
+    # optimum's in every row: 0.333950046253, where the 2001-point search
+    # wrote 0.33395
+    header, *rows = (GOLDEN / "figure4.csv").read_text().splitlines()
+    assert header == "P_dB,phat1_grid_over_P,phat1_closed_over_P"
+    assert len(rows) == 51
+    for row in rows:
+        _, grid, closed = row.split(",")
+        assert grid == closed == "0.333950046253"
