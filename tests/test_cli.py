@@ -276,10 +276,10 @@ def test_near_limit_runs_print_no_warning(tmp_path, argv):
     ["figure", "5", "--p-db-range=-3000:-3000:1"],
 ], ids=["phat", "sweep", "figure4", "figure5"])
 def test_relay_ratio_past_the_float_limit_is_usage_error(tmp_path, argv):
-    # PR / P = 1e10 / 1e-300 overflows, and the kernel forms it: phat
-    # printed empty cells and three RuntimeWarnings, sweep and figure 5
-    # exited 2 with NoFeasiblePoint, and figure 4 wrote p1 / P = 0; the
-    # budget pair is now refused by name before any output
+    # PR / P = 1e10 / 1e-300 overflows, and the kernel forms it: phat and
+    # figure 4 wrote empty cells, sweep and figure 5 exited 2 with
+    # NoFeasiblePoint, each with RuntimeWarnings; the budget pair is now
+    # refused by name before any output
     out_path = tmp_path / "f.csv"
     src = str(Path(imrc.__file__).resolve().parents[1])
     env = dict(os.environ)
