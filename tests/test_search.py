@@ -926,9 +926,10 @@ def test_search_p1_matches_both_sign_search(case):
 ], ids=["G=0", "g=0"])
 def test_best_p1_takes_the_least_p1_where_every_p1_ties(setup):
     # user 1's rate is 0 at every feasible p1, which starts where the
-    # radicand does, at p1 = P - K / c (K / c = 0.1 P at rho1 = 0.02): the
-    # kernel finds it feasible and 1e-9 P below it not, and the search's
-    # first argmax is the grid point there, 0.9 P
+    # radicand does, at p1 / P = 1 - K / c = 0.9 (K = rho1 (PR / P)
+    # ||hR2||^2 = 0.025 at rho1 = 0.02, c = h12^2 = 0.25): the kernel finds
+    # it feasible and 1e-9 P below it not, and the search's first argmax
+    # is the grid point there
     rho1 = 0.02
     least = best_p1(setup, rho1)
     assert least == pytest.approx(0.9, rel=1e-15)
