@@ -224,7 +224,7 @@ def _sqrt_cell(value: float | None):
 
 
 def cmd_sweep(config: argparse.Namespace) -> int:
-    setup = _setup(config)
+    setup = resolve_channel(config.channel)  # sweep_P validates every row
     policy = SweepPolicy(grid=GridSpec(*config.grid or ()), PR=config.PR)
     table = sweep_P(setup, _budgets(config.p_db), policy)
     for db, row in zip(config.p_db, table.rows):
@@ -315,32 +315,34 @@ def figure5_rows(setup_template: ChannelSetup, db_values, PR: float | None,
 def cmd_figure(config: argparse.Namespace) -> int:
     if not config.p2 >= 0.0:
         raise UsageError(f"--p2 must be nonnegative, got {config.p2}")
-    setup = _setup(config)
     out = config.out or f"fig{config.which}.csv"
+    # figures 4 and 5 ignore --P: they validate every budget they run
     if config.which == 2:
         header = ["p1_over_P", "t10_1_exact", "t10_2_exact",
                   "t10_1_approx", "t10_2_approx"]
-        rows = figure2_rows(setup, config.rho, config.n1)
+        rows = figure2_rows(_setup(config), config.rho, config.n1)
     elif config.which == 3:
         header = ["p1_over_P", "r1_mac", "r1_ic", "R1_mac_exact", "R1_ic_exact"]
-        rows, crossing = figure3_rows(setup, config.rho, config.n1,
+        rows, crossing = figure3_rows(_setup(config), config.rho, config.n1,
                                       config.p2 or 1e-4)
         print(f"intersection p1 = {_fmt(crossing)}")
     elif config.which == 4:
         header = ["P_dB", "phat1_grid_over_P", "phat1_closed_over_P"]
-        rows = figure4_rows(setup, config.p_db, config.PR, config.rho)
+        rows = figure4_rows(resolve_channel(config.channel), config.p_db,
+                            config.PR, config.rho)
     else:
         header = ["P_dB", "norm_sum_grid", "norm_sum_closed",
                   "norm_sum_half", "norm_sum_sqrt"]
-        rows = figure5_rows(setup, config.p_db, config.PR,
-                            GridSpec(*config.grid or ()))
+        rows = figure5_rows(resolve_channel(config.channel), config.p_db,
+                            config.PR, GridSpec(*config.grid or ()))
     write_csv(out, header, rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
 
 # every flag's add_argument keywords; _COMMANDS names the flags each
-# subcommand reads besides _BUDGET_FLAGS, so any other flag is a usage error
+# subcommand reads besides _COMMON_FLAGS, so any other flag is a usage error;
+# sweep reads no --P, as it runs only the budgets of its --p-db-range
 _FLAGS = {
     "--channel": dict(default="paper-example",
                       help="channel config file, or the built-in 'paper-example'"),
@@ -354,7 +356,7 @@ _FLAGS = {
     "--B": dict(type=int, default=None,
                 help="block count; reported rates get the (B-1)/B factor"),
     "--P": dict(type=parse_power, default=None, metavar="VAL[dB]",
-                help="override node power budget"),
+                help="override node power budget (figures 4 and 5 ignore it)"),
     "--PR": dict(type=parse_power, default=None, metavar="VAL[dB]",
                  help="override relay power budget (sweeps: pin PR instead of PR = P)"),
     "--grid": dict(type=parse_grid, default=None, metavar="NPxNRHO"),
@@ -363,18 +365,18 @@ _FLAGS = {
                          help=f"budget sweep in dB (default {DEFAULT_DB_RANGE})"),
     "--out": dict(default=None, help="write CSV here"),
 }
-_BUDGET_FLAGS = ("--channel", "--P", "--PR")
-_ALLOC_FLAGS = ("--rho", "--p1", "--p2", "--n1", "--n2")
+_COMMON_FLAGS = ("--channel", "--PR")
+_ALLOC_FLAGS = ("--P", "--rho", "--p1", "--p2", "--n1", "--n2")
 
 _COMMANDS = {
     "validate": (cmd_validate, _ALLOC_FLAGS),
     "beam": (cmd_beam, _ALLOC_FLAGS + ("--out",)),
     "rates": (cmd_rates, _ALLOC_FLAGS + ("--B", "--out")),
-    "phat": (cmd_phat, ("--rho", "--out")),
-    "region": (cmd_region, ("--grid", "--out")),
+    "phat": (cmd_phat, ("--P", "--rho", "--out")),
+    "region": (cmd_region, ("--P", "--grid", "--out")),
     "sweep": (cmd_sweep, ("--grid", "--p-db-range", "--out")),
-    "figure": (cmd_figure, ("--rho", "--n1", "--p2", "--grid", "--p-db-range",
-                            "--out")),
+    "figure": (cmd_figure, ("--P", "--rho", "--n1", "--p2", "--grid",
+                            "--p-db-range", "--out")),
 }
 
 
@@ -386,11 +388,12 @@ def build_parser() -> _Parser:
                                  "power allocation, figure data.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
-        p = sub.add_parser(name)
+        # no abbreviations: sweep's --P would otherwise set --PR
+        p = sub.add_parser(name, allow_abbrev=False)
         if name == "figure":
             p.add_argument("which", type=int, choices=(2, 3, 4, 5),
                            help="figure number to reproduce")
-        for flag in _BUDGET_FLAGS + flags:
+        for flag in _COMMON_FLAGS + flags:
             p.add_argument(flag, **_FLAGS[flag])
     return parser
 

@@ -6,7 +6,8 @@ class ImrcError(Exception):
 
 
 class NonFinite(ImrcError):
-    """A channel gain or power budget is NaN or infinite."""
+    """A channel gain or power budget is NaN or infinite, or a product the
+    kernel forms of them overflows (model.validate)."""
 
 
 class NegativePower(ImrcError):

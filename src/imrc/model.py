@@ -152,8 +152,18 @@ def _square(x: float) -> float:
 
 
 def validate(setup: ChannelSetup) -> ChannelSetup:
-    """Check finiteness, also of every gain's square and of PR / P, which
-    the kernel forms, and power signs; return the setup unchanged."""
+    """Return the setup unchanged if it lies in the supported domain: finite
+    gains and budgets P, PR >= 0, and every product the kernel forms finite.
+    Those are each gain's square and det([g1R g2R])^2; PR / P where P > 0;
+    user i's MAC and interference terms ||g_iR||^2 P and h_ji^2 P at
+    p_i = P; the bound (|a_i| sqrt(P) + |det(H)| sqrt(PR / ||hRj||^2))^2 on
+    its repeat signal f_ii^2 (P - p_i) (search's module docstring, at r = P
+    and c = 0); PR det(H)^2, which bounds boundary_signal's product before
+    it divides by ||hRj||^2; and the radicand's term
+    rho_i PR / (P - p_i) ||hRj||^2 at its least P - p_i, which is at least
+    2^-53 P for a float p_i < P (the kernel puts 1 in its place at P = 0).
+    A zero hRj leaves user i no signal. Raises NonFinite, which names the
+    budgets where one of their products overflows, or NegativePower."""
     for name in _KEYS:
         value = getattr(setup, name)
         labeled = ([(f"{name}[0]", value[0]), (f"{name}[1]", value[1])]
@@ -175,6 +185,23 @@ def validate(setup: ChannelSetup) -> ChannelSetup:
         raise NegativePower(f"PR must be >= 0, got {setup.PR}")
     if setup.P > 0.0 and math.isinf(setup.PR / setup.P):
         raise NonFinite(f"PR / P overflows: PR = {setup.PR!r}, P = {setup.P!r}")
+    gain = max(setup.g1R_norm2, setup.g2R_norm2, setup.h12 ** 2,
+               setup.h21 ** 2)
+    # the repeat-signal bounds' square roots, of each user with a signal
+    roots = [abs(own_gain(setup, user, 1, 0.0)) * math.sqrt(setup.P)
+             + abs(setup.hR_det) / math.sqrt(norm2) * math.sqrt(setup.PR)
+             for user, norm2 in ((1, setup.hR2_norm2), (2, setup.hR1_norm2))
+             if norm2 > 0.0]
+    if (math.isinf(gain * setup.P) or any(math.isinf(r * r) for r in roots)
+            or math.isinf(setup.PR * setup.hR_det * setup.hR_det)):
+        raise NonFinite(f"budget P = {setup.P!r} is too large: ||g_iR||^2 "
+                        "P, h_ji^2 P or a repeat signal overflows")
+    # the radicand's term at the least P - p_i; inf * 0 = NaN passes where
+    # both relay columns are zero
+    term = 2.0 ** 53 * (setup.PR / setup.P) if setup.P > 0.0 else setup.PR
+    if math.isinf(term * max(setup.hR1_norm2, setup.hR2_norm2)):
+        raise NonFinite("the zero-forcing radicand overflows: "
+                        f"PR = {setup.PR!r}, P = {setup.P!r}")
     return setup
 
 

@@ -36,8 +36,8 @@ infeasible cell never wins. A1 and M are scaled by the power of two 2^-e
 with 2^e > 1 + max(||g1R||^2, 1) P, which keeps A1 A2 and M's alpha p1 p2
 finite at budgets where they would overflow; a power of two does not
 round, so no comparison changes. A budget where ||g_iR||^2 P, h_ji^2 P
-or a bound on a user's signal itself overflows is refused
-(_refuse_overflow).
+or a bound on a user's signal itself overflows lies outside the domain
+model.validate admits.
 
 One bound routine, _box_bound, serves every stage that prunes: it bounds
 the coarse stage's 8 x 8 blocks of cells and G x G groups of blocks and
@@ -245,29 +245,6 @@ def _scale(setup: ChannelSetup) -> float:
     return math.ldexp(1.0, -_exponent(setup))
 
 
-def _refuse_overflow(setup: ChannelSetup) -> None:
-    """Raise ValueError, naming the budget, where ||g_iR||^2 P or h_ji^2 P
-    overflows, user i's MAC and interference terms at p = P, or the bound
-    (|a_i| sqrt(P) + |det(H)| sqrt(PR / ||hRj||^2))^2 on its repeat signal
-    f_ii^2 (P - p_i) (module docstring, at r = P and c = 0), or
-    PR det(H)^2, which bounds boundary_signal's product before it divides
-    by ||hRj||^2: _exponent, every cell's A_i and scheme_rate_point's rates
-    need them finite. A zero hRj leaves user i no signal."""
-    gain = max(setup.g1R_norm2, setup.g2R_norm2, setup.h12 ** 2,
-               setup.h21 ** 2)
-    over = (math.isinf(gain * setup.P)
-            or math.isinf(setup.PR * setup.hR_det * setup.hR_det))
-    for user, norm2 in ((1, setup.hR2_norm2), (2, setup.hR1_norm2)):
-        if norm2 > 0.0:
-            root = (abs(own_gain(setup, user, 1, 0.0)) * math.sqrt(setup.P)
-                    + abs(setup.hR_det) / math.sqrt(norm2)
-                    * math.sqrt(setup.PR))
-            over = over or math.isinf(root * root)
-    if over:
-        raise ValueError(f"budget P = {setup.P!r} is too large: ||g_iR||^2 "
-                         "P, h_ji^2 P or a repeat signal overflows")
-
-
 def _capped_term(setup: ChannelSetup, user: int, sig, p_own,
                  p_other) -> np.ndarray:
     """1 + min(||g_iR||^2 p_i, SINR_i), the linear form of
@@ -358,7 +335,9 @@ def _peak(setup: ChannelSetup, user: int, rho1, lo, hi
     r = (setup.P - lo) * s  # r* when c = 0, as g then rises with r
     if c > 0.0:  # r* clipped to [P - hi, P - lo]
         w = a * a / (a * a + b * b * c) if a * a > 0.0 else 0.0
-        r = np.minimum(np.maximum(K * w / c, rest * s), r)
+        # r < 2, so a K w past 2 c clips to r either way; 2 c / c = 2
+        # exactly, where K w / c could overflow for a tiny c
+        r = np.minimum(np.maximum(np.minimum(K * w, 2.0 * c) / c, rest * s), r)
     scale = math.sqrt((1.0 + RADICAND_RTOL) / s)  # g's factor, on a and b
     g = b * scale * np.sqrt(np.maximum(K - c * r, 0.0)) + a * scale * np.sqrt(r)
     return g * g + math.ldexp(2.0 + b + 1.0 / norm2, -1074), live | top
@@ -536,8 +515,7 @@ def _search(setup: ChannelSetup, grid: GridSpec, refine: bool
     best cell (replaced only by a strictly better zoom cell). Exact-value
     ties go to the smallest (rho1, p1, p2), then to the first sign pair,
     -1 first, reaching the value there; None when nothing is feasible.
-    Raises ValueError where P is too large (_refuse_overflow)."""
-    _refuse_overflow(setup)
+    The setup must have passed model.validate, as its callers check."""
     try:
         n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
     except DegenerateRelayChannel:
@@ -590,9 +568,9 @@ def best_p1(setup: ChannelSetup, rho1: float) -> float:
     root of (d0 - d1 u)^2 = 4 a^2 b^2 u (K - c u), d1 = G + a^2 - b^2 c,
     written without the cancellation of sqrt(B^2 - 4AC), which is exactly
     0 where det(H) = 0. Where G = 0, or g = 0 at its peak, every feasible
-    p1 ties, and the least is 1 - top. Raises ValueError where P is too
-    large (_refuse_overflow)."""
-    _refuse_overflow(setup)
+    p1 ties, and the least is 1 - top. Raises NonFinite or NegativePower
+    where model.validate refuses the setup."""
+    validate(setup)
     if (setup.P == 0.0 or setup.hR1_norm2 == 0.0 or setup.hR2_norm2 == 0.0
             or not zf_radicand(setup, 2, 1.0 - rho1, setup.P)[1]):
         return math.nan

@@ -1,10 +1,12 @@
 """Command-line surface: parsing, output formats, exit codes, CSV files."""
 
 import csv
+import itertools
 import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -220,7 +222,7 @@ def test_budget_near_the_float_limit_is_refused(tmp_path, capsys, command,
     code, out, err = run(capsys, *command, f"--p-db-range={db}:{db}:1",
                          "--out", str(out_path))
     assert (code, out) == (1, "")
-    assert err.startswith("error: budget P = 1") and "e+308 is too" in err
+    assert err.startswith("usage error: budget P = 1") and "e+308 is too" in err
     assert not out_path.exists()
 
 
@@ -232,7 +234,7 @@ def test_repeat_signal_past_the_float_limit_is_refused(tmp_path, capsys):
     code, out, err = run(capsys, "sweep", "--channel", str(channel),
                          "--p-db-range=3070:3070:1")
     assert (code, out) == (1, "")
-    assert err.startswith("error: budget P = 1e+307 is too large")
+    assert err.startswith("usage error: budget P = 1e+307 is too large")
 
 
 @pytest.mark.parametrize("command, line, huge, key", [
@@ -293,6 +295,92 @@ def test_relay_ratio_past_the_float_limit_is_usage_error(tmp_path, argv):
     assert done.stderr == ("usage error: PR / P overflows: "
                            "PR = 10000000000.0, P = 1e-300\n")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "4"],
+    ["figure", "5", "--grid", "21x9"],
+], ids=["figure4", "figure5"])
+def test_sweeps_check_only_the_budgets_they_run(tmp_path, capsys, argv):
+    # the figures validated the channel at --P = 1e-300 with the pinned
+    # PR = 1e10, where PR / P overflows, and exited 1, though their one row
+    # runs at P = 1; they ignore --P now, and sweep does not read it
+    out_path = tmp_path / "f.csv"
+    code, _, err = run(capsys, *argv, "--P", "1e-300", "--PR", "1e10",
+                       "--p-db-range=0:0:1", "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert out_path.read_text().splitlines()[1].startswith("0,")
+    code, out, err = run(capsys, "sweep", "--P", "1e-300", "--PR", "1e10",
+                         "--p-db-range=0:0:1")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --P 1e-300" in err
+
+
+EDGE_COMMANDS = (["validate"], ["beam"], ["rates"], ["phat"], ["region"],
+                 ["sweep", "--grid", "21x9"], ["figure", "2"], ["figure", "3"],
+                 ["figure", "4"], ["figure", "5", "--grid", "21x9"])
+EDGE_BUDGETS = (5e-324, 1e-300, 1.0, 1e300, 9e307)
+EDGE_RATIOS = (0.0, 1.0, 1e10)  # PR / P
+
+
+def _edge_run(capsys, tmp_path, argv):
+    """(exit code, stderr) of one in-process run, a RuntimeWarning raised
+    as an error; a run that fails writes no output."""
+    out_path = tmp_path / "edge.csv"
+    if argv[0] != "validate":
+        argv = [*argv, "--out", str(out_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv)
+    if code == 0:
+        out_path.unlink(missing_ok=True)
+    else:
+        assert out == "" and not out_path.exists()
+    return code, err
+
+
+@pytest.mark.parametrize("command", EDGE_COMMANDS,
+                         ids=[" ".join(c[:2]) for c in EDGE_COMMANDS])
+def test_budgets_at_both_ends_run_or_are_refused_by_name(tmp_path, capsys,
+                                                         command):
+    # every subcommand over P in EDGE_BUDGETS x PR / P in EDGE_RATIOS,
+    # where PR is a float: a run succeeds, or exits 1 naming a budget, or
+    # exits 2 with a domain error; it never raises or warns. Sweeps run
+    # their budget from --p-db-range, with PR = P unless pinned
+    sweeps = command[0] == "sweep" or command[1:2] in (["4"], ["5"])
+    for P, ratio in itertools.product(EDGE_BUDGETS, EDGE_RATIOS):
+        PR = ratio * P
+        if math.isinf(PR):
+            continue
+        if sweeps:
+            db = 10.0 * math.log10(P)
+            argv = [*command, f"--p-db-range={db!r}:{db!r}:1"]
+            argv += [] if ratio == 1.0 else [f"--PR={PR!r}"]
+        else:
+            argv = [*command, f"--P={P!r}", f"--PR={PR!r}"]
+        code, err = _edge_run(capsys, tmp_path, argv)
+        if code == 1:
+            assert " P = " in err, argv
+        elif code == 2:
+            name = err.split(":")[1].strip()
+            assert issubclass(getattr(imrc.errors, name), imrc.ImrcError)
+        else:
+            assert code == 0, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--P", "1", "--PR", "1e300", "--p1", "0.9999999999999999"],
+    ["sweep", "--PR", "1e298", "--p-db-range=-100:-100:1"],
+    ["figure", "4", "--PR", "1e298", "--p-db-range=-100:-100:1"],
+    ["phat", "--P", "0", "--PR", "1e308"],
+], ids=["rates", "sweep", "figure4", "phat-P0"])
+def test_radicand_past_the_float_limit_is_usage_error(tmp_path, capsys, argv):
+    # PR / P is finite but the radicand's rho_i PR / (P - p_i) ||hRj||^2
+    # is not: rates exited 1 with "R1 must be finite", sweep exited 2 with
+    # NoFeasiblePoint and figure 4 wrote empty cells, after RuntimeWarnings
+    code, err = _edge_run(capsys, tmp_path, argv)
+    assert code == 1
+    assert err.startswith("usage error: the zero-forcing radicand overflows")
 
 
 def test_figure3_at_huge_budgets_scales_the_smaller_run(tmp_path, capsys):

@@ -26,9 +26,9 @@ from imrc import (
     region_rho,
     sum_rate_allocation,
     taylor_coeffs,
+    validate,
 )
-from imrc.errors import ImrcError
-from imrc.search import _refuse_overflow
+from imrc.errors import ImrcError, NonFinite
 
 from helpers import (linearizable_setup, random_setup, reference_best_sign,
                      reference_regions, reference_sum_rate_allocation,
@@ -330,12 +330,12 @@ def test_batched_closed_form_matches_per_split_reference():
 
 
 def _least_refused_budget(setup):
-    """The least P, with PR = P, that the search refuses as too large, by
+    """The least P, with PR = P, that validate refuses as too large, by
     bisection between 1 and the largest float."""
     def refused(P):
         try:
-            _refuse_overflow(replace(setup, P=P, PR=P))
-        except ValueError:
+            validate(replace(setup, P=P, PR=P))
+        except NonFinite:
             return True
         return False
 

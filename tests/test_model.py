@@ -1,6 +1,7 @@
 """Channel/allocation containers, validation, and the channel-file parser."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -89,6 +90,37 @@ def test_validate_rejects_negative_power():
         kwargs[field] = -0.1
         with pytest.raises(NegativePower):
             validate(ChannelSetup(**kwargs))
+
+
+def test_validate_bounds_the_radicand_at_its_least_remaining_power():
+    # the kernel forms rho_i PR / (P - p_i) ||hRj||^2. On the paper example
+    # at P = 1, PR = 1e300, (PR / P) ||hR2||^2 = 5e300 is finite, but at
+    # p1 = 1 - 2^-53 the radicand is inf: validate refuses the pair
+    hole = replace(example_channel(), P=1.0, PR=1e300)
+    assert zf_radicand(hole, 1, 1.0, 1.0 - 0.9999999999999999)[0] == math.inf
+    with pytest.raises(NonFinite, match=r"^the zero-forcing radicand "
+                       r"overflows: PR = 1e\+300, P = 1\.0$"):
+        validate(hole)
+    # a float p_i < P leaves P - p_i >= 2^-53 P, so with ||hRj||^2 = 1 the
+    # largest PR / P admitted is the largest float over 2^53, and at it
+    # the least P - p_i gives a finite radicand
+    unit = replace(example_channel(), hR1=(1.0, 0.0), hR2=(0.0, 1.0), P=1.0)
+    top = math.ldexp(sys.float_info.max, -53)
+    assert validate(replace(unit, PR=top)).PR == top
+    assert math.isfinite(zf_radicand(replace(unit, PR=top), 1, 1.0,
+                                     math.ldexp(1.0, -53))[0])
+    with pytest.raises(NonFinite, match="radicand overflows"):
+        validate(replace(unit, PR=math.nextafter(top, math.inf)))
+    # at P = 0 the kernel puts 1 in the place of P - p_i: PR ||hRj||^2
+    # must be finite, here with ||hRj||^2 = 2 (parallel columns, det = 0)
+    twin = replace(example_channel(), hR1=(1.0, 1.0), hR2=(1.0, 1.0), P=0.0)
+    half = sys.float_info.max / 2.0
+    assert validate(replace(twin, PR=half)).PR == half
+    with pytest.raises(NonFinite, match="radicand overflows"):
+        validate(replace(twin, PR=math.nextafter(half, math.inf)))
+    # zero relay columns leave no radicand to bound
+    bare = replace(example_channel(), hR1=(0.0, 0.0), hR2=(0.0, 0.0))
+    assert validate(replace(bare, P=1.0, PR=1e300)).PR == 1e300
 
 
 def test_allocation_validation():

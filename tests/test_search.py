@@ -124,6 +124,11 @@ PARALLEL_UPLINKS = replace(EX, g2R=(0.20170854271356783, 0.40341708542713567),
     # from budgets near 2e154, in the search and in the MAC sum cap alike
     pytest.param(lambda: (replace(EX, g1R=(0.0, 0.0), P=1e160, PR=1e160),
                           GridSpec(n_p=7, n_rho=3)), id="zero-g1R-1e160"),
+    # h12 = 1e-160 squares to c = 1e-320: _peak's r* = K w / c overflowed,
+    # a RuntimeWarning, before the clip to the interval replaced it
+    pytest.param(lambda: (replace(EX, h12=1e-160, P=1.0, PR=1.0),
+                          GridSpec(n_p=7, n_rho=3)), id="tiny-cross-gain",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ])
 def test_grid_search_matches_brute_force(case):
     setup, grid = case()
@@ -617,13 +622,13 @@ def test_budget_near_the_float_limit_is_refused(P):
     # and the search's scale: the search reported NoFeasiblePoint, and the
     # budget is now refused by name before searching
     message = re.escape(f"budget P = {P!r} is too large")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(NonFinite, match=message):
         grid_search_sum_rate(replace(EX, P=P, PR=P), GridSpec(n_p=41, n_rho=9))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(NonFinite, match=message):
         sweep_P(EX, [P])
     # figure 4's search searched on, and figure 4 wrote the closed form's
     # overflowed phat1 / P = 1 beside it
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(NonFinite, match=message):
         best_p1(replace(EX, P=P, PR=P), 0.5)
 
 
@@ -633,15 +638,15 @@ def test_repeat_signal_past_the_float_limit_is_refused():
     # "R1 must be finite", and the grid search returned 1020.64 bits
     strong = replace(EX, h11=10.0)
     message = re.escape("budget P = 1e+307 is too large")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(NonFinite, match=message):
         grid_search_sum_rate(replace(strong, P=1e307, PR=1e307),
                              GridSpec(n_p=41, n_rho=9))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(NonFinite, match=message):
         sweep_P(strong, [1e307])
     # det(H) = -16, ||hRj||^2 = 16: the boundary power rho_i PR det(H)^2 /
     # ||hRj||^2 is finite, but its product before the division was not
     wide = replace(EX, h11=0.01, h22=0.01, hR1=(0.0, 4.0), hR2=(4.0, 0.0))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(NonFinite, match=message):
         sweep_P(wide, [1e307])
 
 
@@ -651,6 +656,23 @@ def test_relay_ratio_past_the_float_limit_is_refused():
     setup = replace(load_channel(DET_NONZERO), P=1e-300, PR=1e10)
     with pytest.raises(NonFinite, match=re.escape("PR / P overflows")):
         grid_search_sum_rate(setup, GridSpec(n_p=41, n_rho=9))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radicand_past_the_float_limit_is_refused():
+    # PR / P is finite, but the radicand's rho_i PR / (P - p_i) ||hRj||^2
+    # is not: at P = 0 the kernel's PR ||hR2||^2 = 5e308, and at P = 1e-10
+    # with PR = 1e298 its 2^53 (PR / P) ||hR2||^2. The search printed
+    # RuntimeWarnings and best_p1 read NaN from 0 * inf; validate now
+    # refuses both, and every search validates
+    message = "the zero-forcing radicand overflows"
+    with pytest.raises(NonFinite, match=message):
+        grid_search_sum_rate(replace(EX, P=0.0, PR=1e308),
+                             GridSpec(n_p=41, n_rho=9))
+    with pytest.raises(NonFinite, match=message):
+        sweep_P(EX, [1e-10], SweepPolicy(PR=1e298))
+    with pytest.raises(NonFinite, match=message):
+        best_p1(replace(EX, P=1e-10, PR=1e298), 0.5)
 
 
 def test_budget_below_the_float_limit_keeps_its_result():

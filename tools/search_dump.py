@@ -20,13 +20,16 @@ the same way on the 2x1, 3x2, 17x5, 65x7 and 129x5 grids (one to 17 blocks
 of 8, padded to whole blocks and groups): one channel at P in {0, 5e-324,
 1e-300, 1e160, 1e250} x PR/P in {0, 1/100, 1, 100}, and at P = PR = 1 with
 a zero hR2, with parallel relay columns, and with g1R = 0 and h12 = 0
-(every p1 ties); and at P = 1, PR = 1/4 with hR2 = (1, 0), where user 1's
+(every p1 ties); at P = 1, PR = 1/4 with hR2 = (1, 0), where user 1's
 radicand is exactly 0 at rho1 = p1 = 1/2, a cell of the 17x5, 65x7 and
-129x5 grids. Last, the low-power layer of the paper example and of
-tests/golden/channel_det_nonzero.txt at P = PR in {1e-3, 1, 1e200}, at
-rho1 in {0.2, 0.5, 0.8} and every sign pair: taylor_coeffs (mu, nu and S of
+129x5 grids; and at the budget domain's edges: P = 1e-10 with PR = 1e298,
+where the radicand's term overflows, and P = 0 with PR = 1e308, where on
+this channel it does not. Last, the low-power layer of the paper example
+and of tests/golden/channel_det_nonzero.txt at P = PR in {1e-3, 1, 1e200},
+at rho1 in {0.2, 0.5, 0.8} and every sign pair: taylor_coeffs (mu, nu and S of
 each user), closed_form_phat, linearized_rates at p1 = p2 = P/3 and both
-users' approx_beam_vector at p1 = p2 = P/2. A refused input prints the
+users' approx_beam_vector at p1 = p2 = P/2. Every search validates its
+setup first, as its public callers do. A refused input prints the
 exception's name, an overflow's too.
 """
 
@@ -105,19 +108,22 @@ def _edge_channels(imrc):
     yield "parallel-relay", replace(base, hR2=(-0.65, -1.3))
     yield "g1R=0 h12=0", replace(base, g1R=(0.0, 0.0), h12=0.0)
     yield "zero-radicand", replace(base, hR2=(1.0, 0.0), PR=0.25)
+    yield "P=1e-10 PR=1e298", replace(base, P=1e-10, PR=1e298)
+    yield "P=0.0 PR=1e308", replace(base, P=0.0, PR=1e308)
 
 
 def _search_lines(imrc, label: str, setup, grids):
-    """Every search of one channel: _search with and without the zoom on
-    each grid, grid_search_sum_rate on the default grid, and best_p1 at
-    each split."""
+    """Every search of one channel: _search, after validate, with and
+    without the zoom on each grid, grid_search_sum_rate on the default
+    grid, and best_p1 at each split."""
     from imrc.search import _search, best_p1
 
     for n_p, n_rho in grids:
         grid = imrc.GridSpec(n_p=n_p, n_rho=n_rho)
         for refine in (False, True):
-            line = _attempt(lambda: _alloc(_search(setup, grid, refine)),
-                            imrc.ImrcError)
+            line = _attempt(
+                lambda: _alloc(_search(imrc.validate(setup), grid, refine)),
+                imrc.ImrcError)
             print(f"{label} search {n_p}x{n_rho} refine={refine}: {line}")
 
     def oracle():
