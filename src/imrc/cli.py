@@ -94,8 +94,8 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.bool_, np.integer)):  # bool is an int
         return str(int(value))
-    if math.isnan(value):
-        return ""  # undefined here
+    if not math.isfinite(value):
+        return ""  # undefined here, or past the largest float
     return format(float(value), ".12g")
 
 

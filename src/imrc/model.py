@@ -163,7 +163,10 @@ def validate(setup: ChannelSetup) -> ChannelSetup:
     rho_i PR / (P - p_i) ||hRj||^2 at its least P - p_i, which is at least
     2^-53 P for a float p_i < P (the kernel puts 1 in its place at P = 0).
     A zero hRj leaves user i no signal. Raises NonFinite, which names the
-    budgets where one of their products overflows, or NegativePower."""
+    budgets where one of their products overflows, or NegativePower. An
+    overflow of PR det(H)^2, or of a repeat-signal bound whose relay term
+    |det(H)| sqrt(PR / ||hRj||^2) is larger than its direct term
+    |a_i| sqrt(P), names PR, unless PR = P, where the one budget is P."""
     for name in _KEYS:
         value = getattr(setup, name)
         labeled = ([(f"{name}[0]", value[0]), (f"{name}[1]", value[1])]
@@ -187,15 +190,22 @@ def validate(setup: ChannelSetup) -> ChannelSetup:
         raise NonFinite(f"PR / P overflows: PR = {setup.PR!r}, P = {setup.P!r}")
     gain = max(setup.g1R_norm2, setup.g2R_norm2, setup.h12 ** 2,
                setup.h21 ** 2)
-    # the repeat-signal bounds' square roots, of each user with a signal
-    roots = [abs(own_gain(setup, user, 1, 0.0)) * math.sqrt(setup.P)
-             + abs(setup.hR_det) / math.sqrt(norm2) * math.sqrt(setup.PR)
+    # the repeat-signal bounds' square roots, of each user with a signal,
+    # as their direct and relay terms; for each bound that overflows,
+    # whether its relay term is the larger
+    terms = [(abs(own_gain(setup, user, 1, 0.0)) * math.sqrt(setup.P),
+              abs(setup.hR_det) / math.sqrt(norm2) * math.sqrt(setup.PR))
              for user, norm2 in ((1, setup.hR2_norm2), (2, setup.hR1_norm2))
              if norm2 > 0.0]
-    if (math.isinf(gain * setup.P) or any(math.isinf(r * r) for r in roots)
-            or math.isinf(setup.PR * setup.hR_det * setup.hR_det)):
+    relay = [x < y for x, y in terms if math.isinf((x + y) * (x + y))]
+    by_pr = any(relay) or math.isinf(setup.PR * setup.hR_det * setup.hR_det)
+    if (math.isinf(gain * setup.P) or not all(relay)
+            or by_pr and setup.PR == setup.P):  # PR = P: one budget, named P
         raise NonFinite(f"budget P = {setup.P!r} is too large: ||g_iR||^2 "
                         "P, h_ji^2 P or a repeat signal overflows")
+    if by_pr:
+        raise NonFinite(f"budget PR = {setup.PR!r} is too large for P = "
+                        f"{setup.P!r}: PR det(H)^2 or a relay term overflows")
     # the radicand's term at the least P - p_i; inf * 0 = NaN passes where
     # both relay columns are zero
     term = 2.0 ** 53 * (setup.PR / setup.P) if setup.P > 0.0 else setup.PR

@@ -84,16 +84,17 @@ reduction per rho1 then takes the best value and the least cell index
 reaching it. Units and blocks lie on the innermost axis of a (side, side,
 unit) array, so each ufunc loop runs over many of them rather than 8.
 
-The zoom stage advances the windows of all rho1 together, one evaluation
-per round, each window sampled by np.linspace. A window's cells from a
-round of half-width h on lie in its hull, within h + h/10 + ... <
-h (1 + 1/9) of its center (_hull), and _box_bound on that hull gives a
-bound U. Before a round of more than two windows, a window is dropped
+The zoom stage selects its windows once, then advances all of them
+together, one evaluation per round, each window sampled by np.linspace.
+A window's cells over all rounds lie in its hull, within h + h/10 + ... <
+h (1 + 1/9) of its center, h the first half-width (_hull), and _box_bound
+on that hull gives a bound U. Before the first round, a window is dropped
 when U < max(best), as it cannot win the argmax, or U <= its own best, as
-only a strictly better cell replaces that. det(H) = 0 is stored exactly,
-so f_ii then has no rho1 or sign term: windows with one start and a hull
-feasible for both users tie throughout, and only the first, which the
-argmax keeps on a tie, is zoomed.
+only a strictly better cell replaces that; the hull holds every round,
+so no round bounds again. det(H) = 0 is stored exactly, so f_ii then has
+no rho1 or sign term: windows with one start and a hull feasible for both
+users tie throughout, and only the first, which the argmax keeps on a
+tie, is zoomed.
 """
 
 from __future__ import annotations
@@ -456,7 +457,7 @@ def _window_rows(P: float, c: np.ndarray, half: float) -> np.ndarray:
 def _hull(P: float, c: np.ndarray, half: float) -> tuple:
     """The hull of each window c[w] +/- half, c +/- half (1 + 1/9)
     clipped to [0, P], as its least and largest p: it holds the window's
-    cells from this round on (module docstring)."""
+    cells from the first round on (module docstring)."""
     reach = half * (1.0 + 1.0 / (_ZOOM_SHRINK - 1))  # > 1 + 1/10 + ...
     return np.maximum(0.0, c - reach), np.minimum(P, c + reach)
 
@@ -468,44 +469,40 @@ def _zoom(setup: ChannelSetup, rho1: np.ndarray, n1: int, n2: int,
     sign block by a deterministic zoom: re-grid +/- half on both axes
     around the current center (_window_rows), move the center to the
     window's first argmax by _best, shrink the half-width to the new
-    spacing, repeat. Only a strictly better cell replaces the best. A
-    window is not zoomed while its value is 0 or it cannot change the
-    first argmax of best (module docstring). Returns best, p1, p2 and the
-    window-rounds."""
+    spacing, repeat. Only a strictly better cell replaces the best. The
+    windows are selected once, before the first round: one whose value is
+    0, whose _hull bound cannot change the first argmax of best, or that
+    is a later det(H) = 0 twin is not zoomed (module docstring). Returns
+    best, p1, p2 and the window-rounds."""
     best, best1, best2 = value.copy(), c1.copy(), c2.copy()
     c1, c2 = c1.copy(), c2.copy()
     live = np.flatnonzero(value > 0.0)
-    runs = 0
-    for round_ in range(_ZOOM_ROUNDS):
-        if len(live) > 2:  # two windows zoom faster than they are bounded
-            lo1, hi1 = _hull(setup.P, c1[live], half)
-            lo2, hi2 = _hull(setup.P, c2[live], half)
-            bound = _box_bound(setup, rho1[live], lo1, hi1, lo2, hi2)
-            keep = (bound >= best.max()) & (bound > best[live])
-            if round_ == 0 and setup.hR_det == 0.0:
-                # feasibility never falls as p_i grows: a hull feasible
-                # for both users at its least powers is wholly feasible
-                rho = rho1[live]
-                twins = np.flatnonzero(_signal(setup, 1, rho, 1, lo1)[1]
-                                       & _signal(setup, 2, rho, 1, lo2)[1])
-                _, first = np.unique(np.stack([c1, c2], axis=1)[live[twins]],
-                                     axis=0, return_index=True)
-                keep[np.delete(twins, first)] = False  # the later twins
-            live = live[keep]
-        if not len(live):
-            break
-        runs += len(live)
+    rho = rho1[live]
+    lo1, hi1 = _hull(setup.P, c1[live], half)
+    lo2, hi2 = _hull(setup.P, c2[live], half)
+    bound = _box_bound(setup, rho, lo1, hi1, lo2, hi2)
+    keep = (bound >= best.max()) & (bound > best[live])
+    if setup.hR_det == 0.0:
+        # feasibility never falls as p_i grows: a hull feasible for both
+        # users at its least powers is wholly feasible
+        twins = np.flatnonzero(_signal(setup, 1, rho, 1, lo1)[1]
+                               & _signal(setup, 2, rho, 1, lo2)[1])
+        _, first = np.unique(np.stack([c1, c2], axis=1)[live[twins]],
+                             axis=0, return_index=True)
+        keep[np.delete(twins, first)] = False  # the later twins
+    live = live[keep]
+    window = np.arange(len(live))
+    for _ in range(_ZOOM_ROUNDS):
         p1w = _window_rows(setup.P, c1[live], half)
         p2w = _window_rows(setup.P, c2[live], half)
         top, at = _best(setup, rho1[live], n1, n2, p1w, p2w)
         i, j = np.divmod(at, _ZOOM_POINTS)
-        window = np.arange(len(live))
         c1[live], c2[live] = p1w[i, window], p2w[j, window]
         gain = top > best[live]
         won = live[gain]
         best[won], best1[won], best2[won] = top[gain], c1[won], c2[won]
         half /= _ZOOM_SHRINK
-    return best, best1, best2, runs
+    return best, best1, best2, _ZOOM_ROUNDS * len(live)
 
 
 def _search(setup: ChannelSetup, grid: GridSpec, refine: bool

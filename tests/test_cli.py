@@ -407,6 +407,20 @@ def test_figure3_at_huge_budgets_scales_the_smaller_run(tmp_path, capsys):
     assert float(line.split("=")[1]) == pytest.approx(crossing, rel=1e-11)
 
 
+def test_figure3_near_the_float_limit_writes_no_inf(tmp_path, capsys):
+    # ||g1R||^2 p1 / ln 2 is past the largest float from p1 / P = 0.77 on,
+    # inside the budget domain: the r1_mac column held 23 "inf" cells, and
+    # a value past the largest float is now an empty cell, as undefined
+    out_path = tmp_path / "fig3.csv"
+    code, _, err = run(capsys, "figure", "3", "--P", "9e307", "--PR", "9e307",
+                       "--out", str(out_path))
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(out_path.read_text().splitlines()[1:]))
+    assert len(rows) == 100
+    assert not any("inf" in cell for row in rows for cell in row)
+    assert sum(row[1] == "" for row in rows) == 23
+
+
 def test_figure2_at_huge_budgets_matches_unit_budgets(tmp_path, capsys):
     # approx_beam_vector's P ** 2 raised OverflowError, a traceback, from
     # P ~ 1.3e154; the beam vectors depend on P and PR only through PR / P

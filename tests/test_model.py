@@ -1,6 +1,7 @@
 """Channel/allocation containers, validation, and the channel-file parser."""
 
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -121,6 +122,28 @@ def test_validate_bounds_the_radicand_at_its_least_remaining_power():
     # zero relay columns leave no radicand to bound
     bare = replace(example_channel(), hR1=(0.0, 0.0), hR2=(0.0, 0.0))
     assert validate(replace(bare, P=1.0, PR=1e300)).PR == 1e300
+
+
+def test_validate_names_the_relay_budget_where_it_overflows():
+    # det(H) = -2 with P = 0: PR det(H)^2 and the repeat signals' relay
+    # terms overflow, and the refusal said "budget P = 0.0 is too large"
+    cross = replace(example_channel(), hR1=(1.0, 1.0), hR2=(1.0, -1.0))
+    with pytest.raises(NonFinite, match=r"^budget PR = 1e\+308 is too large "
+                       r"for P = 0\.0: "):
+        validate(replace(cross, P=0.0, PR=1e308))
+    # ||hR2||^2 = 1/4: user 1's relay term |det(H)| sqrt(PR / ||hR2||^2)
+    # overflows when squared, PR det(H)^2 = 8e307 does not
+    thin = replace(example_channel(), hR1=(0.0, 4.0), hR2=(0.5, 0.0))
+    with pytest.raises(NonFinite, match=r"^budget PR = 2e\+307 is too large "
+                       r"for P = 0\.0: "):
+        validate(replace(thin, P=0.0, PR=2e307))
+    # where PR = P the two are one budget, named P, though only PR det(H)^2
+    # overflows here; and a direct term |a_1| sqrt(P) names P
+    for setup in (replace(cross, P=5e307, PR=5e307),
+                  replace(example_channel(), h11=10.0, P=1e307, PR=0.0)):
+        with pytest.raises(NonFinite, match="^" + re.escape(
+                f"budget P = {setup.P!r} is too large: ")):
+            validate(setup)
 
 
 def test_allocation_validation():

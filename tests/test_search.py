@@ -985,7 +985,7 @@ def test_best_p1_crossing_without_cancellation():
 def test_zoom_skips_most_window_rounds(P, monkeypatch):
     # a count, not a timing: on the paper example at -10 dB and 0 dB the
     # window bounds and the det(H) = 0 rule leave at most 10% of the
-    # window-rounds an unpruned zoom runs (11 and 5 of 297)
+    # window-rounds an unpruned zoom runs (24 and 9 of 297)
     counts = []
 
     def both(*args):
@@ -997,6 +997,31 @@ def test_zoom_skips_most_window_rounds(P, monkeypatch):
     _search(replace(EX, P=P, PR=P), GridSpec(), refine=True)
     (runs, unpruned), = counts
     assert runs <= 0.1 * unpruned
+
+
+@pytest.mark.parametrize("P", [0.1, 1.0])
+def test_zoom_bounds_its_windows_once(P, monkeypatch):
+    # the round-0 hull holds a window's cells of every round, so the zoom
+    # bounds its windows in one _box_bound call before the first round and
+    # none inside the loop; on the paper example at -10 dB and 0 dB more
+    # than two windows pass that bound, so a zoom that bounded every round
+    # of more than two windows would call it twice
+    calls, counts = [], []
+
+    def bound(*args):
+        calls.append(args)
+        return _box_bound(*args)
+
+    def zoom(*args):
+        before = len(calls)
+        result = _zoom(*args)
+        counts.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(search_module, "_box_bound", bound)
+    monkeypatch.setattr(search_module, "_zoom", zoom)
+    _search(replace(EX, P=P, PR=P), GridSpec(), refine=True)
+    assert counts == [1]
 
 
 # Sizing sample: 60 channels (seeds 7000-7059) gave a largest continuous
