@@ -62,22 +62,36 @@ cell. Feasibility never falls as p_i grows, so a user's interval is live
 exactly when the kernel finds its largest power feasible. All groups are
 bounded first. The best cell of the top-bound block of each rho1's
 top-bound group sets an incumbent; then, in the groups whose bound
-reaches the incumbent, every block whose bound reaches it is evaluated
-and counted, the first-pass block again when it does. A block's cells
-are evaluated by _best on its 8 + 8 powers, so each cell's value is the
-one a full grid gives, bit for bit. There are two incumbents:
+reaches the incumbent, every block whose bound reaches it is evaluated.
+Each block is evaluated once: the first-pass block's value and cell join
+the reduction below, where the main pass would evaluate it again. A
+block's cells are evaluated by _best on its 8 + 8 powers, so each cell's
+value is the one a full grid gives, bit for bit. There are two
+incumbents:
 - unrefined (grid_search_sum_rate, SweepPolicy(refine=False)), G = 4.
   Only the first argmax over all rho1 is read, so the incumbent is the
-  largest first-pass value over all rho1 (inf when none is feasible), a
-  cell's value and so at most the maximum. A block that holds the
-  maximum, and its group, have bounds of at least the maximum, so that
-  block is evaluated; other rows may keep less than their best, or
-  nothing, and np.argmax over rows still takes the least rho1;
-- refined, G = 1, so a group is a block. Each rho1's best cell starts a
-  zoom, so each rho1 keeps its own first-pass value as its incumbent and
-  finds its own best. That value must come from its own top-bound block:
-  the top block of a larger group is a weaker incumbent, and more blocks
-  pass it (G = 4 evaluates 1.5 times as many on the sweep benchmark).
+  largest first-pass value over all rho1, a cell's value and so at most
+  the maximum. A block that holds the maximum, and its group, have
+  bounds of at least the maximum, so that block is evaluated; other rows
+  may keep less than their best, or nothing, and np.argmax over rows
+  still takes the least rho1;
+- refined, G = 1, so a group is a block, and blocks are closed: each
+  runs from its own first power to the next block's, the last one to P,
+  so a rho1's blocks cover [0, P]^2 and bound every point the zoom can
+  sample. Let I be the best first-pass value. A rho1 whose bounds are
+  all below I is skipped, value 0, so _zoom never opens it: each of its
+  points, on the grid or off it, is below I, and I is at most the
+  maximum, which the zoom never lowers, so it can neither be the argmax
+  nor start a window that wins. (A det(H) = 0 twin of a skipped rho1
+  ties it, so it stays below I too.) Each other rho1's best cell starts a
+  zoom, so it keeps its own first-pass value as its incumbent and finds
+  its own best. That value must come from its own top-bound block: the
+  top block of a larger group is a weaker incumbent, and more blocks pass
+  it (G = 4 evaluated 1.5 times as many on the sweep benchmark). A closed
+  block whose only feasible point is the next block's first power is live
+  without a feasible cell (PR = 0 leaves only p_i = P, alone in the last
+  block when n_p - 1 is a multiple of 8): a rho1 whose first-pass value
+  is 0 takes every block with a positive bound.
 Either way a skipped block cannot hold a maximum that is read, and a tie
 is still evaluated: each block keeps its first row-major maximum, and one
 reduction per rho1 then takes the best value and the least cell index
@@ -361,19 +375,20 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
     """Best cell of the (n1, n2) block for every rho1 on the grid pv x pv
     (pv ascending): the linear value (0 when no block was evaluated), the
     first row-major argmax, and how many _BLOCK x _BLOCK blocks were
-    evaluated, all shaped (rho1,). Groups of size x size blocks are bounded
-    first: size = _GROUP when overall, else 1, as each rho1's incumbent
-    must then be its own top-bound block. The incumbent is the best cell
-    of the top-bound block of its rho1's top-bound group or, when overall,
-    the largest such value over all rho1; then only the first argmax over
-    (rho1, cell) is sure to be found, and the other rows' values may fall
-    short of their best (see the module docstring for why either, and
-    branch_sign's block, is exact). evaluated counts the blocks whose
-    bound reaches the incumbent; the first-pass block is evaluated again
-    among them when its bound reaches it, always unless overall. Groups
-    and blocks are bounded by _box_bound on their edges in the padded grid;
-    a block's cells are evaluated by _best on its 8 + 8 powers, bit for
-    bit as on a full grid."""
+    evaluated, each once, all shaped (rho1,). Groups of size x size blocks
+    are bounded first: size = _GROUP when overall, else 1, as each rho1's
+    incumbent must then be its own top-bound block. The incumbent is the
+    best cell of the top-bound block of its rho1's top-bound group or,
+    when overall, the largest such value over all rho1; then only the
+    first argmax over (rho1, cell) is sure to be found, and the other
+    rows' values may fall short of their best. Unless overall, blocks are
+    closed, to the next block's first power and the last to P, and a rho1
+    whose bound is below the best incumbent is skipped: it gets value 0,
+    and every rho1 that is kept gets its best (see the module docstring
+    for why either, and branch_sign's block, is exact). Groups and blocks
+    are bounded by _box_bound on their edges in the padded grid; a block's
+    cells are evaluated by _best on its 8 + 8 powers, bit for bit as on a
+    full grid."""
     n, b, n_rho = len(pv), _BLOCK, len(rhos)
     size = _GROUP if overall else 1
     span = -(-n // (size * b)) * size * b  # cells a side, in whole groups
@@ -384,6 +399,10 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
     (lo, hi), (glo, ghi) = ((pp[::w],
                              np.fmax.reduceat(pp, np.arange(0, span, w)))
                             for w in (b, size * b))
+    if not overall:  # closed blocks, none wholly past pv; closing the
+        # unrefined search's too read grid 1.079x as slow (tools/ab_time.py,
+        # seed 5151, 20 rounds; A/A 1.004)
+        ghi = np.append(glo[1:], setup.P)
 
     # every group, shaped (group row, group column, rho1), then (rho1, group)
     gbound = _box_bound(setup, rhos, glo[:, None, None], ghi[:, None, None],
@@ -419,30 +438,38 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
                                       pp[col[c] * b + np.arange(b)[:, None]])
         return best, (row * b + first // b) * n + col * b + first % b
 
-    # first pass: the best cell of the top-bound block of each rho1's
-    # top-bound group (none for a rho1 with no feasible cell) sets the
-    # incumbent, inf when nothing is feasible
-    k = np.flatnonzero(gbound.max(axis=1) > 0.0)
+    # first pass in every rho1 with a positive bound; unless overall, a rho1
+    # whose bound is below the best incumbent is then skipped (reach inf).
+    # A closed top block may hold no feasible cell: its rho1 then takes
+    # every block with a feasible cell, whose bound reaches the least
+    # positive double.
+    live = gbound.max(axis=1)
+    k = np.flatnonzero(live > 0.0)
     bound, block = members(k, gbound.argmax(axis=1)[k])
-    top = block[bound.argmax(axis=0), np.arange(len(k))]
-    incumbent = np.zeros(n_rho)
-    incumbent[k] = evaluate(k, top)[0]
-    reach = np.where(incumbent > 0.0,
-                     incumbent.max() if overall else incumbent, np.inf)
+    first = np.full(n_rho, -1)
+    first[k] = block[bound.argmax(axis=0), np.arange(len(k))]
+    incumbent, at = np.zeros(n_rho), np.zeros(n_rho, dtype=np.intp)
+    incumbent[k], at[k] = evaluate(k, first[k])
+    reach = np.maximum(5e-324, np.full(n_rho, incumbent.max()) if overall
+                       else np.where(live >= incumbent.max(), incumbent,
+                                     np.inf))
     # main pass, in (rho1, group, block) order: every block whose bound
-    # reaches the incumbent, in a group whose bound reaches it
+    # reaches the incumbent, in a group whose bound reaches it, the
+    # first-pass block by its first-pass result
     k, g = np.divmod(np.flatnonzero(gbound >= reach[:, None]), ng * ng)
     bound, block = members(k, g)
     i, j = np.nonzero((bound >= reach[k]).T)
     k, block = k[i], block[j, i]
-    best, cell = evaluate(k, block)
+    new = block != first[k]
+    best, cell = incumbent[k], at[k]
+    best[new], cell[new] = evaluate(k[new], block[new])
     # per rho1: the best value, then the least cell index reaching it
     head = np.flatnonzero(np.diff(k, prepend=-1))
     value, arg = np.zeros(n_rho), np.zeros(n_rho, dtype=np.intp)
     value[k[head]] = np.maximum.reduceat(best, head)
     arg[k[head]] = np.minimum.reduceat(
         np.where(best == value[k], cell, n * n), head)
-    return value, arg, np.bincount(k, minlength=n_rho)
+    return value, arg, np.bincount(k[new], minlength=n_rho) + (first >= 0)
 
 
 def _window_rows(P: float, c: np.ndarray, half: float) -> np.ndarray:

@@ -282,6 +282,18 @@ def test_best_matches_reference_boxes(kind, count):
         assert best[-1] == first[-1] == 0
 
 
+def _assert_rows_kept_or_skipped(value, arg, top, first):
+    """The refined coarse stage's contract per rho1, against each rho1's
+    full-grid maximum top and first row-major argmax first: a rho1 it keeps
+    (value > 0) has both; a rho1 it skips (value 0) has a maximum below
+    value.max(); and every rho1 whose maximum is the overall one is kept."""
+    kept = value > 0.0
+    assert (value[kept] == top[kept]).all()
+    assert (arg[kept] == first[kept]).all()
+    assert (top[~kept] < value.max()).all()
+    assert kept[top == top.max()].all()
+
+
 def _sign_case(seed):
     """A random channel over 5 relay budgets, det(H) = 0 in 1 of 3 and
     h21 = 0 in 1 of 4, on a 41 x 9 or a 40 x 9 grid: 6 blocks of 8 with
@@ -309,8 +321,9 @@ def _all_sign_blocks(setup, pv, rhos):
 def test_feasible_cells_form_a_rectangle(seed):
     # each user's zero-forcing feasibility must not depend on the sign and
     # must never fall as p_i grows, so the feasible cells of a rho1 form the
-    # rectangle p1 >= k1, p2 >= k2, and the pruned coarse stage must find
-    # what a full evaluation of all four sign blocks finds
+    # rectangle p1 >= k1, p2 >= k2, and in every rho1 it keeps the pruned
+    # coarse stage must find what a full evaluation of all four sign blocks
+    # finds
     setup, pv, rhos = _sign_case(seed)
     rho1, signs = rhos[:, None, None, None], np.array([-1, 1])[:, None, None]
     for user, p in ((1, pv[:, None]), (2, pv[None, :])):
@@ -323,8 +336,8 @@ def test_feasible_cells_form_a_rectangle(seed):
         len(rhos), -1)
     value, arg, _ = _coarse(setup, rhos, pv, branch_sign(setup, 1),
                             branch_sign(setup, 2))
-    assert (arg[value > 0.0] == flat.argmax(axis=-1)[value > 0.0]).all()
-    assert (value == flat.max(axis=-1)).all()
+    _assert_rows_kept_or_skipped(value, arg, flat.max(axis=-1),
+                                 flat.argmax(axis=-1))
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -409,6 +422,46 @@ def test_block_bound_is_sound(case):
         assert ((bound == 0.0) == (top == 0.0)).all()
 
 
+@pytest.mark.parametrize("ratio", [0.0, 0.01, 0.25, 1.0, 100.0])
+def test_row_bound_covers_every_point(ratio, monkeypatch):
+    # the refined coarse stage skips a rho1 whose largest block bound is
+    # below the best first-pass value, and the zoom never opens it, so that
+    # bound must be at least the value of every point of [0, P]^2 at that
+    # rho1, on the grid or off it: 400 uniform points, and points in the
+    # gaps between one block's last power and the next block's first; 12
+    # random channels on a 41 x 19 grid, det(H) = 0 in 1 of 3, some with
+    # their optimum at p_i = P
+    bounds = []
+
+    def bound(*args):
+        bounds.append(_box_bound(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(search_module, "_box_bound", bound)
+    grid, at_budget = GridSpec(n_p=41, n_rho=19), 0
+    for seed in range(12):
+        rng = np.random.default_rng(5300 + seed)
+        P = float(10.0 ** rng.uniform(-3.0, 2.0))
+        setup = random_setup(rng, P=P, PR=ratio * P, det_zero=seed % 3 == 0)
+        pv, rhos = grid.p_values(P), grid.rho_values()
+        n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
+        bounds.clear()
+        _coarse(setup, rhos, pv, n1, n2)
+        assert len(bounds) == 1  # the blocks, shaped (row, column, rho1)
+        row = bounds[0].max(axis=(0, 1))
+        gaps = pv[_BLOCK - 1:-1:_BLOCK] + np.multiply.outer(
+            rng.uniform(size=2), np.diff(pv)[_BLOCK - 1::_BLOCK])
+        points = np.concatenate([rng.uniform(0.0, P, 20), gaps.ravel()])
+        value = reference_objective(setup, rhos[:, None, None], n1, n2,
+                                    points, points)
+        assert (value.max(axis=(1, 2)) <= row).all()
+        on_grid = reference_objective(setup, rhos[:, None, None], n1, n2,
+                                      pv, pv)
+        k, i, j = np.unravel_index(on_grid.argmax(), on_grid.shape)
+        at_budget += P in (pv[i], pv[j])
+    assert at_budget > 0
+
+
 def _workload_channel(seed):
     """The paper example and a random channel at P = 20 dB with PR = 100 P,
     then random channels over the PR/P mix, det(H) = 0 in 1 of 4."""
@@ -425,17 +478,18 @@ def _workload_channel(seed):
 @pytest.mark.parametrize("n_p", [101, 201])
 @pytest.mark.parametrize("seed", range(8))
 def test_coarse_prune_matches_full_grid(seed, n_p):
-    # at workload size, the pruned coarse stage gives every rho1 the value
-    # and the first row-major argmax of its full grid
+    # at workload size, the pruned coarse stage gives every rho1 it keeps
+    # the value and the first row-major argmax of its full grid, and skips
+    # only rho1 whose full grid falls short of the best
     setup = _workload_channel(seed)
     grid = GridSpec(n_p=n_p, n_rho=99)
     pv, rhos = grid.p_values(setup.P), grid.rho_values()
     n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
     value, arg, _ = _coarse(setup, rhos, pv, n1, n2)
-    for k, rho1 in enumerate(rhos):
-        full = reference_objective(setup, rho1, n1, n2, pv, pv).ravel()
-        assert value[k] == full.max()
-        assert value[k] == 0.0 or arg[k] == full.argmax()
+    full = [reference_objective(setup, rho1, n1, n2, pv, pv).ravel()
+            for rho1 in rhos]
+    _assert_rows_kept_or_skipped(value, arg, np.max(full, axis=1),
+                                 np.argmax(full, axis=1))
     # pruned against one overall incumbent, the first argmax over (rho1,
     # cell) is the same
     top, at, _ = _coarse(setup, rhos, pv, n1, n2, overall=True)
@@ -451,9 +505,9 @@ def test_coarse_prune_matches_full_grid(seed, n_p):
 def test_coarse_keeps_first_row_among_tied_rows(seed, overall):
     # g1R = 0 and h12 = 0: user 1's term is 1 at every p1 and nothing else
     # depends on p1, so all rows of a rho1 tie bit for bit, across block
-    # boundaries; the first row, p1 = 0, must win, for every rho1 or, when
-    # pruned against one overall incumbent, for the first argmax over
-    # (rho1, cell)
+    # boundaries; the first row, p1 = 0, must win, for every rho1 that is
+    # kept or, when pruned against one overall incumbent, for the first
+    # argmax over (rho1, cell)
     rng = np.random.default_rng(1800 + seed)
     P = float(10.0 ** rng.uniform(-2.0, 1.0))
     setup = replace(random_setup(rng, P=P, PR=(1.0, 100.0)[seed % 2] * P),
@@ -471,36 +525,57 @@ def test_coarse_keeps_first_row_among_tied_rows(seed, overall):
         assert (k, arg[k]) == np.unravel_index(full.argmax(), full.shape)
         assert arg[k] < len(pv)
         return
-    for k in range(len(rhos)):
-        assert value[k] == full[k].max()
-        assert value[k] == 0.0 or arg[k] == full[k].argmax() < len(pv)
+    _assert_rows_kept_or_skipped(value, arg, full.max(axis=1),
+                                 full.argmax(axis=1))
+    assert (arg[value > 0.0] < len(pv)).all()
+
+
+def _closed_bounds(setup, pv, rhos):
+    """The refined coarse stage's dense block bounds, shaped (rho1, block
+    row, block column): _box_bound on each block of 8 powers of pv, closed
+    from its first power to the next block's, the last one to P."""
+    lo = pv[::_BLOCK]
+    hi = np.append(lo[1:], setup.P)
+    return _box_bound(setup, rhos[:, None, None], lo[:, None], hi[:, None],
+                      lo, hi)
 
 
 def _expected_evaluated(setup, pv, rhos, overall):
-    """What _coarse counts, from the dense bounds: per rho1, the blocks
-    whose bound reaches the incumbent, the best cell of the top-bound
-    block of the rho1's top-bound group (of one block unless overall) or,
-    when overall, the largest such value over all rho1."""
+    """What _coarse counts, from the dense bounds: per rho1, every block it
+    evaluates, once. The first-pass block is the top-bound block of the
+    rho1's top-bound group, and its best cell is the rho1's incumbent.
+    The first pass runs in every rho1 with a positive bound. When overall,
+    groups are of _GROUP x _GROUP open blocks, and the main pass takes the
+    blocks whose bound reaches the best incumbent. Otherwise a group is one
+    closed block, a rho1 whose bound is below the best incumbent is
+    skipped, and the main pass takes the blocks of the others whose bound
+    reaches their own incumbent, every block with a positive bound where
+    that is 0."""
     n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
-    (blocks, nb), (groups, ng) = _level_bounds(setup, pv, rhos)
-    size = _GROUP if overall else 1
-    first = np.zeros(len(rhos))
-    for k, rho1 in enumerate(rhos):
-        if not blocks[k].any():
-            continue
-        if overall:
-            gr, gc = np.multiply(divmod(groups[k].argmax(), ng), size)
-        else:
-            gr, gc = divmod(blocks[k].argmax(), nb)
+    if overall:
+        (blocks, nb), (groups, ng) = _level_bounds(setup, pv, rhos)
+    else:
+        blocks = groups = _closed_bounds(setup, pv, rhos)
+        nb = ng = blocks.shape[-1]
+    size = nb // ng
+    live = groups.max(axis=(1, 2))
+    incumbent, first = np.zeros(len(rhos)), {}
+    for k in np.flatnonzero(live > 0.0):
+        gr, gc = np.multiply(divmod(groups[k].argmax(), ng), size)
         square = blocks[k, gr:gr + size, gc:gc + size]
-        br, bc = np.add(divmod(square.argmax(), size), (gr, gc)) * _BLOCK
+        br, bc = first[k] = np.add(divmod(square.argmax(), size), (gr, gc))
         cells = np.zeros((nb * _BLOCK,) * 2)
-        cells[:len(pv), :len(pv)] = reference_objective(setup, rho1, n1, n2,
-                                                        pv, pv)
-        first[k] = cells[br:br + _BLOCK, bc:bc + _BLOCK].max()
-    incumbent = np.full(len(rhos), first.max()) if overall else first
-    reach = np.where(incumbent > 0.0, incumbent, np.inf)
-    return (blocks >= reach[:, None, None]).sum(axis=(1, 2))
+        cells[:len(pv), :len(pv)] = reference_objective(setup, rhos[k], n1,
+                                                        n2, pv, pv)
+        incumbent[k] = cells[br * _BLOCK:(br + 1) * _BLOCK,
+                             bc * _BLOCK:(bc + 1) * _BLOCK].max()
+    best, least = incumbent.max(), 5e-324  # the least positive double
+    reach = np.maximum(least, np.full(len(rhos), best) if overall
+                       else np.where(live >= best, incumbent, np.inf))
+    count = (blocks >= reach[:, None, None]).sum(axis=(1, 2))
+    for k, (br, bc) in first.items():  # evaluated once, reaching or not
+        count[k] += blocks[k, br, bc] < reach[k]
+    return count
 
 
 @pytest.mark.parametrize("overall", [False, True])
@@ -514,10 +589,14 @@ def _expected_evaluated(setup, pv, rhos, overall):
                  id="rows-tied-at-sum-cap"),
     pytest.param(lambda: (replace(EX, PR=0.0), _BelowBudget(n_p=41, n_rho=9)),
                  id="nothing-feasible"),
+    # only p_i = P is feasible, the lone power of the last block: the
+    # closed block before it reaches P and is a top-bound block
+    pytest.param(lambda: (replace(EX, PR=0.0), GridSpec(n_p=41, n_rho=9)),
+                 id="top-block-infeasible"),
 ])
 def test_coarse_counts_blocks_reaching_the_incumbent(case, overall):
-    # evaluated counts each block once when its bound reaches the
-    # incumbent, the first-pass block included only then
+    # evaluated counts each block evaluated, once: the first-pass block
+    # always, any other when its bound reaches the incumbent
     setup, grid = case()
     pv, rhos = grid.p_values(setup.P), grid.rho_values()
     _, _, evaluated = _coarse(setup, rhos, pv, branch_sign(setup, 1),
@@ -529,7 +608,7 @@ def test_coarse_counts_blocks_reaching_the_incumbent(case, overall):
 def test_coarse_prunes_most_blocks(P):
     # a count, not a timing: on the paper example at -10 dB and 0 dB the
     # bounds rule out at least 80% of the blocks that hold a feasible cell
-    # (465 and 208 of 14,989 are evaluated)
+    # (433 and 178 of 14,989 are evaluated)
     setup = replace(EX, P=P, PR=P)
     pv, rhos = GridSpec().p_values(P), GridSpec().rho_values()
     n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
@@ -538,17 +617,18 @@ def test_coarse_prunes_most_blocks(P):
     assert evaluated.sum() <= 0.2 * live
 
 
-@pytest.mark.parametrize("P", [0.1, 1.0])
-def test_overall_incumbent_evaluates_fewer_blocks(P):
-    # a count, not a timing: pruning against the best first-pass value
-    # over all rho1 skips at least what each rho1's own value skips
-    # (-10 dB: 465 per split, 406 overall; 0 dB: 208 and 158)
-    setup = replace(EX, P=P, PR=P)
-    pv, rhos = GridSpec().p_values(P), GridSpec().rho_values()
-    n1, n2 = branch_sign(setup, 1), branch_sign(setup, 2)
-    per_split = _coarse(setup, rhos, pv, n1, n2)[2].sum()
-    overall = _coarse(setup, rhos, pv, n1, n2, overall=True)[2].sum()
-    assert overall <= per_split
+def test_refined_coarse_computes_about_half_the_blocks():
+    # a count, not a timing: over the workload channels at 101 x 99 the
+    # refined coarse stage computes 1,447 blocks, each once, 293 of them
+    # the first-pass blocks of rho1 it then skips; bounding open blocks and
+    # finding every rho1's best, the first-pass block evaluated again, it
+    # computed 2,762 (792 in the first pass, 1,970 in the main pass)
+    grid, total = GridSpec(n_p=101, n_rho=99), 0
+    for seed in range(8):
+        setup = _workload_channel(seed)
+        total += _coarse(setup, grid.rho_values(), grid.p_values(setup.P),
+                         branch_sign(setup, 1), branch_sign(setup, 2))[2].sum()
+    assert total <= 1447
 
 
 def _first_argmax(setup, grid):
@@ -710,13 +790,34 @@ def test_peak_is_sound_near_the_float_limit(P):
 
 def test_overall_incumbent_without_feasible_cell():
     # PR = 0 leaves no zero forcing below p_i = P: the first pass finds no
-    # incumbent, the reach is inf rather than 0, and no block is evaluated
+    # incumbent, the reach is the least positive double rather than 0, and
+    # no block is evaluated
     setup = replace(EX, PR=0.0)
     grid = _BelowBudget(n_p=41, n_rho=9)
     assert _search(setup, grid, refine=False) is None
     value, _, evaluated = _coarse(setup, grid.rho_values(),
                                   grid.p_values(setup.P), 1, 1, overall=True)
     assert not value.any() and not evaluated.any()
+
+
+@pytest.mark.parametrize("grid", [GridSpec(n_p=201, n_rho=99),
+                                  GridSpec(n_p=41, n_rho=199)],
+                         ids=["201x99", "41x199"])
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda: EX, id="det-zero"),
+    pytest.param(lambda: _zoom_case(5), id="det-nonzero"),
+])
+def test_refined_search_with_an_infeasible_top_block(case, grid):
+    # PR = 0 leaves zero forcing only at p_i = P, the last block's lone
+    # power (n_p - 1 is a multiple of 8), so the closed block before it
+    # reaches P and can be a rho1's top-bound block without a feasible
+    # cell; that rho1 must still be searched, and the refined search must
+    # return the unrefined one's cell, p1 = p2 = P, as the zoom finds no
+    # other feasible point
+    setup = replace(case(), PR=0.0)
+    refined = _search(setup, grid, refine=True)
+    assert refined == _search(setup, grid, refine=False)
+    assert refined.p1 == refined.p2 == setup.P
 
 
 PEAK_BUDGETS = (5e-324, 1e-300, 1e-3, 1.0, 30.0, 1e160, 1e250)

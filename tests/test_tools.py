@@ -88,19 +88,30 @@ def test_search_dump_prints_the_low_power_layer(capsys):
 
 def test_ab_time_reports_each_tree_against_the_first():
     # the repository's tree against itself, one round on two items of
-    # each pool: one row per pool and tree, the first tree's ratio 1
+    # each pool: one row per pool and tree, the first tree's ratio 1, and
+    # with --per-item each item's fastest time per tree after its pool's
+    # rows, the first tree's ratio 1, summing to the pool's row
     import imrc
 
     src = str(Path(imrc.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, str(TOOLS / "ab_time.py"), src, src, "--rounds", "1",
-         "--items", "2"], capture_output=True, text=True, timeout=300)
+         "--items", "2", "--per-item"], capture_output=True, text=True,
+        timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].split()[:4] == ["pool", "tree", "sum_min_ms", "ratio"]
     rows = [line.split() for line in lines[1:-1]]
-    assert [(row[0], row[1]) for row in rows] == [
-        (pool, tree) for pool in ("sweep", "grid") for tree in "01"]
-    ratios = [float(row[3]) for row in rows]
-    assert ratios[0] == ratios[2] == 1.0 and ratios[1] > 0 and ratios[3] > 0
+    assert [(row[0], row[1], row[4] == "item") for row in rows] == [
+        (pool, tree, per_item) for pool in ("sweep", "grid")
+        for per_item, count in ((False, 1), (True, 2)) for _ in range(count)
+        for tree in "01"]
+    for at in (0, 6):
+        total, items = rows[at:at + 2], rows[at + 2:at + 6]
+        assert [row[5] for row in items] == ["0:", "0:", "1:", "1:"]
+        for tree in range(2):
+            ratios = [float(row[3]) for row in [total[tree], *items[tree::2]]]
+            assert min(ratios) > 0 and (tree or ratios == [1.0] * 3)
+            assert abs(float(total[tree][2]) - sum(
+                float(row[2]) for row in items[tree::2])) <= 2e-3
     assert lines[-1].startswith("peak RSS ")

@@ -2,7 +2,7 @@
 process, on the benchmark's `sweep` and `grid` input pools.
 
     python tools/ab_time.py [--pool sweep|grid] [--rounds N] [--items N]
-                            [--seed N] SRC [SRC ...]
+                            [--seed N] [--per-item] SRC [SRC ...]
 
 Each SRC is a directory holding the `imrc` package, such as `src` or a
 `git archive` of another commit; the first is the reference, and giving
@@ -15,7 +15,10 @@ Each round times every item once on every tree, and the tree that goes
 first rotates from round to round. For each pool and tree it prints the
 sum over items of each item's fastest time, that sum relative to the
 first tree's, and the minor page faults per item (getrusage); then the
-process's peak RSS.
+process's peak RSS. With --per-item it also prints, after each pool's
+rows, every item's fastest time on each tree and that time relative to the
+first tree's, with the item's P, PR and whether det(H) = 0, so a gain
+that sits in a few items shows where it sits.
 
 To run the Tier-1 tests against another tree, override pytest's own path:
 
@@ -89,8 +92,8 @@ def faults() -> int:
 
 
 def time_pool(calls: list[list], rounds: int) -> tuple[list, list]:
-    """Per tree: the sum of each item's fastest time in seconds, and the
-    minor faults per item."""
+    """Per tree: each item's fastest time in seconds, and the minor faults
+    per item."""
     n = len(calls)
     fastest = [[float("inf")] * len(calls[0]) for _ in range(n)]
     counted = [0] * n
@@ -104,7 +107,7 @@ def time_pool(calls: list[list], rounds: int) -> tuple[list, list]:
                                        time.perf_counter() - begin)
             counted[t] += faults() - start
     per_item = rounds * len(calls[0])
-    return [sum(f) for f in fastest], [c / per_item for c in counted]
+    return fastest, [c / per_item for c in counted]
 
 
 def main(argv=None) -> int:
@@ -116,6 +119,8 @@ def main(argv=None) -> int:
     parser.add_argument("--items", type=int, default=None,
                         help="time only the first N items of each pool")
     parser.add_argument("--seed", type=int, default=5151)
+    parser.add_argument("--per-item", action="store_true",
+                        help="also print each item's fastest time per tree")
     args = parser.parse_args(argv)
     srcs = [src.resolve() for src in args.trees]
     workloads = load_workloads(srcs[0])
@@ -127,10 +132,18 @@ def main(argv=None) -> int:
         setups, grid = pool_inputs(workloads, pool, args.seed)
         calls = [item_calls(tree, pool, setups[:items], grid)
                  for tree in trees]
-        total, flt = time_pool(calls, args.rounds)
+        fastest, flt = time_pool(calls, args.rounds)
+        total = [sum(times) for times in fastest]
         for k, src in enumerate(srcs):
             print(f"{pool:6} {k:3d} {1e3 * total[k]:11.3f} "
                   f"{total[k] / total[0]:7.4f} {flt[k]:12.1f}  {src}")
+        if args.per_item:
+            for item, setup in enumerate(setups[:items]):
+                facts = (f"item {item}: P {setup.P:.3g}, PR {setup.PR:.3g}"
+                         + (", det(H) = 0" if setup.hR_det == 0.0 else ""))
+                for k, times in enumerate(fastest):
+                    print(f"{pool:6} {k:3d} {1e3 * times[item]:11.3f} "
+                          f"{times[item] / fastest[0][item]:7.4f}  {facts}")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"peak RSS {peak:.1f} MB")
     return 0
