@@ -25,14 +25,13 @@ import numpy as np
 from . import beamforming
 from .errors import (ImrcError, LinearizationInfeasible, NegativePower,
                      NonFinite)
-from .lowpower import (best_sign_powers, full_region, linearized_rates,
-                       taylor_coeffs)
+from .lowpower import (best_sign_powers, closed_form_phat, full_region,
+                       linearized_rates, taylor_coeffs)
 from .model import (ChannelSetup, PowerAllocation, feasibility,
                     resolve_channel, validate)
 from .rates import (block_penalty, check_budget, ic_rates, mac_rates,
                     scheme_rate_point)
-from .search import (GridSpec, SweepPolicy, best_p1, bisect_intersection,
-                     sweep_P)
+from .search import GridSpec, SweepPolicy, best_p1, sweep_P
 
 DEFAULT_DB_RANGE = "-30:20:1"
 
@@ -77,7 +76,7 @@ def parse_db_range(text: str) -> tuple[float, ...]:
     if not (0.0 < step < math.inf and -math.inf < lo <= hi < math.inf):
         raise ValueError(f"range must be finite, ascending, step > 0: {text!r}")
     span = (hi - lo) / step + 1e-9
-    if not math.isfinite(span):
+    if not span < 1e6:  # inf and NaN too, before any budget is built
         raise ValueError(f"range has too many points: {text!r}")
     values = tuple(lo + k * step for k in range(math.floor(span) + 1))
     try:
@@ -260,7 +259,7 @@ def figure2_rows(setup: ChannelSetup, rho1: float, n1: int) -> list[tuple]:
 def figure3_rows(setup: ChannelSetup, rho1: float, n1: int,
                  p2: float) -> tuple[list[tuple], float]:
     """User 1's two caps, linearized and exact, on the same p1 sweep, plus
-    the linearized curves' intersection (the closed-form optimum)."""
+    the linearized curves' crossing, closed_form_phat's p1."""
     coeffs = taylor_coeffs(setup, rho1, n1=n1)
     rows = []
     for k in range(100):
@@ -270,11 +269,7 @@ def figure3_rows(setup: ChannelSetup, rho1: float, n1: int,
         mac = mac_rates(setup, p1, p2)
         ic = ic_rates(setup, PowerAllocation(p1=p1, p2=p2, rho1=rho1, n1=n1))
         rows.append((frac, lin.r1mac, lin.r1ic, mac.R1mac, ic.R1))
-    crossing = bisect_intersection(
-        (lambda p: linearized_rates(coeffs, setup, p, p2).r1mac,
-         lambda p: linearized_rates(coeffs, setup, p, p2).r1ic),
-        (0.0, setup.P))
-    return rows, crossing
+    return rows, closed_form_phat(coeffs, setup).p1
 
 
 def figure4_rows(setup_template: ChannelSetup, db_values, PR: float | None,

@@ -61,37 +61,37 @@ _peak's docstring derives the slack that keeps it above every rounded
 cell. Feasibility never falls as p_i grows, so a user's interval is live
 exactly when the kernel finds its largest power feasible. All groups are
 bounded first. The best cell of the top-bound block of each rho1's
-top-bound group sets an incumbent; then, in the groups whose bound
-reaches the incumbent, every block whose bound reaches it is evaluated.
-Each block is evaluated once: the first-pass block's value and cell join
-the reduction below, where the main pass would evaluate it again. A
-block's cells are evaluated by _best on its 8 + 8 powers, so each cell's
-value is the one a full grid gives, bit for bit. There are two
-incumbents:
-- unrefined (grid_search_sum_rate, SweepPolicy(refine=False)), G = 4.
-  Only the first argmax over all rho1 is read, so the incumbent is the
-  largest first-pass value over all rho1, a cell's value and so at most
-  the maximum. A block that holds the maximum, and its group, have
-  bounds of at least the maximum, so that block is evaluated; other rows
-  may keep less than their best, or nothing, and np.argmax over rows
-  still takes the least rho1;
+top-bound group is that rho1's first-pass value; let I be the best of
+them, a cell's value and so at most the maximum. One row filter serves
+both searches: a rho1 whose group bounds are all below I is dropped,
+value 0. In each other rho1, every block whose bound reaches the
+incumbent, in a group whose bound reaches it, is evaluated. Each block is
+evaluated once: the first-pass block's value and cell join the reduction
+below, where the main pass would evaluate it again. A block's cells are
+evaluated by _best on its 8 + 8 powers, so each cell's value is the one a
+full grid gives, bit for bit. There are two incumbents:
+- unrefined (grid_search_sum_rate, SweepPolicy(refine=False)), G = 4:
+  I in every row. Only the first argmax over all rho1 is read. A block
+  that holds the maximum, and its group, have bounds of at least the
+  maximum, so that block is evaluated; other rows may keep less than
+  their best, or nothing, and np.argmax over rows still takes the least
+  rho1. Here the row filter drops no block the incumbent keeps;
 - refined, G = 1, so a group is a block, and blocks are closed: each
   runs from its own first power to the next block's, the last one to P,
   so a rho1's blocks cover [0, P]^2 and bound every point the zoom can
-  sample. Let I be the best first-pass value. A rho1 whose bounds are
-  all below I is skipped, value 0, so _zoom never opens it: each of its
-  points, on the grid or off it, is below I, and I is at most the
-  maximum, which the zoom never lowers, so it can neither be the argmax
-  nor start a window that wins. (A det(H) = 0 twin of a skipped rho1
-  ties it, so it stays below I too.) Each other rho1's best cell starts a
-  zoom, so it keeps its own first-pass value as its incumbent and finds
-  its own best. That value must come from its own top-bound block: the
-  top block of a larger group is a weaker incumbent, and more blocks pass
-  it (G = 4 evaluated 1.5 times as many on the sweep benchmark). A closed
-  block whose only feasible point is the next block's first power is live
-  without a feasible cell (PR = 0 leaves only p_i = P, alone in the last
-  block when n_p - 1 is a multiple of 8): a rho1 whose first-pass value
-  is 0 takes every block with a positive bound.
+  sample. A dropped rho1 is never zoomed: each of its points, on the
+  grid or off it, is below I, and the zoom never lowers the maximum, so
+  it can neither be the argmax nor start a window that wins. (A det(H) =
+  0 twin of a dropped rho1 ties it, so it stays below I too.) Each kept
+  rho1's best cell starts a zoom, so its incumbent is its own first-pass
+  value, and it finds its own best. That value must come from its own
+  top-bound block: the top block of a larger group is a weaker
+  incumbent, and more blocks pass it (G = 4 evaluated 1.5 times as many
+  on the sweep benchmark). A closed block whose only feasible point is
+  the next block's first power is live without a feasible cell (PR = 0
+  leaves only p_i = P, alone in the last block when n_p - 1 is a
+  multiple of 8): a rho1 whose first-pass value is 0 takes every block
+  with a positive bound.
 Either way a skipped block cannot hold a maximum that is read, and a tie
 is still evaluated: each block keeps its first row-major maximum, and one
 reduction per rho1 then takes the best value and the least cell index
@@ -224,6 +224,8 @@ _BLOCK = 8
 _GROUP = 4
 _CHUNK = 128
 
+_BISECT_TOL = 1e-12  # bisect_intersection's width, relative to the interval
+
 
 def _signal(setup: ChannelSetup, user: int, rho1, sign, p
             ) -> tuple[np.ndarray, np.ndarray]:
@@ -255,11 +257,6 @@ def _exponent(setup: ChannelSetup) -> int:
     return math.frexp(1.0 + max(setup.g1R_norm2, 1.0) * setup.P)[1]
 
 
-def _scale(setup: ChannelSetup) -> float:
-    """2^-e: scaling A1 by it keeps A1 A2 below A2, and does not round."""
-    return math.ldexp(1.0, -_exponent(setup))
-
-
 def _capped_term(setup: ChannelSetup, user: int, sig, p_own,
                  p_other) -> np.ndarray:
     """1 + min(||g_iR||^2 p_i, SINR_i), the linear form of
@@ -278,13 +275,14 @@ def _capped_term(setup: ChannelSetup, user: int, sig, p_own,
 
 def _value(setup: ChannelSetup, sig1, sig2, hi1, hi2, lo1, lo2,
            ok) -> np.ndarray:
-    """min(A1 A2, M) scaled by _scale(setup), 0 where ok is false, with A_i
-    user i's _capped_term at signal sig_i, own power hi_i and the other
-    user's power lo_j, and M mac_sum_argument at (hi1, hi2). A cell passes
-    hi = lo = p; a block or window bound passes each user's largest signal
-    and power as hi and least power as lo. The arguments broadcast, sig1
-    and sig2 possibly to different shapes, so A1 A2 is a new array."""
-    scale = _scale(setup)  # a power of two: exact
+    """min(A1 A2, M) scaled by 2^-_exponent(setup), 0 where ok is false,
+    with A_i user i's _capped_term at signal sig_i, own power hi_i and the
+    other user's power lo_j, and M mac_sum_argument at (hi1, hi2). A cell
+    passes hi = lo = p; a block or window bound passes each user's largest
+    signal and power as hi and least power as lo. The arguments broadcast,
+    sig1 and sig2 possibly to different shapes, so A1 A2 is a new array."""
+    # scaling A1 by 2^-e keeps A1 A2 below A2, and does not round
+    scale = math.ldexp(1.0, -_exponent(setup))
     total = (scale * _capped_term(setup, 1, sig1, hi1, lo2)
              * _capped_term(setup, 2, sig2, hi2, lo1))
     # in place here, in _signal and _capped_term: plain read sweep 1.033x
@@ -381,14 +379,14 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
     best cell of the top-bound block of its rho1's top-bound group or,
     when overall, the largest such value over all rho1; then only the
     first argmax over (rho1, cell) is sure to be found, and the other
-    rows' values may fall short of their best. Unless overall, blocks are
-    closed, to the next block's first power and the last to P, and a rho1
-    whose bound is below the best incumbent is skipped: it gets value 0,
-    and every rho1 that is kept gets its best (see the module docstring
-    for why either, and branch_sign's block, is exact). Groups and blocks
-    are bounded by _box_bound on their edges in the padded grid; a block's
-    cells are evaluated by _best on its 8 + 8 powers, bit for bit as on a
-    full grid."""
+    rows' values may fall short of their best. Either way a rho1 whose
+    bound is below that largest value is dropped: it gets value 0. Unless
+    overall, blocks are closed, to the next block's first power and the
+    last to P, and every rho1 that is kept gets its best (see the module
+    docstring for why either, and branch_sign's block, is exact). Groups
+    and blocks are bounded by _box_bound on their edges in the padded
+    grid; a block's cells are evaluated by _best on its 8 + 8 powers, bit
+    for bit as on a full grid."""
     n, b, n_rho = len(pv), _BLOCK, len(rhos)
     size = _GROUP if overall else 1
     span = -(-n // (size * b)) * size * b  # cells a side, in whole groups
@@ -438,9 +436,9 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
                                       pp[col[c] * b + np.arange(b)[:, None]])
         return best, (row * b + first // b) * n + col * b + first % b
 
-    # first pass in every rho1 with a positive bound; unless overall, a rho1
-    # whose bound is below the best incumbent is then skipped (reach inf).
-    # A closed top block may hold no feasible cell: its rho1 then takes
+    # first pass in every rho1 with a positive bound; a rho1 whose bound is
+    # below the best first-pass value is then dropped (reach inf). A
+    # closed top block may hold no feasible cell: its rho1 then takes
     # every block with a feasible cell, whose bound reaches the least
     # positive double.
     live = gbound.max(axis=1)
@@ -450,9 +448,9 @@ def _coarse(setup: ChannelSetup, rhos: np.ndarray, pv: np.ndarray, n1: int,
     first[k] = block[bound.argmax(axis=0), np.arange(len(k))]
     incumbent, at = np.zeros(n_rho), np.zeros(n_rho, dtype=np.intp)
     incumbent[k], at[k] = evaluate(k, first[k])
-    reach = np.maximum(5e-324, np.full(n_rho, incumbent.max()) if overall
-                       else np.where(live >= incumbent.max(), incumbent,
-                                     np.inf))
+    top = incumbent.max()
+    reach = np.maximum(5e-324, np.where(live >= top, top if overall
+                                        else incumbent, np.inf))
     # main pass, in (rho1, group, block) order: every block whose bound
     # reaches the incumbent, in a group whose bound reaches it, the
     # first-pass block by its first-pass result
@@ -616,12 +614,12 @@ def best_p1(setup: ChannelSetup, rho1: float) -> float:
     return 1.0 - 2.0 * d0 * d0 / (2.0 * d0 * d1 + 4.0 * a * b * (abK + root))
 
 
-def bisect_intersection(curve_pair, interval, tol: float = 1e-12) -> float:
+def bisect_intersection(curve_pair, interval) -> float:
     """Intersection of two scalar curves on an interval by bisection on
     their difference. An endpoint where the curves already coincide is
     returned as-is; otherwise the difference must change sign across the
-    interval. The returned abscissa is within tol * (initial width) of the
-    crossing."""
+    interval. The returned abscissa is within _BISECT_TOL * (initial width)
+    of the crossing."""
     curve_a, curve_b = curve_pair
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -638,7 +636,7 @@ def bisect_intersection(curve_pair, interval, tol: float = 1e-12) -> float:
             f"({d_lo:.3e} and {d_hi:.3e})")
     span = hi - lo
     for _ in range(200):  # hard stop well past float resolution
-        if hi - lo <= tol * span:
+        if hi - lo <= _BISECT_TOL * span:
             break
         mid = 0.5 * (lo + hi)
         d_mid = curve_a(mid) - curve_b(mid)

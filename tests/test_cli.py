@@ -17,8 +17,10 @@ from imrc import (
     GridSpec,
     PowerAllocation,
     beam_vector,
+    closed_form_phat,
     example_channel,
     full_region,
+    taylor_coeffs,
 )
 from imrc.cli import (figure2_rows, figure3_rows, main, parse_db_range,
                       parse_grid, parse_power, resolve_channel)
@@ -108,7 +110,8 @@ def test_parse_db_range():
     assert values[0] == -30.0 and values[-1] == 20.0
     assert parse_db_range("0:1:0.5") == (0.0, 0.5, 1.0)
     for bad in ("5:1:1", "1:2", "0:1:0", "a:b:c", "-inf:0:1", "0:inf:1",
-                "0:1:inf", "nan:0:1", "-1e308:1e308:1", "0:1e308:1e-300"):
+                "0:1:inf", "nan:0:1", "-1e308:1e308:1", "0:1e308:1e-300",
+                "0:1:1e-6"):
         with pytest.raises(ValueError):
             parse_db_range(bad)
 
@@ -603,6 +606,8 @@ def test_figure3_reports_intersection(tmp_path, capsys):
     line = next(l for l in out.splitlines() if l.startswith("intersection p1 = "))
     crossing = float(line.split("=")[1])
     assert crossing == pytest.approx(0.033395004625346905, abs=1e-9)
+    assert figure3_rows(EX, 0.5, 1, 1e-4)[1] == closed_form_phat(
+        taylor_coeffs(EX, 0.5), EX).p1
     rows = list(csv.reader(out_path.read_text().splitlines()))
     assert rows[0] == ["p1_over_P", "r1_mac", "r1_ic",
                        "R1_mac_exact", "R1_ic_exact"]

@@ -1,14 +1,18 @@
-"""Golden outputs: the figure and sweep CSVs, regenerated byte for byte.
+"""Golden outputs: the figure and sweep CSVs and the edge channels'
+searches, regenerated byte for byte.
 
-Each file under tests/golden/ was written by the CLI command listed next to
-it. A change that moves any printed digit of these outputs fails here; such
-a change must regenerate the files in a commit of its own that says why.
+Each CSV under tests/golden/ was written by the CLI command listed next to
+it, and search_edges.txt by tools/search_dump.py's edge_lines. A change
+that moves any printed digit of these outputs fails here; such a change
+must regenerate the files in a commit of its own that says why.
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
 
+import imrc
 from imrc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,3 +49,16 @@ def test_figure4_exact_optimum_is_the_closed_form_where_det_is_zero():
     for row in rows:
         _, grid, closed = row.split(",")
         assert grid == closed == "0.333950046253"
+
+
+def test_search_edges_are_byte_identical(capsys):
+    # every search of the dump's edge channels (budgets from 0 to 1e250,
+    # zero and parallel relay columns, the budget domain's ends), bit for
+    # bit: the near-limit searches that no other golden file reaches
+    path = Path(__file__).resolve().parent.parent / "tools" / "search_dump.py"
+    spec = importlib.util.spec_from_file_location("search_dump", path)
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    dump.edge_lines(imrc)
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / "search_edges.txt").read_bytes()

@@ -136,6 +136,13 @@ def _search_lines(imrc, label: str, setup, grids):
         print(f"{label} best_p1 rho1={rho1}: {line}")
 
 
+def edge_lines(imrc) -> None:
+    """Every search of each edge channel on the edge grids (the lines
+    tests/golden/search_edges.txt holds)."""
+    for label, setup in _edge_channels(imrc):
+        _search_lines(imrc, f"edge {label}", setup, EDGE_GRIDS)
+
+
 def _lowpower_lines(imrc, label: str, setup) -> None:
     """The low-power layer of one channel at each split and sign pair."""
     refusal = (imrc.ImrcError, ArithmeticError)
@@ -198,8 +205,7 @@ def main(argv=None) -> int:
         line = _attempt(lambda: _row(imrc, setup, setup.P, setup.PR),
                         imrc.ImrcError)
         print(f"{k} sweep: {line}")
-    for label, setup in _edge_channels(imrc):
-        _search_lines(imrc, f"edge {label}", setup, EDGE_GRIDS)
+    edge_lines(imrc)
     det_nonzero = imrc.load_channel(
         str(ROOT / "tests" / "golden" / "channel_det_nonzero.txt"))
     for P in LOWPOWER_BUDGETS:
